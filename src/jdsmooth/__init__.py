@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     DataError,
     DegenerateDesignError,
+    EstimationError,
     JdsmoothError,
     NotIdentifiableError,
     SparseRegionError,
@@ -34,6 +35,7 @@ from .inference import (
     JumpComponents,
     JumpTestResult,
     asymptotic_moments,
+    band_companions,
     bs_jump_test,
     confidence_band,
     identify_jump_components,
@@ -53,6 +55,7 @@ from .locallinear import (
     CurveEstimate,
     LocalFit,
     Target,
+    estimate_curve,
     estimate_density,
     estimate_drift_curve,
     estimate_m_curve,
@@ -92,6 +95,7 @@ __all__ = [
     "CurveEstimate",
     "DataError",
     "DegenerateDesignError",
+    "EstimationError",
     "JdsmoothError",
     "JumpComponents",
     "JumpTestResult",
@@ -111,6 +115,7 @@ __all__ = [
     "Target",
     "asymptotic_h_opt",
     "asymptotic_moments",
+    "band_companions",
     "baseline_model",
     "block_cv",
     "boundary_variance_constant",
@@ -122,6 +127,7 @@ __all__ = [
     "classify_point",
     "confidence_band",
     "default_h_grid",
+    "estimate_curve",
     "estimate_density",
     "estimate_drift_curve",
     "estimate_m_curve",

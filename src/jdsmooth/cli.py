@@ -39,7 +39,7 @@ from .bandwidth import (
     rule_of_thumb,
 )
 from .errors import ConfigError, DataError, EstimationError, JdsmoothError
-from .inference import BandCompanions, bs_jump_test, confidence_band
+from .inference import band_companions, bs_jump_test, confidence_band
 from .kernels import (
     DEFAULT_REGIME_THRESHOLD,
     KernelFamily,
@@ -47,14 +47,7 @@ from .kernels import (
     RegimeKind,
     classify_point,
 )
-from .locallinear import (
-    Target,
-    estimate_density,
-    estimate_drift_curve,
-    estimate_m_curve,
-    estimate_moment_curve,
-    estimate_second_derivative,
-)
+from .locallinear import Target, estimate_curve
 from .mc import (
     BandwidthSetting,
     McConfig,
@@ -304,10 +297,11 @@ def _resolve_h(cfg: dict, p: ProxySeries) -> float:
         if not (math.isfinite(h) and h > 0):
             raise ConfigError(f"bandwidth must be positive, got {fixed!r}")
         return h
-    if c is None:
-        c = 2.0
-    span = p.delta * len(p)
-    return rule_of_thumb(p, c=float(c), T=span).h
+    c = 2.0 if c is None else _as_float(cfg, "rot_c")
+    try:
+        return rule_of_thumb(p, c=c, T=p.delta * len(p)).h
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _resolve_grid(cfg: dict, p: ProxySeries) -> np.ndarray:
@@ -375,15 +369,6 @@ def _cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-def _curve_for(target: Target, triples, spec: KernelSpec, grid: np.ndarray):
-    if target is Target.DRIFT:
-        return estimate_drift_curve(triples, spec, grid)
-    if target is Target.COND_VARIANCE:
-        return estimate_m_curve(triples, spec, grid)
-    order = 4 if target is Target.FOURTH_MOMENT else 6
-    return estimate_moment_curve(triples, spec, grid, order)
-
-
 def _cmd_estimate(cfg: dict) -> int:
     out = _out_dir(cfg)
     p = _load_series(cfg)
@@ -398,7 +383,7 @@ def _cmd_estimate(cfg: dict) -> int:
     for fam in families:
         spec = KernelSpec(fam, h)
         try:
-            curve = _curve_for(target, triples, spec, grid)
+            curve = estimate_curve(triples, spec, grid, target)
             values, slopes, failures = curve.values, curve.slopes, curve.failures
         except EstimationError as exc:
             values = np.full(grid.size, np.nan)
@@ -437,32 +422,14 @@ def _cmd_ci(cfg: dict) -> int:
     alpha = _as_float(cfg, "alpha")
     tau = _as_float(cfg, "tau")
     bias_correct = bool(cfg["bias_correct"])
-    numer_target = (
-        Target.COND_VARIANCE if target is Target.DRIFT else Target.FOURTH_MOMENT
-    )
 
     bands = {}
     for fam in families:
         spec = KernelSpec(fam, h)
-        curve = _curve_for(target, triples, spec, grid)
-        numer = _curve_for(numer_target, triples, spec, grid)
-        dens = np.empty(grid.size)
-        curv = np.empty(grid.size)
-        for i, x in enumerate(grid):
-            try:
-                dens[i] = estimate_density(p, spec, float(x))
-            except JdsmoothError:
-                dens[i] = np.nan
-            try:
-                curv[i] = estimate_second_derivative(triples, target, spec, float(x))
-            except JdsmoothError:
-                curv[i] = np.nan
-        companions = BandCompanions(
-            variance_numerator=numer.values, density=dens, curvature=curv
-        )
         bands[fam] = confidence_band(
-            curve, companions, alpha, n=len(p), delta=p.delta,
-            tau=tau, bias_correct=bias_correct,
+            estimate_curve(triples, spec, grid, target),
+            band_companions(p, triples, spec, grid, target),
+            alpha, n=len(p), delta=p.delta, tau=tau, bias_correct=bias_correct,
         )
 
     columns = ["x"]
@@ -513,7 +480,7 @@ def _cmd_bandwidth(cfg: dict) -> int:
     p = _load_series(cfg)
     method = cfg["method"]
     if method == "rule-of-thumb":
-        c = float(cfg.get("c") or 2.0)
+        c = 2.0 if cfg.get("c") is None else _as_float(cfg, "c")
         span = cfg.get("horizon")
         span = p.delta * len(p) if span is None else float(span)
         regime = (
@@ -543,17 +510,14 @@ def _cmd_bandwidth(cfg: dict) -> int:
         spec = KernelSpec(KernelFamily.GAMMA, pilot_h)
         triples = build_regression_triples(p)
         target = _TARGETS[cfg["target"]]
-        numer_target = (
-            Target.COND_VARIANCE if target is Target.DRIFT else Target.FOURTH_MOMENT
-        )
         try:
-            numer = _curve_for(numer_target, triples, spec, np.array([x])).values[0]
-            dens = estimate_density(p, spec, x)
-            curv = estimate_second_derivative(triples, target, spec, x)
+            comp = band_companions(p, triples, spec, [x], target)
             regime = classify_point(x, pilot_h, _as_float(cfg, "tau"))
             choice = asymptotic_h_opt(
-                x, n=len(p), delta=p.delta, m_hat=float(numer),
-                p_hat=dens, curvature=curv, regime=regime,
+                x, n=len(p), delta=p.delta,
+                m_hat=float(comp.variance_numerator[0]),
+                p_hat=float(comp.density[0]), curvature=float(comp.curvature[0]),
+                regime=regime,
             )
         except (JdsmoothError, ValueError) as exc:
             raise JdsmoothError(f"plug-in selection failed at x={x:g}: {exc}")

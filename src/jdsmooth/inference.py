@@ -32,21 +32,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
-from .errors import DataError, NotIdentifiableError
+from .errors import (
+    DataError,
+    DegenerateDesignError,
+    EstimationError,
+    NotIdentifiableError,
+    SparseRegionError,
+)
 from .kernels import (
     DEFAULT_REGIME_THRESHOLD,
     KernelFamily,
+    KernelSpec,
     PointRegime,
     RegimeKind,
     boundary_variance_constant,
     classify_point,
 )
-from .locallinear import CurveEstimate, Target
-from .proxy import ProxySeries
+from .locallinear import (
+    CurveEstimate,
+    estimate_curve,
+    estimate_density,
+    estimate_second_derivative,
+)
+from .proxy import ProxySeries, RegressionTriples, Target
 
 _SQRT_PI2 = 2.0 * math.sqrt(math.pi)
 _BS_THETA = math.pi**2 / 4.0 + math.pi - 5.0
@@ -72,8 +84,7 @@ def asymptotic_moments(
     delta: float,
     target: Target,
     curvature: float,
-    m_hat: float | None,
-    c4_hat: float | None,
+    numerator: float,
     p_hat: float,
     regime: PointRegime,
     family: KernelFamily = KernelFamily.GAMMA,
@@ -81,22 +92,20 @@ def asymptotic_moments(
     """Evaluate the limit-theorem bias, variance and rate at one point.
 
     The variance numerator is M_hat for the drift target and c4_hat for
-    the conditional-variance target.  curvature is the estimated second
-    derivative of the target function.
+    the conditional-variance target (see ``band_companions``).  curvature
+    is the estimated second derivative of the target function.
     """
     if not (n > 0 and delta > 0 and h > 0):
         raise ValueError("need positive n, delta and h")
     if not (p_hat > 0 and math.isfinite(p_hat)):
         raise ValueError(f"density estimate must be positive, got {p_hat!r}")
     if target is Target.DRIFT:
-        numerator = m_hat
-        if numerator is None or not (numerator > 0):
+        if not (numerator > 0):
             raise ValueError(
                 f"drift bands need a positive conditional variance, got {numerator!r}"
             )
     elif target is Target.COND_VARIANCE:
-        numerator = c4_hat
-        if numerator is None or numerator < 0:
+        if not (numerator >= 0):
             raise ValueError(
                 f"variance bands need a nonnegative fourth moment, got {numerator!r}"
             )
@@ -143,14 +152,64 @@ class BandCompanions:
     curvature: np.ndarray
 
 
+def band_companions(
+    p: ProxySeries,
+    triples: RegressionTriples,
+    kernel: KernelSpec,
+    grid,
+    target: Target,
+) -> BandCompanions:
+    """Companion estimates for a band around the target curve on a grid.
+
+    At each grid point: the local linear estimate of the variance
+    numerator (M_hat for drift, the fourth moment for conditional
+    variance), the kernel density of the proxy, and the pilot curvature
+    of the target.  A point where one of them cannot be estimated
+    (outside the Gamma support, a sparse region, a degenerate design)
+    holds NaN there, which ``confidence_band`` turns into a gap.
+    """
+    if target is Target.DRIFT:
+        companion = Target.COND_VARIANCE
+    elif target is Target.COND_VARIANCE:
+        companion = Target.FOURTH_MOMENT
+    else:
+        raise ValueError(f"no limit theory wired for target {target!r}")
+    grid = np.asarray(grid, dtype=float)
+    try:
+        numerator = estimate_curve(triples, kernel, grid, companion).values
+    except EstimationError:
+        numerator = np.full(grid.size, np.nan)
+    density = np.full(grid.size, np.nan)
+    curvature = np.full(grid.size, np.nan)
+    # ValueError: x outside the Gamma kernel's support
+    failures = (SparseRegionError, DegenerateDesignError, ValueError)
+    for i, x in enumerate(grid.tolist()):
+        try:
+            density[i] = estimate_density(p, kernel, x)
+        except failures:
+            pass
+        try:
+            curvature[i] = estimate_second_derivative(triples, target, kernel, x)
+        except failures:
+            pass
+    return BandCompanions(numerator, density, curvature)
+
+
 @dataclass(frozen=True)
 class ConfidenceBand:
-    """Pointwise asymptotic band; gaps mark grid points with no valid band."""
+    """Pointwise asymptotic band; gaps mark grid points with no valid band.
+
+    bias, variance and rate hold the asymptotic moments each point's band
+    was built from (NaN at gaps).
+    """
 
     grid: np.ndarray
     center: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    bias: np.ndarray
+    variance: np.ndarray
+    rate: np.ndarray
     alpha: float
     target: Target
     family: KernelFamily
@@ -191,13 +250,16 @@ def confidence_band(
     )
     if any(np.asarray(a).size != m for a in comp_arrays):
         raise ValueError("companion arrays must match the curve grid")
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     h = curve.kernel.bandwidth
     family = curve.kernel.family
 
     center = np.full(m, np.nan)
     lower = np.full(m, np.nan)
     upper = np.full(m, np.nan)
+    bias = np.full(m, np.nan)
+    variance = np.full(m, np.nan)
+    rate = np.full(m, np.nan)
     clipped = np.zeros(m, dtype=bool)
     regimes: list[PointRegime] = []
     gaps: dict[int, str] = {}
@@ -237,12 +299,12 @@ def confidence_band(
         )
         try:
             mom = asymptotic_moments(
-                x, h, n, delta, curve.target, curv, numer, numer, dens,
+                x, h, n, delta, curve.target, curv, numer, dens,
                 regime, family,
             )
             if knife_edge:
                 alt = asymptotic_moments(
-                    x, h, n, delta, curve.target, curv, numer, numer, dens,
+                    x, h, n, delta, curve.target, curv, numer, dens,
                     PointRegime(RegimeKind.BOUNDARY, x / h), family,
                 )
                 widths = {
@@ -256,7 +318,8 @@ def confidence_band(
             gaps[i] = str(exc)
             continue
 
-        c = float(curve.values[i]) - (mom.bias if bias_correct else 0.0)
+        # without bias correction curv is 0, so mom.bias is 0
+        c = float(curve.values[i]) - mom.bias
         half = z * math.sqrt(mom.variance) / mom.rate
         lo, hi = c - half, c + half
         if curve.target is Target.COND_VARIANCE:
@@ -264,12 +327,16 @@ def confidence_band(
                 clipped[i] = True
             lo, hi = max(lo, 0.0), max(hi, 0.0)
         center[i], lower[i], upper[i] = c, lo, hi
+        bias[i], variance[i], rate[i] = mom.bias, mom.variance, mom.rate
 
     return ConfidenceBand(
         grid=grid,
         center=center,
         lower=lower,
         upper=upper,
+        bias=bias,
+        variance=variance,
+        rate=rate,
         alpha=alpha,
         target=curve.target,
         family=family,

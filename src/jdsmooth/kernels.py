@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 DEFAULT_REGIME_THRESHOLD = 20.0
 
@@ -96,7 +95,7 @@ def gamma_kernel(u, x: float, h: float):
     else:
         with np.errstate(divide="ignore"):
             power = shape * np.log(uu)
-    log_dens = power - uu / h - (shape + 1.0) * math.log(h) - gammaln(shape + 1.0)
+    log_dens = power - uu / h - (shape + 1.0) * math.log(h) - math.lgamma(shape + 1.0)
     with np.errstate(under="ignore"):
         out = np.exp(log_dens)
     if uu.ndim == 0:
@@ -161,11 +160,11 @@ def boundary_variance_constant(kappa: float) -> float:
     if not (math.isfinite(kappa) and kappa >= 0):
         raise ValueError(f"kappa must be nonnegative, got {kappa!r}")
     log_c = (
-        gammaln(2.0 * kappa + 1.0)
+        math.lgamma(2.0 * kappa + 1.0)
         - (2.0 * kappa + 1.0) * math.log(2.0)
-        - 2.0 * gammaln(kappa + 1.0)
+        - 2.0 * math.lgamma(kappa + 1.0)
     )
-    return float(np.exp(log_c))
+    return math.exp(log_c)
 
 
 def classify_point(

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateDesignError, EstimationError, SparseRegionError
 from .kernels import KernelFamily, KernelSpec, weight_values
-from .proxy import ProxySeries, RegressionTriples
+from .proxy import ProxySeries, RegressionTriples, Target
 
 # relative floor for the normal-equation determinant and absolute floor
 # for total kernel mass
@@ -40,13 +39,6 @@ _MASS_FLOOR = 1e-300
 
 # pilot bandwidth multiple for curvature estimation
 _PILOT_FACTOR = 2.0
-
-
-class Target(Enum):
-    DRIFT = "drift"
-    COND_VARIANCE = "cond_variance"
-    FOURTH_MOMENT = "moment4"
-    SIXTH_MOMENT = "moment6"
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,12 +119,18 @@ def local_linear_fit(
     return _fit_arrays(triples.weight_points, triples.design_points, y, kernel, x)
 
 
-def _estimate_curve(
+def estimate_curve(
     triples: RegressionTriples,
     kernel: KernelSpec,
     grid,
     target: Target,
 ) -> CurveEstimate:
+    """Estimate of any target's curve over a grid of evaluation points.
+
+    Points outside the kernel's support, in sparse regions or with a
+    degenerate local design are recorded as failures; EstimationError is
+    raised only when every point fails.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty one-dimensional array")
@@ -164,7 +162,7 @@ def estimate_drift_curve(
     triples: RegressionTriples, kernel: KernelSpec, grid
 ) -> CurveEstimate:
     """Drift estimate mu_hat over a grid of evaluation points."""
-    return _estimate_curve(triples, kernel, grid, Target.DRIFT)
+    return estimate_curve(triples, kernel, grid, Target.DRIFT)
 
 
 def estimate_m_curve(
@@ -175,7 +173,7 @@ def estimate_m_curve(
     Values are reported as fitted, including any negative dips; interval
     construction clips to the parameter space instead.
     """
-    return _estimate_curve(triples, kernel, grid, Target.COND_VARIANCE)
+    return estimate_curve(triples, kernel, grid, Target.COND_VARIANCE)
 
 
 def estimate_moment_curve(
@@ -188,7 +186,7 @@ def estimate_moment_curve(
         target = Target.SIXTH_MOMENT
     else:
         raise ValueError(f"order must be 4 or 6, got {order!r}")
-    return _estimate_curve(triples, kernel, grid, target)
+    return estimate_curve(triples, kernel, grid, target)
 
 
 def estimate_density(p: ProxySeries, kernel: KernelSpec, x: float) -> float:

@@ -24,28 +24,19 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from ._version import VERSION
-from .errors import DegenerateDesignError, EstimationError, SparseRegionError
-from .kernels import (
-    DEFAULT_REGIME_THRESHOLD,
-    KernelFamily,
-    KernelSpec,
-    PointRegime,
-    RegimeKind,
-    classify_point,
-)
-from .locallinear import (
-    Target,
-    estimate_density,
-    estimate_second_derivative,
-    local_linear_fit,
-    _estimate_curve,
-)
-from .inference import asymptotic_moments
+from .errors import EstimationError
+from .inference import band_companions, confidence_band
+from .kernels import DEFAULT_REGIME_THRESHOLD, KernelFamily, KernelSpec
+from .locallinear import Target, estimate_curve
+
+# mc no longer fits points itself, but perfbench's tracing test still
+# rebinds mc.local_linear_fit, so the name stays in this namespace
+from .locallinear import local_linear_fit  # noqa: F401
 from .proxy import build_proxy, build_regression_triples
 from .simulate import ModelSpec, replicate_seed, simulate_path, true_moments
 
@@ -152,6 +143,11 @@ class McReport:
     records: list[dict]
     seeds: list[int]
 
+    @classmethod
+    def of(cls, cfg: McConfig, experiment: str, rows, records) -> "McReport":
+        seeds = [replicate_seed(cfg.base_seed, r) for r in range(cfg.replicates)]
+        return cls(experiment, cfg.to_dict(), rows, records, seeds)
+
     def to_csv(self, path) -> None:
         path = Path(path)
         with path.open("w", newline="") as fh:
@@ -198,12 +194,6 @@ def _truth_value(cfg: McConfig, x: float) -> float:
     return tm.mu if cfg.target is Target.DRIFT else tm.m
 
 
-def _companion_target(target: Target) -> Target:
-    # variance numerator of the limit law: M for the drift estimator,
-    # the fourth jump moment for the variance estimator
-    return Target.COND_VARIANCE if target is Target.DRIFT else Target.FOURTH_MOMENT
-
-
 def _mse_replicate(cfg: McConfig, r: int) -> list[dict]:
     seed, p, triples, s = _simulate_proxy(cfg, r)
     if cfg.mse_trim is not None:
@@ -227,7 +217,7 @@ def _mse_replicate(cfg: McConfig, r: int) -> list[dict]:
                 "point_failures": cfg.mse_grid_size,
             }
             try:
-                curve = _estimate_curve(triples, spec, grid, cfg.target)
+                curve = estimate_curve(triples, spec, grid, cfg.target)
             except EstimationError:
                 out.append(rec)
                 continue
@@ -275,32 +265,34 @@ def run_mse_experiment(cfg: McConfig) -> McReport:
                     "point_failures": int(sum(rec["point_failures"] for rec in cell)),
                 }
             )
-    seeds = [replicate_seed(cfg.base_seed, r) for r in range(cfg.replicates)]
-    return McReport(
-        experiment="mse",
-        config=cfg.to_dict(),
-        rows=rows,
-        records=records,
-        seeds=seeds,
-    )
+    return McReport.of(cfg, "mse", rows, records)
 
 
 def _pointwise_replicate(cfg: McConfig, r: int) -> list[dict]:
     seed, p, triples, s = _simulate_proxy(cfg, r)
-    comp_target = _companion_target(cfg.target)
+    grid = np.asarray(cfg.eval_points, dtype=float)
     out = []
     for setting in cfg.bandwidths:
         h = setting.resolve(s, cfg.T)
         for family in cfg.families:
             spec = KernelSpec(family, h)
-            for x in cfg.eval_points:
+            try:
+                curve = estimate_curve(triples, spec, grid, cfg.target)
+                companions = band_companions(p, triples, spec, grid, cfg.target)
+                band = confidence_band(
+                    curve, companions, cfg.alpha, n=cfg.n, delta=p.delta, tau=cfg.tau
+                )
+                gaps = band.gaps
+            except EstimationError as exc:
+                band, gaps = None, dict.fromkeys(range(grid.size), str(exc))
+            for i, x in enumerate(grid.tolist()):
                 rec = {
                     "r": r,
                     "seed": seed,
                     "family": family.value,
                     "bandwidth": setting.label,
                     "h": h,
-                    "x": float(x),
+                    "x": x,
                     "ok": False,
                     "estimate": None,
                     "bias": None,
@@ -308,56 +300,20 @@ def _pointwise_replicate(cfg: McConfig, r: int) -> list[dict]:
                     "rate": None,
                     "covered": None,
                     "length": None,
-                    "reason": "",
+                    "reason": gaps.get(i, ""),
                 }
-                try:
-                    if family is KernelFamily.GAMMA and x < 0:
-                        raise SparseRegionError(x, "outside Gamma kernel support")
-                    fit = local_linear_fit(triples, cfg.target, spec, float(x))
-                    numer = local_linear_fit(
-                        triples, comp_target, spec, float(x)
-                    ).intercept
-                    dens = estimate_density(p, spec, float(x))
-                    curv = estimate_second_derivative(
-                        triples, cfg.target, spec, float(x)
+                if i not in gaps:
+                    lo, hi = float(band.lower[i]), float(band.upper[i])
+                    truth = _truth_value(cfg, x)
+                    rec.update(
+                        ok=True,
+                        estimate=float(curve.values[i]),
+                        bias=float(band.bias[i]),
+                        variance=float(band.variance[i]),
+                        rate=float(band.rate[i]),
+                        covered=bool(lo <= truth <= hi),
+                        length=hi - lo,
                     )
-                    if family is KernelFamily.GAMMA:
-                        regime = classify_point(float(x), h, cfg.tau)
-                    else:
-                        regime = PointRegime(RegimeKind.INTERIOR)
-                    mom = asymptotic_moments(
-                        float(x),
-                        h,
-                        cfg.n,
-                        p.delta,
-                        cfg.target,
-                        curv,
-                        numer,
-                        numer,
-                        dens,
-                        regime,
-                        family,
-                    )
-                except (SparseRegionError, DegenerateDesignError, ValueError) as exc:
-                    rec["reason"] = str(exc)
-                    out.append(rec)
-                    continue
-                z = float(norm.ppf(1.0 - cfg.alpha / 2.0))
-                center = fit.intercept - mom.bias
-                half = z * math.sqrt(mom.variance) / mom.rate
-                lo, hi = center - half, center + half
-                if cfg.target is Target.COND_VARIANCE:
-                    lo, hi = max(lo, 0.0), max(hi, 0.0)
-                truth = _truth_value(cfg, float(x))
-                rec.update(
-                    ok=True,
-                    estimate=float(fit.intercept),
-                    bias=float(mom.bias),
-                    variance=float(mom.variance),
-                    rate=float(mom.rate),
-                    covered=bool(lo <= truth <= hi),
-                    length=float(hi - lo),
-                )
                 out.append(rec)
     return out
 
@@ -438,14 +394,7 @@ def run_coverage_experiment(cfg: McConfig) -> McReport:
             }
         )
     _attach_length_ratio(cfg, rows, "length")
-    seeds = [replicate_seed(cfg.base_seed, r) for r in range(cfg.replicates)]
-    return McReport(
-        experiment="coverage",
-        config=cfg.to_dict(),
-        rows=rows,
-        records=records,
-        seeds=seeds,
-    )
+    return McReport.of(cfg, "coverage", rows, records)
 
 
 def run_adjusted_length_experiment(
@@ -503,14 +452,7 @@ def run_adjusted_length_experiment(
             )
         rows.append(row)
     _attach_length_ratio(cfg, rows, "adjusted_length")
-    seeds = [replicate_seed(cfg.base_seed, r) for r in range(cfg.replicates)]
-    return McReport(
-        experiment="adjusted_length",
-        config=cfg.to_dict(),
-        rows=rows,
-        records=records,
-        seeds=seeds,
-    )
+    return McReport.of(cfg, "adjusted_length", rows, records)
 
 
 def qq_data(values, center: float | None = None, scale: float | None = None):
@@ -530,5 +472,6 @@ def qq_data(values, center: float | None = None, scale: float | None = None):
     if not (sd > 0):
         raise ValueError("values have no spread; cannot standardize")
     emp = np.sort((v - mu) / sd)
-    theo = norm.ppf((np.arange(v.size) + 0.5) / v.size)
+    probs = (np.arange(v.size) + 0.5) / v.size
+    theo = np.array([NormalDist().inv_cdf(q) for q in probs.tolist()])
     return theo, emp

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -31,6 +32,15 @@ from .errors import DataError
 # part is damped by the same 2/3)
 _PROXY_FACTORS = (1.5, 2.5, 3.5)
 _DIRECT_FACTORS = (1.0, 1.0, 1.0)
+
+
+class Target(Enum):
+    """Regression response a local linear fit estimates."""
+
+    DRIFT = "drift"
+    COND_VARIANCE = "cond_variance"
+    FOURTH_MOMENT = "moment4"
+    SIXTH_MOMENT = "moment6"
 
 
 def _as_clean_array(values, what: str) -> np.ndarray:
@@ -106,17 +116,14 @@ class RegressionTriples:
     def __len__(self) -> int:
         return int(self.weight_points.size)
 
-    def response(self, target) -> np.ndarray:
-        # Target lives in locallinear; dispatch on the enum value to avoid
-        # a circular import
-        name = getattr(target, "value", target)
+    def response(self, target: Target) -> np.ndarray:
         try:
             return {
-                "drift": self.drift,
-                "cond_variance": self.cond_var,
-                "moment4": self.moment4,
-                "moment6": self.moment6,
-            }[name]
+                Target.DRIFT: self.drift,
+                Target.COND_VARIANCE: self.cond_var,
+                Target.FOURTH_MOMENT: self.moment4,
+                Target.SIXTH_MOMENT: self.moment6,
+            }[target]
         except KeyError:
             raise ValueError(f"unknown regression target {target!r}") from None
 

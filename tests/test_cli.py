@@ -8,10 +8,15 @@ filesystem that is bit-identical to the in-memory pipeline.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jdsmooth
 from jdsmooth import __version__
 from jdsmooth.cli import ingest_series, main
 from jdsmooth.errors import DataError
@@ -243,6 +248,15 @@ class TestEstimate:
         assert rc == 2
         assert "not both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "ci"])
+    def test_zero_rot_c_exits_2(self, sim_dir, tmp_path, capsys, command):
+        rc = main([
+            command, "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--rot-c", "0", "--grid", "0.1",
+        ])
+        assert rc == 2
+        assert "scale constant c" in capsys.readouterr().err
+
 
 class TestBandwidthCommand:
     def test_block_cv_writes_score_curve(self, sim_dir, tmp_path):
@@ -270,6 +284,15 @@ class TestBandwidthCommand:
         row = dict(zip(header, data[0]))
         assert row["method"] == "rule_of_thumb"
         assert float(row["c"]) == 2.8 and float(row["h"]) > 0
+
+    def test_rule_of_thumb_zero_c_exits_2(self, sim_dir, tmp_path, capsys):
+        rc = main([
+            "bandwidth", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--method", "rule-of-thumb", "--c", "0",
+        ])
+        assert rc == 2
+        assert "scale constant c" in capsys.readouterr().err
+        assert not (tmp_path / "bandwidth.csv").exists()
 
     def test_plugin_needs_x(self, sim_dir, tmp_path, capsys):
         rc = main([
@@ -322,6 +345,23 @@ class TestCi:
         assert rc == 0
         header, _ = read_table(tmp_path / "bands.csv")
         assert "length_ratio_sym_over_asym" not in header
+
+    def test_default_grid_flags_gamma_points_below_zero(self, sim_dir, tmp_path):
+        # the proxy dips below 0, so the default grid (its full range)
+        # starts outside the Gamma kernel's support
+        rc = main([
+            "ci", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        bands = tmp_path / "bands.csv"
+        x = column(bands, "x")
+        below = np.flatnonzero(x < 0)
+        assert below.size > 0
+        flags = column(bands, "gamma_flag", cast=str)
+        assert [i for i, f in enumerate(flags) if f] == below.tolist()
+        for name in ("gaussian_center", "gaussian_lower", "gaussian_upper"):
+            assert np.all(np.isfinite(column(bands, name)[below]))
 
     def test_m4_target_rejected(self, sim_dir, capsys):
         rc = main([
@@ -400,6 +440,23 @@ class TestMcTable:
         ])
         assert rc == 2
         assert "eval-points" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = Path(jdsmooth.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, jdsmooth, jdsmooth.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_version_flag(capsys):

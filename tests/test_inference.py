@@ -7,6 +7,7 @@ values computed from the ratio formula with plain numpy, plus structural
 properties (scale invariance, sign under jumps).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from jdsmooth.errors import DataError, NotIdentifiableError
 from jdsmooth.inference import (
     BandCompanions,
     asymptotic_moments,
+    band_companions,
     bs_jump_test,
     confidence_band,
     identify_jump_components,
@@ -29,8 +31,17 @@ from jdsmooth.kernels import (
     RegimeKind,
     boundary_variance_constant,
 )
-from jdsmooth.locallinear import CurveEstimate, Target
-from jdsmooth.proxy import ProxySeries
+from jdsmooth.locallinear import (
+    CurveEstimate,
+    Target,
+    estimate_curve,
+    estimate_density,
+    estimate_m_curve,
+    estimate_moment_curve,
+    estimate_second_derivative,
+)
+from jdsmooth.proxy import ProxySeries, build_proxy, build_regression_triples
+from jdsmooth.simulate import baseline_model, simulate_path
 
 SQRT_PI2 = 2.0 * math.sqrt(math.pi)
 
@@ -39,7 +50,7 @@ def test_asymptotic_moments_interior_drift():
     x, h, n, delta = 0.2, 0.05, 1000, 0.01
     curv, m_hat, p_hat = 3.0, 0.12, 2.5
     mom = asymptotic_moments(
-        x, h, n, delta, Target.DRIFT, curv, m_hat, None, p_hat,
+        x, h, n, delta, Target.DRIFT, curv, m_hat, p_hat,
         PointRegime(RegimeKind.INTERIOR),
     )
     assert mom.bias == pytest.approx(h * (x / 2.0) * curv, rel=1e-12)
@@ -54,7 +65,7 @@ def test_asymptotic_moments_boundary_variance_target():
     kappa = 1.0
     curv, c4_hat, p_hat = -2.0, 4e-5, 1.8
     mom = asymptotic_moments(
-        x, h, n, delta, Target.COND_VARIANCE, curv, 0.1, c4_hat, p_hat,
+        x, h, n, delta, Target.COND_VARIANCE, curv, c4_hat, p_hat,
         PointRegime(RegimeKind.BOUNDARY, kappa),
     )
     assert mom.bias == pytest.approx(h * h * (2.0 + kappa) / 2.0 * curv, rel=1e-12)
@@ -68,7 +79,7 @@ def test_asymptotic_moments_gaussian_family():
     x, h, n, delta = 0.2, 0.05, 1000, 0.01
     curv, m_hat, p_hat = 3.0, 0.12, 2.5
     mom = asymptotic_moments(
-        x, h, n, delta, Target.DRIFT, curv, m_hat, None, p_hat,
+        x, h, n, delta, Target.DRIFT, curv, m_hat, p_hat,
         PointRegime(RegimeKind.INTERIOR), family=KernelFamily.GAUSSIAN,
     )
     assert mom.bias == pytest.approx(h * h / 2.0 * curv, rel=1e-12)
@@ -79,11 +90,11 @@ def test_asymptotic_moments_gaussian_family():
 def test_asymptotic_moments_validation():
     reg = PointRegime(RegimeKind.INTERIOR)
     with pytest.raises(ValueError):
-        asymptotic_moments(0.2, 0.05, 1000, 0.01, Target.DRIFT, 1.0, -0.1, None, 2.0, reg)
+        asymptotic_moments(0.2, 0.05, 1000, 0.01, Target.DRIFT, 1.0, -0.1, 2.0, reg)
     with pytest.raises(ValueError):
-        asymptotic_moments(0.2, 0.05, 1000, 0.01, Target.DRIFT, 1.0, 0.1, None, 0.0, reg)
+        asymptotic_moments(0.2, 0.05, 1000, 0.01, Target.DRIFT, 1.0, 0.1, 0.0, reg)
     with pytest.raises(ValueError):
-        asymptotic_moments(0.0, 0.05, 1000, 0.01, Target.DRIFT, 1.0, 0.1, None, 2.0, reg)
+        asymptotic_moments(0.0, 0.05, 1000, 0.01, Target.DRIFT, 1.0, 0.1, 2.0, reg)
 
 
 def _toy_curve(values, target=Target.DRIFT, h=0.05, family=KernelFamily.GAMMA):
@@ -112,7 +123,7 @@ def test_confidence_band_geometry():
     z = norm.ppf(0.975)
     for i, x in enumerate(curve.grid):
         mom = asymptotic_moments(
-            float(x), 0.05, n, delta, Target.DRIFT, 3.0, 0.12, None, 2.0,
+            float(x), 0.05, n, delta, Target.DRIFT, 3.0, 0.12, 2.0,
             band.regimes[i],
         )
         center = curve.values[i] - mom.bias
@@ -172,11 +183,11 @@ def test_confidence_band_knife_edge_uses_larger_variance():
     band = confidence_band(curve, comp, alpha=0.05, n=1000, delta=0.01)
     assert 0 in band.diagnostics
     mom_i = asymptotic_moments(
-        x, h, 1000, 0.01, Target.DRIFT, 0.0, 0.12, None, 2.0,
+        x, h, 1000, 0.01, Target.DRIFT, 0.0, 0.12, 2.0,
         PointRegime(RegimeKind.INTERIOR),
     )
     mom_b = asymptotic_moments(
-        x, h, 1000, 0.01, Target.DRIFT, 0.0, 0.12, None, 2.0,
+        x, h, 1000, 0.01, Target.DRIFT, 0.0, 0.12, 2.0,
         PointRegime(RegimeKind.BOUNDARY, x / h),
     )
     widest = max(
@@ -186,6 +197,118 @@ def test_confidence_band_knife_edge_uses_larger_variance():
 
     half = norm.ppf(0.975) * widest
     assert band.upper[0] - band.center[0] == pytest.approx(half, rel=1e-12)
+
+
+def test_boundary_band_never_wider_than_interior_band():
+    # squared half-width ratio boundary/interior at x = kappa h is
+    # C(kappa) 2 sqrt(pi kappa); below 1 means the knife-edge rule keeps
+    # the interior band wherever tau lies
+    for kappa in np.geomspace(1e-6, 1e4, 200):
+        ratio = boundary_variance_constant(kappa) * SQRT_PI2 * math.sqrt(kappa)
+        assert ratio < 1.0
+
+
+def test_confidence_band_records_its_moments():
+    curve = _toy_curve([1.0, 2.0, 3.0])
+    comp = BandCompanions(
+        variance_numerator=np.array([0.12, 0.12, 0.12]),
+        density=np.array([2.0, 0.0, 2.0]),
+        curvature=np.array([3.0, 3.0, -1.0]),
+    )
+    band = confidence_band(curve, comp, alpha=0.05, n=1000, delta=0.01)
+    assert list(band.gaps) == [1]
+    for arr in (band.bias, band.variance, band.rate):
+        assert np.isnan(arr[1])
+    for i in (0, 2):
+        mom = asymptotic_moments(
+            float(curve.grid[i]), 0.05, 1000, 0.01, Target.DRIFT,
+            float(comp.curvature[i]), 0.12, 2.0, band.regimes[i],
+        )
+        assert (band.bias[i], band.variance[i], band.rate[i]) == (
+            mom.bias, mom.variance, mom.rate
+        )
+        assert band.center[i] == curve.values[i] - mom.bias
+
+
+@pytest.fixture(scope="module")
+def sim_series():
+    path = simulate_path(baseline_model(), 5.0, 2000, 3)
+    p = build_proxy(path.y, path.delta)
+    return p, build_regression_triples(p)
+
+
+def test_band_companions_per_target_and_nan_outside_support(sim_series):
+    p, t = sim_series
+    spec = KernelSpec(KernelFamily.GAMMA, 0.08)
+    grid = np.array([-0.05, 0.05, 0.12])
+    numerators = {
+        Target.DRIFT: estimate_m_curve(t, spec, grid).values,
+        Target.COND_VARIANCE: estimate_moment_curve(t, spec, grid, 4).values,
+    }
+    for target, numerator in numerators.items():
+        comp = band_companions(p, t, spec, grid, target)
+        for arr in (comp.variance_numerator, comp.density, comp.curvature):
+            assert np.isnan(arr[0])
+        np.testing.assert_array_equal(comp.variance_numerator, numerator)
+        for i in (1, 2):
+            x = float(grid[i])
+            assert comp.density[i] == estimate_density(p, spec, x)
+            assert comp.curvature[i] == estimate_second_derivative(t, target, spec, x)
+    with pytest.raises(ValueError):
+        band_companions(p, t, spec, grid, Target.FOURTH_MOMENT)
+
+
+def test_band_companions_never_raise_when_every_point_fails(sim_series):
+    p, t = sim_series
+    comp = band_companions(
+        p, t, KernelSpec(KernelFamily.GAMMA, 0.08), [-0.2, -0.1], Target.DRIFT
+    )
+    for arr in (comp.variance_numerator, comp.density, comp.curvature):
+        assert np.all(np.isnan(arr))
+
+
+@pytest.mark.parametrize("c", [0.5, 3.0])
+def test_estimates_and_drift_band_scale_with_the_data(c):
+    # Y -> cY, h -> ch, grid -> c grid: each kernel weight scales by the
+    # uniform factor 1/c, the density by 1/c and the drift curvature by
+    # 1/c, so in every regime the drift, its bias and its half-width scale
+    # by c and M by c^2.  y0 = 0 keeps differencing cY from cancelling
+    # digits against a large level.
+    path = simulate_path(dataclasses.replace(baseline_model(), y0=0.0), 10.0, 5000, 4)
+    grid = np.array([0.02, 0.05, 0.15, 0.22, 0.25])
+    h = 0.01
+
+    def fit(scale):
+        p = build_proxy(scale * path.y, path.delta)
+        t = build_regression_triples(p)
+        out = {}
+        for family in KernelFamily:
+            spec = KernelSpec(family, scale * h)
+            g = scale * grid
+            drift = estimate_curve(t, spec, g, Target.DRIFT)
+            m = estimate_curve(t, spec, g, Target.COND_VARIANCE)
+            band = confidence_band(
+                drift, band_companions(p, t, spec, g, Target.DRIFT), 0.05,
+                n=len(p), delta=p.delta,
+            )
+            out[family] = (drift, m, band)
+        return out
+
+    base, scaled = fit(1.0), fit(c)
+    for family in KernelFamily:
+        (d0, m0, b0), (d1, m1, b1) = base[family], scaled[family]
+        np.testing.assert_allclose(d1.values, c * d0.values, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(m1.values, c * c * m0.values, rtol=1e-9, atol=0)
+        for name in ("center", "lower", "upper"):
+            np.testing.assert_allclose(
+                getattr(b1, name), c * getattr(b0, name), rtol=1e-9, atol=0
+            )
+        assert b0.gaps == b1.gaps == {}
+        assert [r.kind for r in b1.regimes] == [r.kind for r in b0.regimes]
+        for r0, r1 in zip(b0.regimes, b1.regimes):
+            assert r1.kappa == pytest.approx(r0.kappa, rel=1e-12)
+    kinds = [r.kind for r in base[KernelFamily.GAMMA][2].regimes]
+    assert RegimeKind.BOUNDARY in kinds and RegimeKind.INTERIOR in kinds
 
 
 def test_jump_identification_round_trip():

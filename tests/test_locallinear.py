@@ -299,3 +299,7 @@ def test_curve_all_failed_raises():
     spec = KernelSpec(KernelFamily.GAMMA, 0.05)
     with pytest.raises(EstimationError):
         estimate_drift_curve(t, spec, np.array([-1.0, -2.0]))
+    # the public estimators raise it, so the package exports it
+    import jdsmooth
+
+    assert jdsmooth.EstimationError is EstimationError
