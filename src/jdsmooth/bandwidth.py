@@ -23,15 +23,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDesignError, SparseRegionError
+from .errors import DegenerateDesignError, EstimationError, SparseRegionError
 from .kernels import (
     KernelFamily,
     KernelSpec,
     PointRegime,
     RegimeKind,
     boundary_variance_constant,
+    weight_values,
 )
-from .locallinear import Target, _fit_arrays
+from .locallinear import Target, estimate_curve, weighted_linear_fit
 from .proxy import ProxySeries, build_regression_triples
 
 _GRID_COUNT = 25
@@ -139,25 +140,16 @@ def mse_grid_search(
 
     objectives = np.full(c_grid.size, np.inf)
     failures = 0
-    y = triples.response(target)
     for j, c in enumerate(c_grid):
-        h = c * s * T**exponent
-        spec = KernelSpec(family, h)
-        errs = []
-        for x, tv in zip(eval_grid, true_vals):
-            if family is KernelFamily.GAMMA and x < 0:
-                failures += 1
-                continue
-            try:
-                fit = _fit_arrays(
-                    triples.weight_points, triples.design_points, y, spec, float(x)
-                )
-            except (SparseRegionError, DegenerateDesignError):
-                failures += 1
-                continue
-            errs.append((fit.intercept - tv) ** 2)
-        if errs:
-            objectives[j] = math.fsum(errs) / len(errs)
+        spec = KernelSpec(family, c * s * T**exponent)
+        try:
+            curve = estimate_curve(triples, spec, eval_grid, target)
+        except EstimationError:
+            failures += eval_grid.size
+            continue
+        failures += len(curve.failures)
+        errs = np.delete((curve.values - true_vals) ** 2, list(curve.failures))
+        objectives[j] = math.fsum(errs.tolist()) / errs.size
     if not np.any(np.isfinite(objectives)):
         raise SparseRegionError(
             float(eval_grid[0]), "every candidate bandwidth failed at every point"
@@ -174,35 +166,22 @@ def mse_grid_search(
     )
 
 
-def leave_out_mask(
-    n_triples: int, source_offset: int, center: int, half_width: int
-) -> np.ndarray:
-    """Inclusion mask dropping triples whose proxy index is in the block.
-
-    Triple j refers to proxy index j + source_offset; the block spans
-    proxy indices [center - half_width, center + half_width].
-    """
-    idx = np.arange(n_triples) + source_offset
-    return (idx < center - half_width) | (idx > center + half_width)
-
-
 def block_cv(
     p: ProxySeries,
     h_grid=None,
     k: int | None = None,
     family: KernelFamily = KernelFamily.GAMMA,
-    on_fold: Callable[[int, np.ndarray], None] | None = None,
 ) -> BandwidthChoice:
     """k-block cross-validation for the drift bandwidth.
 
     CV(h) = n^-1 sum_i {drift response_i - mu_hat_{h,-i}(Xt_i)}^2 where
-    mu_hat_{h,-i} omits the 2k+1 observations centered on i.  The default
-    block half-width is round(n^(1/4)).  Leave-out fits that fail (sparse
-    region, collinear design, evaluation point outside the kernel support)
-    contribute the unconditional response variance, which penalizes
-    degenerate candidates without discarding them.  On ties the smallest
-    bandwidth wins.  ``on_fold`` is a diagnostics hook receiving each
-    (center index, inclusion mask) pair.
+    mu_hat_{h,-i} omits the 2k+1 observations centered on i: the triples
+    whose design point has a proxy index in [i - k, i + k] get kernel
+    weight zero.  The default block half-width is round(n^(1/4)).
+    Leave-out fits that fail (sparse region, collinear design, evaluation
+    point outside the kernel support) contribute the unconditional
+    response variance, which penalizes degenerate candidates without
+    discarding them.  On ties the smallest bandwidth wins.
     """
     n = len(p)
     if k is None:
@@ -221,7 +200,6 @@ def block_cv(
         raise ValueError("h_grid must contain positive bandwidths")
 
     triples = build_regression_triples(p)
-    m = len(triples)
     off = triples.source_offset
     v = p.values
     resp = triples.drift
@@ -235,25 +213,19 @@ def block_cv(
         spec = KernelSpec(family, float(h))
         terms = []
         for i in centers:
-            mask = leave_out_mask(m, off, int(i), k)
-            if on_fold is not None and jh == 0:
-                on_fold(int(i), mask)
             x = float(v[i - 1])
-            # the response being predicted: the triple with design point
-            # Xt_i sits at array position i - off
+            # triple j has design point Xt_{j + off}: the one at i - off is
+            # predicted and the block [i - k, i + k] is held out, clamped at
+            # the start of the series
             y_i = float(resp[i - off])
             if family is KernelFamily.GAMMA and x < 0:
                 terms.append(penalty)
                 failures += 1
                 continue
+            weights = weight_values(spec, triples.weight_points, x)
+            weights[max(i - k - off, 0) : i + k + 1 - off] = 0.0
             try:
-                fit = _fit_arrays(
-                    triples.weight_points[mask],
-                    triples.design_points[mask],
-                    resp[mask],
-                    spec,
-                    x,
-                )
+                fit = weighted_linear_fit(weights, triples.design_points, resp, x)
             except (SparseRegionError, DegenerateDesignError):
                 terms.append(penalty)
                 failures += 1

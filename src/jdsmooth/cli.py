@@ -98,6 +98,10 @@ def _as_float(cfg: dict, key: str) -> float:
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
 
 
+def _opt_float(cfg: dict, key: str) -> float | None:
+    return None if cfg.get(key) is None else _as_float(cfg, key)
+
+
 def _as_int(cfg: dict, key: str) -> int:
     v = cfg[key]
     try:
@@ -293,7 +297,7 @@ def _resolve_h(cfg: dict, p: ProxySeries) -> float:
     if fixed is not None and c is not None:
         raise ConfigError("give either --bandwidth or --rot-c, not both")
     if fixed is not None:
-        h = float(fixed)
+        h = _as_float(cfg, "bandwidth")
         if not (math.isfinite(h) and h > 0):
             raise ConfigError(f"bandwidth must be positive, got {fixed!r}")
         return h
@@ -311,10 +315,9 @@ def _resolve_grid(cfg: dict, p: ProxySeries) -> np.ndarray:
     count = _as_int(cfg, "grid_count")
     if count < 2:
         raise ConfigError("grid-count must be at least 2")
-    lo = cfg.get("grid_min")
-    hi = cfg.get("grid_max")
-    lo = float(np.min(p.values)) if lo is None else float(lo)
-    hi = float(np.max(p.values)) if hi is None else float(hi)
+    lo, hi = _opt_float(cfg, "grid_min"), _opt_float(cfg, "grid_max")
+    lo = float(np.min(p.values)) if lo is None else lo
+    hi = float(np.max(p.values)) if hi is None else hi
     if not hi > lo:
         raise ConfigError(f"grid range is empty: [{lo!r}, {hi!r}]")
     return np.linspace(lo, hi, count)
@@ -481,8 +484,8 @@ def _cmd_bandwidth(cfg: dict) -> int:
     method = cfg["method"]
     if method == "rule-of-thumb":
         c = 2.0 if cfg.get("c") is None else _as_float(cfg, "c")
-        span = cfg.get("horizon")
-        span = p.delta * len(p) if span is None else float(span)
+        span = _opt_float(cfg, "horizon")
+        span = p.delta * len(p) if span is None else span
         regime = (
             RegimeKind.BOUNDARY if cfg.get("regime") == "boundary"
             else RegimeKind.INTERIOR
@@ -494,18 +497,19 @@ def _cmd_bandwidth(cfg: dict) -> int:
     elif method == "block-cv":
         grid_vals = _float_list(cfg.get("h_grid"), "h_grid")
         h_grid = np.asarray(grid_vals) if grid_vals else default_h_grid(p)
-        k = cfg.get("k")
+        k = None if cfg.get("k") is None else _as_int(cfg, "k")
         family = _families(cfg.get("family") or "gamma")[0]
         try:
-            choice = block_cv(p, h_grid=h_grid, k=None if k is None else int(k),
-                              family=family)
+            choice = block_cv(p, h_grid=h_grid, k=k, family=family)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     elif method == "plugin":
         if cfg.get("x") is None:
             raise ConfigError("plugin selection needs an evaluation point --x")
         x = _as_float(cfg, "x")
-        pilot_cfg = dict(cfg, bandwidth=cfg.get("pilot_h"), rot_c=cfg.get("pilot_c"))
+        pilot_cfg = dict(
+            cfg, bandwidth=_opt_float(cfg, "pilot_h"), rot_c=_opt_float(cfg, "pilot_c")
+        )
         pilot_h = _resolve_h(pilot_cfg, p)
         spec = KernelSpec(KernelFamily.GAMMA, pilot_h)
         triples = build_regression_triples(p)

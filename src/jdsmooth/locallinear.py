@@ -43,7 +43,8 @@ _PILOT_FACTOR = 2.0
 
 @dataclass(frozen=True, slots=True)
 class LocalFit:
-    """Intercept and slope of one weighted local linear fit."""
+    """One weighted local linear fit, its kernel mass s0 = sum_j K(w_j)
+    (``weight_mass``) and its sum_i omega_i / max_i omega_i (``effective_n``)."""
 
     intercept: float
     slope: float
@@ -72,31 +73,57 @@ def _csum(arr: np.ndarray) -> float:
     return math.fsum(arr.tolist())
 
 
-def _fit_arrays(
-    w: np.ndarray, d: np.ndarray, y: np.ndarray, kernel: KernelSpec, x: float
-) -> LocalFit:
-    k = weight_values(kernel, w, x)
-    kmax = float(np.max(k)) if k.size else 0.0
-    if not (kmax > _MASS_FLOOR):
-        raise SparseRegionError(x)
+def _power_sums(
+    k: np.ndarray, t: np.ndarray, y: np.ndarray, degree: int
+) -> tuple[list[float], list[float]]:
+    """Kernel-weighted power sums of a local polynomial fit of this degree.
 
+    Returns [sum k t^j for j = 0..2 degree] and [sum k y t^j for
+    j = 0..degree], each power built as the iterated product k t t ...
+    and summed exactly.
+    """
+    sums = []
+    for prod, count in ((k, 2 * degree + 1), (k * y, degree + 1)):
+        row = [_csum(prod)]
+        for _ in range(count - 1):
+            prod = prod * t
+            row.append(_csum(prod))
+        sums.append(row)
+    return sums[0], sums[1]
+
+
+def _centred_design(
+    k: np.ndarray, d: np.ndarray, x: float
+) -> tuple[np.ndarray, float]:
+    """Design points centred at x and their half-range over nonzero weights.
+
+    Raises SparseRegionError when no weight clears the mass floor.
+    """
+    if not (k.size and float(np.max(k)) > _MASS_FLOOR):
+        raise SparseRegionError(x)
     dx = d - x
-    s0 = _csum(k)
-    s1 = _csum(k * dx)
-    s2 = _csum(k * dx * dx)
+    return dx, float(np.max(np.abs(dx[k > 0.0])))
+
+
+def weighted_linear_fit(
+    k: np.ndarray, d: np.ndarray, y: np.ndarray, x: float
+) -> LocalFit:
+    """Local linear fit at x from kernel weights k already computed.
+
+    k, d and y align element by element; a weight of exactly 0 drops its
+    observation from every sum, which is how block cross-validation holds
+    a block out.  See the module docstring for the form of the fit.
+    """
+    dx, scale = _centred_design(k, d, x)
+    (s0, s1, s2), (t0, t1) = _power_sums(k, dx, y, 1)
     if not (s0 > _MASS_FLOOR):
         raise SparseRegionError(x)
-
-    active = k > 0.0
-    scale = float(np.max(np.abs(dx[active]))) if np.any(active) else 0.0
     det = s0 * s2 - s1 * s1
     if scale <= 0.0 or det <= _DEGENERACY_RTOL * (s0 * scale) ** 2:
         raise DegenerateDesignError(
             f"weighted design is collinear at x={x:g} (det={det:g})"
         )
 
-    t0 = _csum(k * y)
-    t1 = _csum(k * y * dx)
     intercept = (s2 * t0 - s1 * t1) / det
     slope = (s0 * t1 - s1 * t0) / det
 
@@ -106,7 +133,7 @@ def _fit_arrays(
     return LocalFit(
         intercept=float(intercept),
         slope=float(slope),
-        weight_mass=float(det),
+        weight_mass=float(s0),
         effective_n=float(effective_n),
     )
 
@@ -115,8 +142,8 @@ def local_linear_fit(
     triples: RegressionTriples, target: Target, kernel: KernelSpec, x: float
 ) -> LocalFit:
     """Fit the chosen response at x; see the module docstring for the form."""
-    y = triples.response(target)
-    return _fit_arrays(triples.weight_points, triples.design_points, y, kernel, x)
+    k = weight_values(kernel, triples.weight_points, x)
+    return weighted_linear_fit(k, triples.design_points, triples.response(target), x)
 
 
 def estimate_curve(
@@ -216,35 +243,13 @@ def estimate_second_derivative(
     if pilot_h is None:
         pilot_h = _PILOT_FACTOR * kernel.bandwidth
     pilot = KernelSpec(kernel.family, float(pilot_h))
-    w = triples.weight_points
-    d = triples.design_points
-    y = triples.response(target)
-
-    k = weight_values(pilot, w, x)
-    kmax = float(np.max(k)) if k.size else 0.0
-    if not (kmax > _MASS_FLOOR):
-        raise SparseRegionError(x)
-    active = k > 0.0
-    dx = d - x
-    scale = float(np.max(np.abs(dx[active]))) if np.any(active) else 0.0
+    k = weight_values(pilot, triples.weight_points, x)
+    dx, scale = _centred_design(k, triples.design_points, x)
     if scale <= 0.0:
         raise DegenerateDesignError(f"no design spread around x={x:g}")
 
-    t = dx / scale
-    powers = [np.ones_like(t), t, t * t, t * t * t]
-    moment = np.empty((4, 4))
-    rhs = np.empty(4)
-    # moment[a, b] needs sum k * t^(a+b); precompute the six distinct sums
-    tp = np.ones_like(t)
-    psums = []
-    for _ in range(7):
-        psums.append(_csum(k * tp))
-        tp = tp * t
-    for a in range(4):
-        rhs[a] = _csum(k * y * powers[a])
-        for b in range(4):
-            moment[a, b] = psums[a + b]
-
+    design, rhs = _power_sums(k, dx / scale, triples.response(target), 3)
+    moment = np.array([[design[a + b] for b in range(4)] for a in range(4)])
     sv = np.linalg.svd(moment, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise DegenerateDesignError(

@@ -87,7 +87,7 @@ class RegressionTriples:
     For proxy values Xt_1..Xt_n the usable indices are i = 2..n-1, giving
     n - 2 triples.  ``source_offset`` records the proxy index of the first
     design point (used by leave-out schemes to map observation indices to
-    triple indices).
+    triple indices).  The arrays are read-only copies of those passed in.
     """
 
     delta: float
@@ -100,15 +100,15 @@ class RegressionTriples:
     source_offset: int = 2
 
     def __post_init__(self):
-        n = self.weight_points.size
-        arrays = (
-            self.design_points,
-            self.drift,
-            self.cond_var,
-            self.moment4,
-            self.moment6,
+        names = (
+            "weight_points", "design_points", "drift", "cond_var", "moment4", "moment6"
         )
-        if any(a.size != n for a in arrays):
+        for name in names:
+            arr = np.array(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        n = self.weight_points.size
+        if any(getattr(self, name).size != n for name in names):
             raise ValueError("triple arrays must have equal length")
         if n < 1:
             raise ValueError("need at least one regression triple")
@@ -126,18 +126,6 @@ class RegressionTriples:
             }[target]
         except KeyError:
             raise ValueError(f"unknown regression target {target!r}") from None
-
-    def subset(self, mask: np.ndarray) -> "RegressionTriples":
-        return RegressionTriples(
-            delta=self.delta,
-            weight_points=self.weight_points[mask],
-            design_points=self.design_points[mask],
-            drift=self.drift[mask],
-            cond_var=self.cond_var[mask],
-            moment4=self.moment4[mask],
-            moment6=self.moment6[mask],
-            source_offset=self.source_offset,
-        )
 
 
 def build_proxy(y, delta: float) -> ProxySeries:

@@ -3,8 +3,9 @@
 The plug-in formula oracle is direct arithmetic on the asymptotic
 mean-squared-error expressions; the scaling laws below were derived from
 the exponents by hand (multiplying n*delta by 2^(5/2) must halve the
-interior h, by 2^5 the boundary h).  Cross-validation invariants are
-structural: the held-out block never participates in its own fit.
+interior h, by 2^5 the boundary h).  The block cross-validation oracle
+refits every fold through the public local linear fit on triples rebuilt
+without the held-out block.
 """
 
 import math
@@ -17,17 +18,24 @@ from jdsmooth.bandwidth import (
     asymptotic_h_opt,
     block_cv,
     default_h_grid,
-    leave_out_mask,
     mse_grid_search,
     rule_of_thumb,
 )
+from jdsmooth.errors import DegenerateDesignError, SparseRegionError
 from jdsmooth.kernels import (
     KernelFamily,
+    KernelSpec,
     PointRegime,
     RegimeKind,
     boundary_variance_constant,
 )
-from jdsmooth.proxy import ProxySeries, build_proxy, build_regression_triples
+from jdsmooth.locallinear import Target, local_linear_fit
+from jdsmooth.proxy import (
+    ProxySeries,
+    RegressionTriples,
+    build_proxy,
+    build_regression_triples,
+)
 from jdsmooth.simulate import baseline_model, simulate_path
 
 
@@ -102,28 +110,53 @@ def test_asymptotic_h_opt_rejects_flat_curvature():
         )
 
 
-def test_leave_out_mask_excludes_block():
-    # proxy index i, block half-width k: triples whose proxy index falls in
-    # [i - k, i + k] must be gone
-    mask = leave_out_mask(n_triples=20, source_offset=2, center=10, half_width=3)
-    included_proxy_idx = np.flatnonzero(mask) + 2
-    assert not np.any((included_proxy_idx >= 7) & (included_proxy_idx <= 13))
-    assert included_proxy_idx.size == 20 - 7
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
+def test_block_cv_matches_brute_force_leave_block_out(family, k):
+    # proxy values dip below zero, so Gamma folds at x < 0 score the
+    # penalty and negative weight points carry no Gamma weight
+    rng = np.random.default_rng(11)
+    p = ProxySeries(delta=0.1, values=0.5 * rng.standard_normal(80) + 0.6)
+    assert np.any(p.values < 0)
+    h_grid = np.array([0.08, 0.3, 1.0])
+    choice = block_cv(p, h_grid=h_grid, k=k, family=family)
 
-
-def test_block_cv_never_uses_held_out_block():
-    rng = np.random.default_rng(0)
-    p = ProxySeries(delta=0.1, values=np.abs(rng.standard_normal(120)) + 0.1)
-    seen = []
-
-    def watcher(center, mask):
-        seen.append((center, mask.copy()))
-
-    block_cv(p, h_grid=np.array([0.3]), k=4, on_fold=watcher)
-    assert seen
-    for center, mask in seen:
-        idx = np.flatnonzero(mask) + 2
-        assert not np.any((idx >= center - 4) & (idx <= center + 4))
+    t = build_regression_triples(p)
+    proxy_idx = np.arange(len(t)) + t.source_offset
+    penalty = float(np.var(t.drift))
+    n = len(p)
+    failures = 0
+    for h, objective in zip(h_grid, choice.objectives):
+        spec = KernelSpec(family, float(h))
+        terms = []
+        # fold centers are 1-based proxy indices i = k+1 .. n-k
+        for i in range(k + 1, n - k + 1):
+            keep = (proxy_idx < i - k) | (proxy_idx > i + k)
+            rest = RegressionTriples(
+                delta=t.delta,
+                weight_points=t.weight_points[keep],
+                design_points=t.design_points[keep],
+                drift=t.drift[keep],
+                cond_var=t.cond_var[keep],
+                moment4=t.moment4[keep],
+                moment6=t.moment6[keep],
+                source_offset=t.source_offset,
+            )
+            x = float(p.values[i - 1])
+            y_i = float(t.drift[i - t.source_offset])
+            if family is KernelFamily.GAMMA and x < 0:
+                terms.append(penalty)
+                failures += 1
+                continue
+            try:
+                fit = local_linear_fit(rest, Target.DRIFT, spec, x)
+            except (SparseRegionError, DegenerateDesignError):
+                terms.append(penalty)
+                failures += 1
+                continue
+            terms.append((y_i - fit.intercept) ** 2)
+        assert objective == math.fsum(terms) / n
+    assert choice.failures == failures
 
 
 def test_block_cv_default_k_quarter_power():

@@ -228,6 +228,31 @@ class TestEstimate:
         assert rc == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags, key, value", [
+        pytest.param("estimate", [], "bandwidth", "wide", id="bandwidth"),
+        pytest.param("estimate", [], "grid_min", "low", id="grid_min"),
+        pytest.param("estimate", [], "grid_max", "high", id="grid_max"),
+        pytest.param(
+            "bandwidth", ["--method", "rule-of-thumb"], "horizon", "long", id="horizon"
+        ),
+        pytest.param(
+            "bandwidth", ["--method", "plugin", "--x", "0.12"], "pilot_h", "wide",
+            id="pilot_h",
+        ),
+        pytest.param("bandwidth", ["--method", "block-cv"], "k", 2.5, id="k"),
+    ])
+    def test_non_numeric_config_value_exits_2(
+        self, sim_dir, tmp_path, capsys, command, flags, key, value
+    ):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({key: value}))
+        rc = main([
+            command, "--config", str(conf), "--input", str(sim_dir / "path.csv"),
+            "--delta", "0.0025", "--out", str(tmp_path), *flags,
+        ])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_delta_exits_2(self, sim_dir, capsys):
         rc = main(["estimate", "--input", str(sim_dir / "path.csv")])
         assert rc == 2

@@ -68,6 +68,16 @@ def test_fit_matches_wls_oracle(family):
         assert fit.slope == pytest.approx(b, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
+def test_weight_mass_is_kernel_mass(family):
+    t = make_triples(np.random.default_rng(9))
+    spec = KernelSpec(family, 0.3)
+    fit = local_linear_fit(t, Target.DRIFT, spec, 0.5)
+    assert fit.weight_mass == math.fsum(
+        weight_values(spec, t.weight_points, 0.5).tolist()
+    )
+
+
 def test_weight_orthogonality():
     # the effective weights satisfy sum(omega * (d - x)) = 0 identically
     rng = np.random.default_rng(17)

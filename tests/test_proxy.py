@@ -15,6 +15,7 @@ from jdsmooth.errors import DataError
 from jdsmooth.locallinear import Target
 from jdsmooth.proxy import (
     ProxySeries,
+    RegressionTriples,
     build_direct_triples,
     build_log_proxy,
     build_proxy,
@@ -66,6 +67,23 @@ def test_regression_triples_staggering():
     # the k-th power of an increment is scaled by (k + 1) / 2
     np.testing.assert_allclose(t.response(Target.FOURTH_MOMENT), 2.5 * diffs**4 / delta)
     np.testing.assert_allclose(t.response(Target.SIXTH_MOMENT), 3.5 * diffs**6 / delta)
+
+
+def test_regression_triples_are_read_only_copies():
+    drift = np.array([1.0, 2.0])
+    t = RegressionTriples(
+        delta=1.0,
+        weight_points=np.array([0.5, 1.5]),
+        design_points=np.array([1.0, 2.0]),
+        drift=drift,
+        cond_var=drift**2,
+        moment4=drift**4,
+        moment6=drift**6,
+    )
+    with pytest.raises(ValueError):
+        t.drift[0] = 0.0
+    drift[0] = 5.0
+    assert t.drift[0] == 1.0
 
 
 def test_regression_triples_need_three_values():
