@@ -34,6 +34,7 @@ from .kernels import (
 )
 from .locallinear import Target, estimate_curve, weighted_linear_fit
 from .proxy import ProxySeries, build_regression_triples
+from .summation import exact_sum
 
 _GRID_COUNT = 25
 _GRID_SPAN = (0.2, 5.0)
@@ -149,7 +150,7 @@ def mse_grid_search(
             continue
         failures += len(curve.failures)
         errs = np.delete((curve.values - true_vals) ** 2, list(curve.failures))
-        objectives[j] = math.fsum(errs.tolist()) / errs.size
+        objectives[j] = exact_sum(errs) / errs.size
     if not np.any(np.isfinite(objectives)):
         raise SparseRegionError(
             float(eval_grid[0]), "every candidate bandwidth failed at every point"

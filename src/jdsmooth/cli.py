@@ -291,21 +291,29 @@ def _load_series(cfg: dict) -> ProxySeries:
     )
 
 
-def _resolve_h(cfg: dict, p: ProxySeries) -> float:
-    fixed = cfg.get("bandwidth")
-    c = cfg.get("rot_c")
+def _resolve_h(
+    cfg: dict, p: ProxySeries, fixed_key: str = "bandwidth", c_key: str = "rot_c"
+) -> float:
+    """A fixed bandwidth, or the rule of thumb at scale constant c (default 2).
+
+    Errors name the flags of the two keys, so the plug-in pilot's
+    ``pilot_h``/``pilot_c`` report as --pilot-h/--pilot-c.
+    """
+    fixed_flag, c_flag = (f"--{key.replace('_', '-')}" for key in (fixed_key, c_key))
+    fixed = cfg.get(fixed_key)
+    c = cfg.get(c_key)
     if fixed is not None and c is not None:
-        raise ConfigError("give either --bandwidth or --rot-c, not both")
+        raise ConfigError(f"give either {fixed_flag} or {c_flag}, not both")
     if fixed is not None:
-        h = _as_float(cfg, "bandwidth")
+        h = _as_float(cfg, fixed_key)
         if not (math.isfinite(h) and h > 0):
-            raise ConfigError(f"bandwidth must be positive, got {fixed!r}")
+            raise ConfigError(f"{fixed_flag} must be positive, got {fixed!r}")
         return h
-    c = 2.0 if c is None else _as_float(cfg, "rot_c")
+    c = 2.0 if c is None else _as_float(cfg, c_key)
     try:
         return rule_of_thumb(p, c=c, T=p.delta * len(p)).h
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{c_flag}: {exc}") from None
 
 
 def _resolve_grid(cfg: dict, p: ProxySeries) -> np.ndarray:
@@ -507,10 +515,7 @@ def _cmd_bandwidth(cfg: dict) -> int:
         if cfg.get("x") is None:
             raise ConfigError("plugin selection needs an evaluation point --x")
         x = _as_float(cfg, "x")
-        pilot_cfg = dict(
-            cfg, bandwidth=_opt_float(cfg, "pilot_h"), rot_c=_opt_float(cfg, "pilot_c")
-        )
-        pilot_h = _resolve_h(pilot_cfg, p)
+        pilot_h = _resolve_h(cfg, p, "pilot_h", "pilot_c")
         spec = KernelSpec(KernelFamily.GAMMA, pilot_h)
         triples = build_regression_triples(p)
         target = _TARGETS[cfg["target"]]

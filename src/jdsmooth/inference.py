@@ -59,6 +59,7 @@ from .locallinear import (
     estimate_second_derivative,
 )
 from .proxy import ProxySeries, RegressionTriples, Target
+from .summation import exact_sum
 
 _SQRT_PI2 = 2.0 * math.sqrt(math.pi)
 _BS_THETA = math.pi**2 / 4.0 + math.pi - 5.0
@@ -430,13 +431,13 @@ def bs_jump_test(data, delta: float | None = None) -> JumpTestResult:
         raise DataError("returns contain non-finite values")
 
     a = np.abs(r)
-    rv = math.fsum((r * r).tolist())
-    bv = (math.pi / 2.0) * (n / (n - 1.0)) * math.fsum((a[1:] * a[:-1]).tolist())
+    rv = exact_sum(r * r)
+    bv = (math.pi / 2.0) * (n / (n - 1.0)) * exact_sum(a[1:] * a[:-1])
     qp = (
         n
         * (math.pi**2 / 4.0)
         * (n / (n - 3.0))
-        * math.fsum((a[3:] * a[2:-1] * a[1:-2] * a[:-3]).tolist())
+        * exact_sum(a[3:] * a[2:-1] * a[1:-2] * a[:-3])
     )
     if rv <= 0:
         raise DataError("realized variance is zero; returns are degenerate")

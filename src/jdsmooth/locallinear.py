@@ -12,8 +12,10 @@ intercept equals the ratio of effective-weight sums with
 
 and these weights reproduce affine responses exactly and satisfy
 sum_i omega_i (d_i - x) = 0.  Kernel weights span many orders of magnitude
-for small bandwidths, so every reduction here goes through compensated
-(exact) summation.
+for small bandwidths, so every reduction here goes through the exact
+engine of ``summation``: each sum is the double ``math.fsum`` returns for
+the same terms, whatever their order, so a zero weight or a dropped row
+changes nothing else in the fit.
 
 Estimating the intercept of the drift response recovers mu(x); the scaled
 squared-increment response recovers the conditional second moment M(x);
@@ -23,7 +25,6 @@ used to separate the jump component.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import DegenerateDesignError, EstimationError, SparseRegionError
 from .kernels import KernelFamily, KernelSpec, weight_values
 from .proxy import ProxySeries, RegressionTriples, Target
+from .summation import CHUNK, ExactSums, exact_row_sums, exact_sum
 
 # relative floor for the normal-equation determinant and absolute floor
 # for total kernel mass
@@ -68,9 +70,18 @@ class CurveEstimate:
             raise ValueError("grid, values and slopes must have equal length")
 
 
-def _csum(arr: np.ndarray) -> float:
-    """Compensated (exact) sum of a float array."""
-    return math.fsum(arr.tolist())
+def _power_products(
+    out: np.ndarray, k: np.ndarray, t: np.ndarray, y: np.ndarray, degree: int
+) -> None:
+    """Fill the rows of out with k t^j (j = 0..2 degree), then k y t^j
+    (j = 0..degree), each power built as the iterated product k t t ..."""
+    np.copyto(out[0], k)
+    for j in range(1, 2 * degree + 1):
+        np.multiply(out[j - 1], t, out=out[j])
+    base = 2 * degree + 1
+    np.multiply(k, y, out=out[base])
+    for j in range(base + 1, base + degree + 1):
+        np.multiply(out[j - 1], t, out=out[j])
 
 
 def _power_sums(
@@ -79,17 +90,26 @@ def _power_sums(
     """Kernel-weighted power sums of a local polynomial fit of this degree.
 
     Returns [sum k t^j for j = 0..2 degree] and [sum k y t^j for
-    j = 0..degree], each power built as the iterated product k t t ...
-    and summed exactly.
+    j = 0..degree], summed exactly.  The products are built CHUNK columns
+    at a time into one block, so memory does not grow with the sample;
+    only a term the engine leaves to ``math.fsum`` (non-finite, or 2^500
+    or more) sends the whole rows through it at once.
     """
-    sums = []
-    for prod, count in ((k, 2 * degree + 1), (k * y, degree + 1)):
-        row = [_csum(prod)]
-        for _ in range(count - 1):
-            prod = prod * t
-            row.append(_csum(prod))
-        sums.append(row)
-    return sums[0], sums[1]
+    n = k.size
+    rows = 3 * degree + 2
+    sums = ExactSums(rows, n)
+    block = np.empty((rows, min(n, CHUNK)))
+    for start in range(0, n, CHUNK):
+        cols = slice(start, start + CHUNK)
+        part = block[:, : min(CHUNK, n - start)]
+        _power_products(part, k[cols], t[cols], y[cols], degree)
+        sums.add(part)
+    totals = sums.totals()
+    if None in totals:
+        block = np.empty((rows, n))
+        _power_products(block, k, t, y, degree)
+        totals = exact_row_sums(block)
+    return totals[: 2 * degree + 1], totals[2 * degree + 1 :]
 
 
 def _centred_design(
@@ -223,7 +243,7 @@ def estimate_density(p: ProxySeries, kernel: KernelSpec, x: float) -> float:
     (1/(n h)) sum_j phi((x - value_j)/h).
     """
     vals = weight_values(kernel, p.values, x)
-    return float(_csum(vals) / p.values.size)
+    return exact_sum(vals) / p.values.size
 
 
 def estimate_second_derivative(

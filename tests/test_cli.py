@@ -327,6 +327,27 @@ class TestBandwidthCommand:
         assert rc == 2
         assert "--x" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "pilot, named",
+        [
+            (["--pilot-h", "-1"], ["--pilot-h"]),
+            (["--pilot-h", "0.05", "--pilot-c", "2"], ["--pilot-h", "--pilot-c"]),
+        ],
+        ids=["negative_pilot_h", "both_pilot_flags"],
+    )
+    def test_plugin_pilot_errors_name_pilot_flags(
+        self, sim_dir, tmp_path, capsys, pilot, named
+    ):
+        rc = main([
+            "bandwidth", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--method", "plugin", "--x", "0.12", *pilot,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in named), err
+        assert "--bandwidth" not in err and "--rot-c" not in err
+        assert not (tmp_path / "bandwidth.csv").exists()
+
     def test_plugin_selects_positive_h(self, sim_dir, tmp_path):
         rc = main([
             "bandwidth", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",

@@ -1,9 +1,10 @@
-"""Module layering: no module imports another module's private names.
+"""Module layering: private names stay in their module, array sums in the engine.
 
 Each source file of the package is parsed with ``ast``; a relative import
 of an underscore name (``from .locallinear import _helper``) couples the
 importer to an implementation detail and fails the test.  The package's
-own ``_version`` module is a module, not a name, and is allowed.
+own ``_version`` module is a module, not a name, and is allowed.  Array
+sums go through ``jdsmooth.summation``, never ``math.fsum(arr.tolist())``.
 """
 
 import ast
@@ -25,3 +26,33 @@ def test_no_private_names_imported_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert not private, private
+
+
+def _fsum_of_tolist(node) -> bool:
+    """A call fsum(<expr>.tolist()), as math.fsum or a bare fsum."""
+    if not (isinstance(node, ast.Call) and node.args):
+        return False
+    func, arg = node.func, node.args[0]
+    named_fsum = (isinstance(func, ast.Attribute) and func.attr == "fsum") or (
+        isinstance(func, ast.Name) and func.id == "fsum"
+    )
+    return (
+        named_fsum
+        and isinstance(arg, ast.Call)
+        and isinstance(arg.func, ast.Attribute)
+        and arg.func.attr == "tolist"
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "summation.py"], ids=lambda p: p.name
+)
+def test_array_sums_go_through_the_summation_module(path):
+    """fsum over an array's tolist() belongs to the exact engine alone.
+
+    ``jdsmooth.summation`` returns the same doubles from numpy; a Python
+    list of scalars built term by term may still go to ``math.fsum``.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [f"line {node.lineno}" for node in ast.walk(tree) if _fsum_of_tolist(node)]
+    assert not calls, calls

@@ -6,6 +6,7 @@ implementation under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from jdsmooth.errors import (
 from jdsmooth.kernels import KernelFamily, KernelSpec, gamma_kernel, weight_values
 from jdsmooth.locallinear import (
     Target,
+    _power_sums,
     estimate_density,
     estimate_drift_curve,
     estimate_m_curve,
@@ -28,6 +30,7 @@ from jdsmooth.locallinear import (
     local_linear_fit,
 )
 from jdsmooth.proxy import ProxySeries, RegressionTriples, build_direct_triples
+from jdsmooth.summation import CHUNK
 
 
 def wls_oracle(w_points, d_points, resp, spec, x):
@@ -76,6 +79,46 @@ def test_weight_mass_is_kernel_mass(family):
     assert fit.weight_mass == math.fsum(
         weight_values(spec, t.weight_points, 0.5).tolist()
     )
+
+
+@pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
+def test_fit_does_not_depend_on_the_order_of_the_triples(family):
+    t = make_triples(np.random.default_rng(21), n=3 * CHUNK + 5)
+    order = np.random.default_rng(22).permutation(len(t.drift))
+    shuffled = RegressionTriples(
+        delta=t.delta,
+        weight_points=t.weight_points[order],
+        design_points=t.design_points[order],
+        drift=t.drift[order],
+        cond_var=t.cond_var[order],
+        moment4=t.moment4[order],
+        moment6=t.moment6[order],
+    )
+    spec = KernelSpec(family, 0.05)
+    assert local_linear_fit(t, Target.DRIFT, spec, 0.5) == local_linear_fit(
+        shuffled, Target.DRIFT, spec, 0.5
+    )
+    assert estimate_second_derivative(
+        t, Target.DRIFT, spec, 0.5
+    ) == estimate_second_derivative(shuffled, Target.DRIFT, spec, 0.5)
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_power_sums_memory_does_not_grow_with_n(degree):
+    """Peak new allocation of one call stays under one bound set by CHUNK."""
+    bound = 10 * (3 * degree + 2) * CHUNK * 8
+    for n in (10**5, 10**6):
+        rng = np.random.default_rng(n)
+        k = np.exp(-rng.uniform(0.0, 700.0, n))
+        t = rng.uniform(-1.0, 1.0, n)
+        y = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            _power_sums(k, t, y, degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (n, peak, bound)
 
 
 def test_weight_orthogonality():

@@ -1,0 +1,214 @@
+"""The exact summation engine against its oracle, ``math.fsum``.
+
+Every sum must equal the double ``math.fsum`` returns for the same terms,
+zero signs included (compared with ``math.copysign``), and a row that
+makes ``math.fsum`` return NaN or infinity or raise must do the same
+through the engine.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from jdsmooth.kernels import KernelFamily, KernelSpec, weight_values
+from jdsmooth.locallinear import _power_sums
+from jdsmooth.summation import CHUNK, ExactSums, exact_row_sums, exact_sum
+
+
+def fsum_outcome(terms):
+    """What math.fsum gives for these terms: a value or an exception class."""
+    try:
+        return math.fsum(list(terms))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def engine_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_same(got, want):
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    elif math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
+            got, want,
+        )
+
+
+def assert_rows_match(block):
+    block = np.asarray(block, dtype=float)
+    got = exact_row_sums(block)
+    assert len(got) == block.shape[0]
+    for row, total in zip(block, got):
+        assert_same(total, fsum_outcome(row.tolist()))
+
+
+# any finite double of magnitude up to 1e2, subnormals and signed zeros
+# included, and values spread evenly over every binade from 2^-1074 to 2^7
+TERMS = st.one_of(
+    st.floats(min_value=-1e2, max_value=1e2),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 7)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 11), st.integers(0, 200)), elements=TERMS))
+def test_row_sums_equal_fsum(block):
+    assert_rows_match(block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(TERMS, max_size=200),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.randoms(use_true_random=False),
+)
+def test_exact_cancellation_leaves_the_small_term(terms, tiny, random):
+    row = terms + [-t for t in terms] + [tiny]
+    random.shuffle(row)
+    assert_same(exact_sum(np.array(row)), fsum_outcome(row))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [],
+        [0.0],
+        [-0.0],
+        [-0.0, -0.0, -0.0],
+        [0.0, -0.0],
+        [5e-324],
+        [-5e-324, 5e-324],
+        [5e-324, 5e-324, -1e-323, -0.0],
+        [2.2250738585072014e-308, -5e-324],
+        [1e-320, 3e-321, -7e-322, 1e-310],
+        [1e2, 1e-320, -1e2],
+        [1.0, 2.0**-53],
+        [1.0, 2.0**-53, 2.0**-200],
+        [1.0, -(2.0**-54), -(2.0**-300)],
+        [2.0**499, 2.0**499, -(2.0**-1074)],
+    ],
+)
+def test_hand_picked_rows(row):
+    assert_same(exact_sum(np.array(row, dtype=float)), fsum_outcome(row))
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 3])
+@pytest.mark.parametrize("rows", [1, 11])
+def test_row_sums_across_chunks(n, rows):
+    rng = np.random.default_rng(n + rows)
+    block = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-320, 2, (rows, n))
+    half = n // 2
+    block[:, half : 2 * half] = -block[:, :half]
+    assert_rows_match(block)
+    # whole rows of equal terms fill one window with as many halves as it holds
+    assert_rows_match(np.full((rows, n), 1.0 + 2.0**-52))
+    assert_rows_match(np.full((rows, n), -(2.0**-1022) * (1.0 + 2.0**-52)))
+
+
+def test_crowded_windows_keep_a_rounding_tie_exact():
+    """Many equal terms and one term far below them, on a rounding tie.
+
+    A row holds ``copies`` of a term with 26 significant bits, one term
+    whose lowest bit lies 26 + ``gap`` binades below that term's leading
+    bit, zeros up to 2^13 - 1 terms and a tiny positive term.  The first
+    two make an exact sum that sits on a tie at 53 bits, and the tiny term
+    breaks it upward.  A summation bin that held both and rounded would
+    round the tie to even, downward, and lose the tiny term's push.  The
+    pairs (copies, gap) load a bin 2, 3 and 4 binades wider than the
+    widest exact one for a row this long, over every placement in 18
+    consecutive binades.
+    """
+    n = 2**13 - 1
+    rows = []
+    for copies, gap in ((n - 2, 15), ((n - 3) // 2, 16), ((n - 5) // 4, 17)):
+        for top in range(18):
+            row = np.zeros(n)
+            row[:copies] = (2.0**26 - 1.0) * 2.0 ** (top - 25)
+            row[copies] = (2.0**25 + 1.0) * 2.0 ** (top - gap - 25)
+            row[-1] = 2.0**-300
+            rows.append(row)
+    assert_rows_match(np.array(rows))
+
+
+@pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
+def test_power_sums_of_small_bandwidth_weights(family):
+    """The cubic's 11 rows at h = 5e-4: weights from 1e-320 to 1e2 and zeros."""
+    rng = np.random.default_rng(11)
+    n = 3 * CHUNK + 17
+    w = np.abs(0.1 + 0.1 * rng.standard_normal(n))
+    d = w + 0.002 * rng.standard_normal(n)
+    y = rng.standard_normal(n)
+    x = 0.1
+    k = weight_values(KernelSpec(family, 5e-4), w, x)
+    assert np.any(k == 0.0) and 0.0 < np.min(k[k > 0]) < 1e-300 < 1 < np.max(k)
+    t = (d - x) / np.max(np.abs(d - x))
+    rows = [k]
+    for _ in range(6):
+        rows.append(rows[-1] * t)
+    rows.append(k * y)
+    for _ in range(3):
+        rows.append(rows[-1] * t)
+    block = np.array(rows)
+    assert_rows_match(block)
+    want = [math.fsum(row.tolist()) for row in block]
+    design, rhs = _power_sums(k, t, y, 3)
+    assert design + rhs == want
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [1.0, math.nan, 2.0],
+        [math.inf, 1.0],
+        [-math.inf, 1e-320],
+        [math.inf, -math.inf],
+        [math.nan, math.inf, -math.inf],
+        [1e308, 1e308],
+        [1e308, 1e308, math.nan],
+        [1e308, -1e308, 1e308],
+        [2.0**500, 1.0, -(2.0**500)],
+        [1.0, 1e308, -1e308, 2.0**-1074],
+    ],
+)
+def test_rows_left_to_fsum(row):
+    want = fsum_outcome(row)
+    assert_same(engine_outcome(exact_sum, np.array(row)), want)
+    # the row's neighbours in a block are still summed exactly
+    block = [row, [0.5] * len(row), [2.0**-1074] * len(row)]
+    got = engine_outcome(exact_row_sums, np.array(block))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        for total, terms in zip(got, block):
+            assert_same(total, fsum_outcome(terms))
+
+
+def test_power_sums_hand_non_finite_products_to_fsum():
+    k = np.array([1.0, 0.5, 0.0, 2.0] * 600)
+    t = np.array([1e200, -1.0, math.inf, 3.0] * 600)
+    y = np.ones(k.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        design, rhs = _power_sums(k, t, y, 1)
+        rows = [k, k * t, k * t * t, k * y, k * y * t]
+    for got, row in zip(design + rhs, rows):
+        assert_same(got, fsum_outcome(row.tolist()))
+
+
+def test_sums_reject_more_terms_than_sized_for():
+    sums = ExactSums(2, 3)
+    sums.add(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        sums.add(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        sums.add(np.ones((3, 1)))
