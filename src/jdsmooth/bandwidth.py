@@ -23,22 +23,25 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDesignError, EstimationError, SparseRegionError
+from .errors import EstimationError, SparseRegionError
 from .kernels import (
     KernelFamily,
+    KernelPlan,
     KernelSpec,
     PointRegime,
     RegimeKind,
     boundary_variance_constant,
-    weight_values,
 )
-from .locallinear import Target, estimate_curve, weighted_linear_fit
+from .locallinear import LinearFitter, Target, estimate_curve
 from .proxy import ProxySeries, build_regression_triples
-from .summation import exact_sum
+from .summation import CHUNK, exact_sum
 
 _GRID_COUNT = 25
 _GRID_SPAN = (0.2, 5.0)
 _DEFAULT_GRID_C = 2.0
+# terms one batch of block-CV folds sends through the exact engine, at 5
+# product rows per fold: 8 folds of a 1000-point series
+_FOLD_TERMS = 40 * CHUNK
 
 
 class BandwidthMethod(Enum):
@@ -182,7 +185,9 @@ def block_cv(
     Leave-out fits that fail (sparse region, collinear design, evaluation
     point outside the kernel support) contribute the unconditional
     response variance, which penalizes degenerate candidates without
-    discarding them.  On ties the smallest bandwidth wins.
+    discarding them.  On ties the smallest bandwidth wins.  The folds of a
+    candidate are fitted a batch at a time, one row of kernel weights per
+    fold; each objective is the one fitting the folds one by one gives.
     """
     n = len(p)
     if k is None:
@@ -202,37 +207,42 @@ def block_cv(
 
     triples = build_regression_triples(p)
     off = triples.source_offset
-    v = p.values
     resp = triples.drift
     penalty = float(np.var(resp))
+    plan = KernelPlan(family, triples.weight_points)
+    fitter = LinearFitter(triples.design_points, resp)
 
-    # proxy index i runs k+1 .. n-k in 1-based terms; convert to 0-based
+    # proxy index i runs k+1 .. n-k in 1-based terms.  Triple j has design
+    # point Xt_{j + off}: the one at i - off is predicted and the block
+    # [i - k, i + k] is held out, clamped at the start of the series
     centers = np.arange(k + 1, n - k + 1)
+    xs = p.values[centers - 1]
+    ys = resp[centers - off]
+    held = np.column_stack([np.maximum(centers - k - off, 0), centers + k + 1 - off])
+    if family is KernelFamily.GAMMA:
+        fitted = np.flatnonzero(xs >= 0)
+    else:
+        fitted = np.arange(centers.size)
+    batch = max(_FOLD_TERMS // (5 * len(triples)), 1)
     objectives = np.empty(h_grid.size)
     failures = 0
     for jh, h in enumerate(h_grid):
-        spec = KernelSpec(family, float(h))
-        terms = []
-        for i in centers:
-            x = float(v[i - 1])
-            # triple j has design point Xt_{j + off}: the one at i - off is
-            # predicted and the block [i - k, i + k] is held out, clamped at
-            # the start of the series
-            y_i = float(resp[i - off])
-            if family is KernelFamily.GAMMA and x < 0:
-                terms.append(penalty)
-                failures += 1
-                continue
-            weights = weight_values(spec, triples.weight_points, x)
-            weights[max(i - k - off, 0) : i + k + 1 - off] = 0.0
-            try:
-                fit = weighted_linear_fit(weights, triples.design_points, resp, x)
-            except (SparseRegionError, DegenerateDesignError):
-                terms.append(penalty)
-                failures += 1
-                continue
-            terms.append((y_i - fit.intercept) ** 2)
-        objectives[jh] = math.fsum(terms) / n
+        scores = np.full(centers.size, penalty)
+        failures += centers.size - fitted.size
+        for start in range(0, fitted.size, batch):
+            folds = fitted[start : start + batch]
+            weights = plan.weights(float(h), xs[folds])
+            for row, (a, b) in zip(weights, held[folds].tolist()):
+                row[a:b] = 0.0
+            fits = fitter.fits(weights, xs[folds])
+            ok = fits.ok
+            failures += folds.size - int(np.count_nonzero(ok))
+            # squared by Python's float ** (libm pow), which can differ from
+            # numpy's x * x in the last bit
+            scores[folds[ok]] = [
+                r**2 for r in (ys[folds[ok]] - fits.intercept[ok]).tolist()
+            ]
+        objectives[jh] = exact_sum(scores) / n
     best = int(np.argmin(objectives))
     return BandwidthChoice(
         h=float(h_grid[best]),

@@ -237,8 +237,12 @@ def confidence_band(
     Conditional-variance bands are intersected with [0, inf) and the
     clipped points flagged.  Points where the curve failed or a companion
     estimate is unusable become gaps rather than errors.  At the regime
-    knife-edge x = tau h both regime variances are computed, the wider
-    band is used, and both half-widths are recorded in diagnostics.
+    knife-edge x = tau h the interior and the boundary half-widths are both
+    recorded in diagnostics, and the band keeps the point's own regime:
+    the squared boundary/interior half-width ratio C(kappa) 2 sqrt(pi
+    kappa) is below 1 for every kappa in [1e-6, 1e4], so at x = tau h the
+    interior band is the wider one and no switch to the boundary band
+    could ever widen it.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
@@ -304,17 +308,17 @@ def confidence_band(
                 regime, family,
             )
             if knife_edge:
-                alt = asymptotic_moments(
-                    x, h, n, delta, curve.target, curv, numer, dens,
-                    PointRegime(RegimeKind.BOUNDARY, x / h), family,
-                )
-                widths = {
-                    "interior_halfwidth": z * math.sqrt(mom.variance) / mom.rate,
-                    "boundary_halfwidth": z * math.sqrt(alt.variance) / alt.rate,
-                }
+                widths = {}
+                for key, side in (
+                    ("interior_halfwidth", PointRegime(RegimeKind.INTERIOR)),
+                    ("boundary_halfwidth", PointRegime(RegimeKind.BOUNDARY, x / h)),
+                ):
+                    alt = asymptotic_moments(
+                        x, h, n, delta, curve.target, curv, numer, dens,
+                        side, family,
+                    )
+                    widths[key] = z * math.sqrt(alt.variance) / alt.rate
                 diagnostics[i] = widths
-                if widths["boundary_halfwidth"] > widths["interior_halfwidth"]:
-                    mom = alt
         except ValueError as exc:
             gaps[i] = str(exc)
             continue

@@ -73,6 +73,74 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+class KernelPlan:
+    """Kernel weights of one array of data points u at many evaluation points.
+
+    The plan checks u once.  For the Gamma family it keeps the support
+    (u >= 0) and its log u, and u / h for the last bandwidth it was asked
+    for, so a block of evaluation points costs one fused expression and
+    one ``exp``.  ``weights`` returns one row per evaluation point in the
+    operation order of the scalar formulas,
+
+        Gamma:    exp(((shape log u - u/h) - (shape + 1) log h)
+                      - lgamma(shape + 1)),   shape = x/h,
+        Gaussian: exp(-0.5 z z) / (h sqrt(2 pi)),   z = (x - u)/h,
+
+    so a row is bit for bit the same whatever block it is evaluated in.  A
+    shape of 0 gives a zero power term, even at u = 0; data below the
+    Gamma support get weight 0.
+    """
+
+    def __init__(self, family: KernelFamily, u):
+        uu = np.ravel(np.asarray(u, dtype=float))
+        if not np.all(np.isfinite(uu)):
+            raise ValueError("data points u must be finite")
+        self.family = family
+        self.size = uu.size
+        self._u = uu
+        self._bandwidth = None
+        self._u_over_h = None
+        if family is KernelFamily.GAMMA:
+            support = uu >= 0
+            # None: every point is in the support and rows need no scatter
+            self._support = None if support.all() else support
+            self._u = uu if self._support is None else uu[support]
+            with np.errstate(divide="ignore"):
+                self._log_u = np.log(self._u)
+
+    def weights(self, h: float, xs) -> np.ndarray:
+        """Kernel weights at bandwidth h, shape (len(xs), u.size)."""
+        h = _check_positive("bandwidth h", h)
+        xs = np.atleast_1d(np.asarray(xs, dtype=float)).tolist()
+        if self.family is KernelFamily.GAUSSIAN:
+            z = (np.array(xs)[:, None] - self._u) / h
+            with np.errstate(under="ignore"):
+                return np.exp(-0.5 * z * z) / (h * math.sqrt(2.0 * math.pi))
+        for x in xs:
+            if not (math.isfinite(x) and x >= 0):
+                raise ValueError(
+                    f"Gamma kernel evaluation point must be nonnegative, got {x!r}"
+                )
+        if h != self._bandwidth:
+            self._bandwidth, self._u_over_h = h, self._u / h
+        shapes = [x / h for x in xs]
+        log_h = math.log(h)
+        with np.errstate(invalid="ignore", under="ignore"):
+            dens = np.multiply.outer(shapes, self._log_u)
+            for row, shape in zip(dens, shapes):
+                if shape == 0.0:
+                    row[:] = 0.0
+            dens -= self._u_over_h
+            dens -= np.array([(s + 1.0) * log_h for s in shapes])[:, None]
+            dens -= np.array([math.lgamma(s + 1.0) for s in shapes])[:, None]
+            np.exp(dens, out=dens)
+        if self._support is None:
+            return dens
+        out = np.zeros((len(shapes), self.size))
+        out[:, self._support] = dens
+        return out
+
+
 def gamma_kernel(u, x: float, h: float):
     """Evaluate the Gamma kernel for design point x at data points u.
 
@@ -87,34 +155,19 @@ def gamma_kernel(u, x: float, h: float):
     uu = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(uu)) or np.any(uu < 0):
         raise ValueError("data points u must be finite and nonnegative")
-
-    shape = x / h
-    if shape == 0.0:
-        # Exponential(h) density; u^0 contributes nothing even at u = 0
-        power = np.zeros_like(uu)
-    else:
-        with np.errstate(divide="ignore"):
-            power = shape * np.log(uu)
-    log_dens = power - uu / h - (shape + 1.0) * math.log(h) - math.lgamma(shape + 1.0)
-    with np.errstate(under="ignore"):
-        out = np.exp(log_dens)
+    out = KernelPlan(KernelFamily.GAMMA, uu).weights(h, x)[0]
     if uu.ndim == 0:
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(uu.shape)
 
 
 def gaussian_kernel(u, x: float, h: float):
     """Evaluate the Gaussian kernel (1/h) phi((x - u)/h) at data points u."""
-    h = _check_positive("bandwidth h", h)
     uu = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(uu)):
-        raise ValueError("data points u must be finite")
-    z = (float(x) - uu) / h
-    with np.errstate(under="ignore"):
-        out = np.exp(-0.5 * z * z) / (h * math.sqrt(2.0 * math.pi))
+    out = KernelPlan(KernelFamily.GAUSSIAN, uu).weights(h, x)[0]
     if uu.ndim == 0:
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(uu.shape)
 
 
 def weight_values(spec: KernelSpec, u, x: float) -> np.ndarray:
@@ -125,19 +178,7 @@ def weight_values(spec: KernelSpec, u, x: float) -> np.ndarray:
     no such restriction.
     """
     uu = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.all(np.isfinite(uu)):
-        raise ValueError("data points u must be finite")
-    if spec.family is KernelFamily.GAMMA:
-        if not (math.isfinite(x) and x >= 0):
-            raise ValueError(
-                f"Gamma kernel evaluation point must be nonnegative, got {x!r}"
-            )
-        out = np.zeros_like(uu)
-        mask = uu >= 0
-        if np.any(mask):
-            out[mask] = gamma_kernel(uu[mask], x, spec.bandwidth)
-        return out
-    return np.asarray(gaussian_kernel(uu, x, spec.bandwidth))
+    return KernelPlan(spec.family, uu).weights(spec.bandwidth, x)[0].reshape(uu.shape)
 
 
 def gamma_kernel_moments(x: float, h: float) -> tuple[float, float]:

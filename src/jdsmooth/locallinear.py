@@ -25,6 +25,7 @@ used to separate the jump component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,13 +46,49 @@ _PILOT_FACTOR = 2.0
 
 @dataclass(frozen=True, slots=True)
 class LocalFit:
-    """One weighted local linear fit, its kernel mass s0 = sum_j K(w_j)
-    (``weight_mass``) and its sum_i omega_i / max_i omega_i (``effective_n``)."""
+    """One weighted local linear fit and its kernel mass s0 = sum_j K(w_j)
+    (``weight_mass``)."""
 
     intercept: float
     slope: float
     weight_mass: float
-    effective_n: float
+
+
+@dataclass(frozen=True)
+class LocalFits:
+    """Local linear fits at r points x, as arrays of r entries.
+
+    ``sparse`` marks fits with no kernel mass and ``degenerate`` fits
+    whose weighted design is collinear (determinant ``det`` at or below
+    the floor); the other entries of a failed fit mean nothing.  ``at(i)``
+    gives row i as a ``LocalFit`` or raises the error it failed with.
+    """
+
+    x: np.ndarray
+    intercept: np.ndarray
+    slope: np.ndarray
+    weight_mass: np.ndarray
+    det: np.ndarray
+    sparse: np.ndarray
+    degenerate: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        return ~(self.sparse | self.degenerate)
+
+    def at(self, i: int) -> LocalFit:
+        x = float(self.x[i])
+        if self.sparse[i]:
+            raise SparseRegionError(x)
+        if self.degenerate[i]:
+            raise DegenerateDesignError(
+                f"weighted design is collinear at x={x:g} (det={self.det[i]:g})"
+            )
+        return LocalFit(
+            intercept=float(self.intercept[i]),
+            slope=float(self.slope[i]),
+            weight_mass=float(self.weight_mass[i]),
+        )
 
 
 @dataclass(frozen=True)
@@ -84,45 +121,106 @@ def _power_products(
         np.multiply(out[j - 1], t, out=out[j])
 
 
+class _Scratch:
+    """A float array kept between calls and grown to the largest size asked for."""
+
+    def __init__(self):
+        self._array = np.empty(0)
+
+    def take(self, size: int) -> np.ndarray:
+        if self._array.size < size:
+            self._array = np.empty(size)
+        return self._array[:size]
+
+
 def _power_sums(
-    k: np.ndarray, t: np.ndarray, y: np.ndarray, degree: int
-) -> tuple[list[float], list[float]]:
+    k: np.ndarray,
+    t: np.ndarray,
+    y: np.ndarray,
+    degree: int,
+    scratch: _Scratch | None = None,
+) -> tuple[list, list]:
     """Kernel-weighted power sums of a local polynomial fit of this degree.
 
-    Returns [sum k t^j for j = 0..2 degree] and [sum k y t^j for
-    j = 0..degree], summed exactly.  The products are built CHUNK columns
-    at a time into one block, so memory does not grow with the sample;
-    only a term the engine leaves to ``math.fsum`` (non-finite, or 2^500
-    or more) sends the whole rows through it at once.
+    k and t hold one row of n terms, or a block of r rows of n terms each
+    (one per evaluation point); y holds the n responses.  Returns [sum k
+    t^j for j = 0..2 degree] and [sum k y t^j for j = 0..degree], summed
+    exactly: one float per sum for a row, a list of r floats for a block.
+    The products are built CHUNK columns at a time into one work array
+    (taken from ``scratch`` when given), so memory does not grow with the
+    sample; only a term the engine leaves to ``math.fsum`` (non-finite,
+    or 2^500 or more) sends the whole rows through it at once.
     """
-    n = k.size
-    rows = 3 * degree + 2
+    n = k.shape[-1]
+    shape = (3 * degree + 2,) + k.shape[:-1]
+    rows = math.prod(shape)
+    size = rows * min(n, CHUNK)
+    work = (scratch or _Scratch()).take(5 * size)
     sums = ExactSums(rows, n)
-    block = np.empty((rows, min(n, CHUNK)))
     for start in range(0, n, CHUNK):
         cols = slice(start, start + CHUNK)
-        part = block[:, : min(CHUNK, n - start)]
-        _power_products(part, k[cols], t[cols], y[cols], degree)
-        sums.add(part)
+        width = min(CHUNK, n - start)
+        part = work[: rows * width].reshape(shape + (width,))
+        _power_products(part, k[..., cols], t[..., cols], y[cols], degree)
+        sums.add(part.reshape(rows, width), work[size:])
     totals = sums.totals()
     if None in totals:
-        block = np.empty((rows, n))
+        block = np.empty(shape + (n,))
         _power_products(block, k, t, y, degree)
-        totals = exact_row_sums(block)
+        totals = exact_row_sums(block.reshape(rows, n))
+    totals = np.reshape(totals, shape).tolist()
     return totals[: 2 * degree + 1], totals[2 * degree + 1 :]
 
 
-def _centred_design(
-    k: np.ndarray, d: np.ndarray, x: float
-) -> tuple[np.ndarray, float]:
-    """Design points centred at x and their half-range over nonzero weights.
+def _weighted_range(k: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each row of weights k clears the mass floor, and the row's
+    half-range max |dx| over its nonzero weights (0 where there are none)."""
+    live = np.maximum.reduce(k, axis=-1, initial=0.0) > _MASS_FLOOR
+    scale = np.where(k > 0.0, np.abs(dx), 0.0).max(axis=-1, initial=0.0)
+    return live, scale
 
-    Raises SparseRegionError when no weight clears the mass floor.
+
+class LinearFitter:
+    """Local linear fits of the responses y on the design points d.
+
+    ``fits(k, x)`` fits at the points x from one row of kernel weights per
+    point, shape (len(x), n), each row aligned element by element with d
+    and y; a weight of exactly 0 drops its observation from that row's
+    sums, which is how block cross-validation holds a block out.  The rows
+    go through one exact engine together, so each fit is the one its row
+    gives alone.  The fitter keeps the engine's work array between calls,
+    so a run of blocks allocates it once.
     """
-    if not (k.size and float(np.max(k)) > _MASS_FLOOR):
-        raise SparseRegionError(x)
-    dx = d - x
-    return dx, float(np.max(np.abs(dx[k > 0.0])))
+
+    def __init__(self, d: np.ndarray, y: np.ndarray):
+        self.d = d
+        self.y = y
+        self._scratch = _Scratch()
+
+    def fits(self, k: np.ndarray, x) -> LocalFits:
+        x = np.asarray(x, dtype=float)
+        dx = self.d - x[:, None]
+        live, scale = _weighted_range(k, dx)
+        if not live.all():
+            # rows without kernel mass are summed as zeros, which no term
+            # can turn into an exception, and then flagged sparse
+            k = np.where(live[:, None], k, 0.0)
+        design, rhs = _power_sums(k, dx, self.y, 1, self._scratch)
+        s0, s1, s2, t0, t1 = np.array(design + rhs)
+        # squared by Python's float ** (libm pow), as the floor always was:
+        # numpy's x * x differs from it in the last bit for about 0.1% of
+        # doubles
+        floor = [(a * b) ** 2 for a, b in zip(s0.tolist(), scale.tolist())]
+        with np.errstate(all="ignore"):
+            det = s0 * s2 - s1 * s1
+            intercept = (s2 * t0 - s1 * t1) / det
+            slope = (s0 * t1 - s1 * t0) / det
+        sparse = ~(live & (s0 > _MASS_FLOOR))
+        flat = (scale <= 0.0) | (det <= _DEGENERACY_RTOL * np.array(floor))
+        return LocalFits(
+            x=x, intercept=intercept, slope=slope, weight_mass=s0, det=det,
+            sparse=sparse, degenerate=flat & ~sparse,
+        )
 
 
 def weighted_linear_fit(
@@ -130,32 +228,11 @@ def weighted_linear_fit(
 ) -> LocalFit:
     """Local linear fit at x from kernel weights k already computed.
 
-    k, d and y align element by element; a weight of exactly 0 drops its
-    observation from every sum, which is how block cross-validation holds
-    a block out.  See the module docstring for the form of the fit.
+    The one-row case of ``LinearFitter.fits``; raises SparseRegionError or
+    DegenerateDesignError where that fit fails.  See the module docstring
+    for the form of the fit.
     """
-    dx, scale = _centred_design(k, d, x)
-    (s0, s1, s2), (t0, t1) = _power_sums(k, dx, y, 1)
-    if not (s0 > _MASS_FLOOR):
-        raise SparseRegionError(x)
-    det = s0 * s2 - s1 * s1
-    if scale <= 0.0 or det <= _DEGENERACY_RTOL * (s0 * scale) ** 2:
-        raise DegenerateDesignError(
-            f"weighted design is collinear at x={x:g} (det={det:g})"
-        )
-
-    intercept = (s2 * t0 - s1 * t1) / det
-    slope = (s0 * t1 - s1 * t0) / det
-
-    omega = k * (s2 - dx * s1)
-    omega_max = float(np.max(omega))
-    effective_n = det / omega_max if omega_max > 0 else 0.0
-    return LocalFit(
-        intercept=float(intercept),
-        slope=float(slope),
-        weight_mass=float(s0),
-        effective_n=float(effective_n),
-    )
+    return LinearFitter(d, y).fits(k[None, :], [x]).at(0)
 
 
 def local_linear_fit(
@@ -264,7 +341,10 @@ def estimate_second_derivative(
         pilot_h = _PILOT_FACTOR * kernel.bandwidth
     pilot = KernelSpec(kernel.family, float(pilot_h))
     k = weight_values(pilot, triples.weight_points, x)
-    dx, scale = _centred_design(k, triples.design_points, x)
+    dx = triples.design_points - x
+    live, scale = _weighted_range(k, dx)
+    if not live:
+        raise SparseRegionError(x)
     if scale <= 0.0:
         raise DegenerateDesignError(f"no design spread around x={x:g}")
 

@@ -34,6 +34,7 @@ back as +0.0, as ``math.fsum`` returns it.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -70,25 +71,36 @@ class ExactSums:
         self._bins = np.zeros(rows * nbins)
         self._unsettled = np.full(rows, terms > _MAX_TERMS)
 
-    def add(self, block: np.ndarray) -> None:
+    def add(self, block: np.ndarray, work: np.ndarray | None = None) -> None:
+        """Add a block of columns.  ``work``, if given, is a float array of
+        at least 4 block.size entries that ``add`` may overwrite, so a caller
+        adding many blocks can keep one work array instead of four fresh
+        temporaries per block."""
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[0] != self._rows:
             raise ValueError(f"expected a block of {self._rows} rows")
         if block.shape[1] > self._room:
             raise ValueError("more terms than the sums were sized for")
         self._room -= block.shape[1]
-        ok = np.abs(block) < _LIMIT
+        size = block.size
+        if work is None:
+            work = np.empty(4 * size)
+        halves = work[: 2 * size].reshape((2,) + block.shape)
+        hi, lo = halves
+        ok = np.less(np.abs(block, out=hi), _LIMIT)
         if not ok.all():
             self._unsettled |= ~ok.all(axis=1)
             block = np.where(ok, block, 0.0)
-        scaled = block * _SCALE
-        halves = np.empty((2,) + block.shape)
-        hi, lo = halves
+        # the index half of the work array holds the scaled terms until the
+        # split no longer needs them
+        scaled = work[2 * size : 3 * size].reshape(block.shape)
+        np.multiply(block, _SCALE, out=scaled)
         np.multiply(scaled, _SPLIT, out=hi)
         np.subtract(hi, scaled, out=lo)
         np.subtract(hi, lo, out=hi)
         np.subtract(scaled, hi, out=lo)
-        index = halves.view(np.int64) >> 52
+        index = work[2 * size : 4 * size].view(np.int64).reshape(halves.shape)
+        np.right_shift(halves.view(np.int64), 52, out=index)
         index &= 0x7FF
         index //= self._width
         index += self._offsets
@@ -98,9 +110,15 @@ class ExactSums:
 
     def totals(self) -> list[float | None]:
         rows = self._bins.reshape(self._rows, -1)
+        nonzero = rows != 0.0
+        bins = iter(rows[nonzero].tolist())
+        sums = [
+            math.fsum(itertools.islice(bins, count)) * _UNSCALE
+            for count in np.count_nonzero(nonzero, axis=1).tolist()
+        ]
         return [
-            None if unsettled else math.fsum(row[row != 0.0].tolist()) * _UNSCALE
-            for row, unsettled in zip(rows, self._unsettled.tolist())
+            None if unsettled else total
+            for total, unsettled in zip(sums, self._unsettled.tolist())
         ]
 
 

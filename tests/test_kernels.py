@@ -14,6 +14,7 @@ from scipy import integrate, stats
 
 from jdsmooth.kernels import (
     KernelFamily,
+    KernelPlan,
     KernelSpec,
     PointRegime,
     RegimeKind,
@@ -175,3 +176,68 @@ def test_weight_values_zero_weight_below_support():
     np.testing.assert_allclose(
         weight_values(gspec, u, -0.3), gaussian_kernel(u, -0.3, 0.1)
     )
+
+
+def scalar_gamma(u, x, h):
+    """The Gamma kernel at one point x, in the scalar formula's operation order."""
+    shape = x / h
+    with np.errstate(divide="ignore", under="ignore"):
+        power = np.zeros_like(u) if shape == 0.0 else shape * np.log(u)
+        return np.exp(
+            power - u / h - (shape + 1.0) * math.log(h) - math.lgamma(shape + 1.0)
+        )
+
+
+def scalar_gaussian(u, x, h):
+    z = (x - u) / h
+    with np.errstate(under="ignore"):
+        return np.exp(-0.5 * z * z) / (h * math.sqrt(2.0 * math.pi))
+
+
+@pytest.mark.parametrize("h", [5e-4, 0.02, 0.7])
+def test_kernel_plan_rows_equal_the_scalar_kernels(h):
+    # u = 0, a subnormal u, points below the Gamma support and far tails;
+    # x = 0 (shape 0) and x = 3, whose row underflows to 0 entirely at
+    # h = 5e-4
+    rng = np.random.default_rng(17)
+    u = np.concatenate(
+        [[0.0, -0.3, -1e-300, 5e-324], rng.uniform(0.0, 1.5, 200), [50.0, 1e3]]
+    )
+    xs = np.array([0.0, h, 0.05, 0.4, 1.2, 3.0])
+    support = u >= 0
+    plan = KernelPlan(KernelFamily.GAMMA, u)
+    rows = plan.weights(h, xs)
+    assert rows.shape == (xs.size, u.size)
+    for row, x in zip(rows, xs):
+        assert np.all(row[~support] == 0.0)
+        assert np.array_equal(row[support], scalar_gamma(u[support], x, h))
+        assert np.array_equal(row[support], gamma_kernel(u[support], x, h))
+        assert np.array_equal(row, weight_values(KernelSpec(KernelFamily.GAMMA, h), u, x))
+    assert rows[0, 0] == pytest.approx(1.0 / h, rel=1e-14)
+    underflowed = (rows[:, support] == 0.0) & (u[support] > 0.0)
+    assert np.any(underflowed)
+    if h == 5e-4:
+        assert np.all(rows[-1] == 0.0)
+    # the plan keeps u / h for one bandwidth at a time
+    wider = plan.weights(2.0 * h, xs)
+    assert np.array_equal(wider, KernelPlan(KernelFamily.GAMMA, u).weights(2.0 * h, xs))
+    assert np.array_equal(plan.weights(h, xs), rows)
+
+    gplan = KernelPlan(KernelFamily.GAUSSIAN, u)
+    grows = gplan.weights(h, xs)
+    for row, x in zip(grows, xs):
+        assert np.array_equal(row, scalar_gaussian(u, x, h))
+        assert np.array_equal(row, gaussian_kernel(u, x, h))
+        assert np.array_equal(
+            row, weight_values(KernelSpec(KernelFamily.GAUSSIAN, h), u, x)
+        )
+
+
+def test_kernel_plan_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        KernelPlan(KernelFamily.GAMMA, np.array([0.5, np.inf]))
+    plan = KernelPlan(KernelFamily.GAMMA, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError):
+        plan.weights(0.1, [0.2, -0.1])
+    with pytest.raises(ValueError):
+        plan.weights(0.0, [0.2])

@@ -1,10 +1,13 @@
-"""Module layering: private names stay in their module, array sums in the engine.
+"""Module layering: private names stay in their module, array sums in the
+engine, kernel arithmetic in ``kernels``.
 
 Each source file of the package is parsed with ``ast``; a relative import
 of an underscore name (``from .locallinear import _helper``) couples the
 importer to an implementation detail and fails the test.  The package's
 own ``_version`` module is a module, not a name, and is allowed.  Array
 sums go through ``jdsmooth.summation``, never ``math.fsum(arr.tolist())``.
+Kernel densities are evaluated by ``jdsmooth.kernels`` alone, so no other
+module calls ``lgamma`` or ``np.exp``.
 """
 
 import ast
@@ -55,4 +58,33 @@ def test_array_sums_go_through_the_summation_module(path):
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [f"line {node.lineno}" for node in ast.walk(tree) if _fsum_of_tolist(node)]
+    assert not calls, calls
+
+
+def _kernel_arithmetic(node) -> bool:
+    """A call of lgamma (math.lgamma or bare) or of np.exp / numpy.exp."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "lgamma"
+    if isinstance(func, ast.Attribute):
+        if func.attr == "lgamma":
+            return True
+        return (
+            func.attr == "exp"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy")
+        )
+    return False
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "kernels.py"], ids=lambda p: p.name
+)
+def test_kernel_arithmetic_stays_in_kernels(path):
+    """Kernel weights come from ``jdsmooth.kernels`` (``KernelPlan``,
+    ``weight_values``), never from a private copy of the density formula."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [f"line {node.lineno}" for node in ast.walk(tree) if _kernel_arithmetic(node)]
     assert not calls, calls
