@@ -26,7 +26,6 @@ import numpy as np
 from .errors import EstimationError, SparseRegionError
 from .kernels import (
     KernelFamily,
-    KernelPlan,
     KernelSpec,
     PointRegime,
     RegimeKind,
@@ -34,14 +33,11 @@ from .kernels import (
 )
 from .locallinear import LinearFitter, Target, estimate_curve
 from .proxy import ProxySeries, build_regression_triples
-from .summation import CHUNK, exact_sum
+from .summation import exact_sum
 
 _GRID_COUNT = 25
 _GRID_SPAN = (0.2, 5.0)
 _DEFAULT_GRID_C = 2.0
-# terms one batch of block-CV folds sends through the exact engine, at 5
-# product rows per fold: 8 folds of a 1000-point series
-_FOLD_TERMS = 40 * CHUNK
 
 
 class BandwidthMethod(Enum):
@@ -185,9 +181,9 @@ def block_cv(
     Leave-out fits that fail (sparse region, collinear design, evaluation
     point outside the kernel support) contribute the unconditional
     response variance, which penalizes degenerate candidates without
-    discarding them.  On ties the smallest bandwidth wins.  The folds of a
-    candidate are fitted a batch at a time, one row of kernel weights per
-    fold; each objective is the one fitting the folds one by one gives.
+    discarding them.  On ties the smallest bandwidth wins.  A candidate's
+    folds go through one ``LinearFitter.fits`` call with their blocks as
+    ``held``; each objective is the one fitting folds one by one gives.
     """
     n = len(p)
     if k is None:
@@ -209,8 +205,7 @@ def block_cv(
     off = triples.source_offset
     resp = triples.drift
     penalty = float(np.var(resp))
-    plan = KernelPlan(family, triples.weight_points)
-    fitter = LinearFitter(triples.design_points, resp)
+    fitter = LinearFitter(family, triples.weight_points, triples.design_points, resp)
 
     # proxy index i runs k+1 .. n-k in 1-based terms.  Triple j has design
     # point Xt_{j + off}: the one at i - off is predicted and the block
@@ -219,29 +214,17 @@ def block_cv(
     xs = p.values[centers - 1]
     ys = resp[centers - off]
     held = np.column_stack([np.maximum(centers - k - off, 0), centers + k + 1 - off])
-    if family is KernelFamily.GAMMA:
-        fitted = np.flatnonzero(xs >= 0)
-    else:
-        fitted = np.arange(centers.size)
-    batch = max(_FOLD_TERMS // (5 * len(triples)), 1)
+    fitted = np.flatnonzero(~((family is KernelFamily.GAMMA) & (xs < 0)))
     objectives = np.empty(h_grid.size)
     failures = 0
     for jh, h in enumerate(h_grid):
+        fits = fitter.fits(float(h), xs[fitted], held[fitted])
+        done = fitted[fits.ok]
+        failures += centers.size - done.size
         scores = np.full(centers.size, penalty)
-        failures += centers.size - fitted.size
-        for start in range(0, fitted.size, batch):
-            folds = fitted[start : start + batch]
-            weights = plan.weights(float(h), xs[folds])
-            for row, (a, b) in zip(weights, held[folds].tolist()):
-                row[a:b] = 0.0
-            fits = fitter.fits(weights, xs[folds])
-            ok = fits.ok
-            failures += folds.size - int(np.count_nonzero(ok))
-            # squared by Python's float ** (libm pow), which can differ from
-            # numpy's x * x in the last bit
-            scores[folds[ok]] = [
-                r**2 for r in (ys[folds[ok]] - fits.intercept[ok]).tolist()
-            ]
+        # squared by Python's float ** (libm pow), which can differ from
+        # numpy's x * x in the last bit
+        scores[done] = [r**2 for r in (ys[done] - fits.intercept[fits.ok]).tolist()]
         objectives[jh] = exact_sum(scores) / n
     best = int(np.argmin(objectives))
     return BandwidthChoice(

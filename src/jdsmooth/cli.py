@@ -91,11 +91,26 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# what a value must satisfy besides being finite, and how errors say it
+_FLOAT_RULES = {
+    "alpha": (lambda a: 0.0 < a < 1.0, "in (0, 1)"),
+    "tau": (lambda t: t > 0.0, "positive and finite"),
+}
+
+
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
+
+
 def _as_float(cfg: dict, key: str) -> float:
     try:
-        return float(cfg[key])
+        v = float(cfg[key])
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
+    ok, need = _FLOAT_RULES.get(key, (math.isfinite, "finite"))
+    if not (math.isfinite(v) and ok(v)):
+        raise ConfigError(f"{_flag(key)} must be {need}, got {v!r}")
+    return v
 
 
 def _opt_float(cfg: dict, key: str) -> float | None:
@@ -124,9 +139,12 @@ def _float_list(value, key: str) -> tuple[float, ...]:
     else:
         raise ConfigError(f"{key} must be a list or comma-separated string")
     try:
-        return tuple(float(v) for v in parts)
+        floats = tuple(float(v) for v in parts)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} contains a non-numeric entry: {value!r}") from None
+    if not all(math.isfinite(v) for v in floats):
+        raise ConfigError(f"{_flag(key)} entries must be finite, got {value!r}")
+    return floats
 
 
 def _families(name: str) -> tuple[KernelFamily, ...]:
@@ -299,7 +317,7 @@ def _resolve_h(
     Errors name the flags of the two keys, so the plug-in pilot's
     ``pilot_h``/``pilot_c`` report as --pilot-h/--pilot-c.
     """
-    fixed_flag, c_flag = (f"--{key.replace('_', '-')}" for key in (fixed_key, c_key))
+    fixed_flag, c_flag = _flag(fixed_key), _flag(c_key)
     fixed = cfg.get(fixed_key)
     c = cfg.get(c_key)
     if fixed is not None and c is not None:
@@ -515,13 +533,14 @@ def _cmd_bandwidth(cfg: dict) -> int:
         if cfg.get("x") is None:
             raise ConfigError("plugin selection needs an evaluation point --x")
         x = _as_float(cfg, "x")
+        tau = _as_float(cfg, "tau")
         pilot_h = _resolve_h(cfg, p, "pilot_h", "pilot_c")
         spec = KernelSpec(KernelFamily.GAMMA, pilot_h)
         triples = build_regression_triples(p)
         target = _TARGETS[cfg["target"]]
         try:
             comp = band_companions(p, triples, spec, [x], target)
-            regime = classify_point(x, pilot_h, _as_float(cfg, "tau"))
+            regime = classify_point(x, pilot_h, tau)
             choice = asymptotic_h_opt(
                 x, n=len(p), delta=p.delta,
                 m_hat=float(comp.variance_numerator[0]),

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDesignError, EstimationError, SparseRegionError
-from .kernels import KernelFamily, KernelSpec, weight_values
+from .kernels import KernelFamily, KernelPlan, KernelSpec, weight_values
 from .proxy import ProxySeries, RegressionTriples, Target
 from .summation import CHUNK, ExactSums, exact_row_sums, exact_sum
 
@@ -42,6 +42,10 @@ _MASS_FLOOR = 1e-300
 
 # pilot bandwidth multiple for curvature estimation
 _PILOT_FACTOR = 2.0
+
+# terms one batch of fits sends through the exact engine, at 5 product
+# rows per point: 8 points of a 1000-point series
+_BATCH_TERMS = 40 * CHUNK
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,14 +80,21 @@ class LocalFits:
     def ok(self) -> np.ndarray:
         return ~(self.sparse | self.degenerate)
 
-    def at(self, i: int) -> LocalFit:
+    def error(self, i: int) -> EstimationError | None:
+        """The error fit i failed with, or None where it succeeded."""
         x = float(self.x[i])
         if self.sparse[i]:
-            raise SparseRegionError(x)
+            return SparseRegionError(x)
         if self.degenerate[i]:
-            raise DegenerateDesignError(
+            return DegenerateDesignError(
                 f"weighted design is collinear at x={x:g} (det={self.det[i]:g})"
             )
+        return None
+
+    def at(self, i: int) -> LocalFit:
+        exc = self.error(i)
+        if exc is not None:
+            raise exc
         return LocalFit(
             intercept=float(self.intercept[i]),
             slope=float(self.slope[i]),
@@ -121,24 +132,12 @@ def _power_products(
         np.multiply(out[j - 1], t, out=out[j])
 
 
-class _Scratch:
-    """A float array kept between calls and grown to the largest size asked for."""
-
-    def __init__(self):
-        self._array = np.empty(0)
-
-    def take(self, size: int) -> np.ndarray:
-        if self._array.size < size:
-            self._array = np.empty(size)
-        return self._array[:size]
-
-
 def _power_sums(
     k: np.ndarray,
     t: np.ndarray,
     y: np.ndarray,
     degree: int,
-    scratch: _Scratch | None = None,
+    work: np.ndarray | None = None,
 ) -> tuple[list, list]:
     """Kernel-weighted power sums of a local polynomial fit of this degree.
 
@@ -147,15 +146,16 @@ def _power_sums(
     t^j for j = 0..2 degree] and [sum k y t^j for j = 0..degree], summed
     exactly: one float per sum for a row, a list of r floats for a block.
     The products are built CHUNK columns at a time into one work array
-    (taken from ``scratch`` when given), so memory does not grow with the
-    sample; only a term the engine leaves to ``math.fsum`` (non-finite,
-    or 2^500 or more) sends the whole rows through it at once.
+    (``work`` when given, at least 5 (3 degree + 2) r min(n, CHUNK) long),
+    so memory does not grow with the sample; only a term the engine leaves
+    to ``math.fsum`` (non-finite, or 2^500 or more) sends the whole rows
+    through it at once.
     """
     n = k.shape[-1]
     shape = (3 * degree + 2,) + k.shape[:-1]
     rows = math.prod(shape)
     size = rows * min(n, CHUNK)
-    work = (scratch or _Scratch()).take(5 * size)
+    work = np.empty(5 * size) if work is None else work
     sums = ExactSums(rows, n)
     for start in range(0, n, CHUNK):
         cols = slice(start, start + CHUNK)
@@ -181,66 +181,62 @@ def _weighted_range(k: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 class LinearFitter:
-    """Local linear fits of the responses y on the design points d.
+    """Local linear fits of the responses y on the design points d, with
+    kernel weights of one family at the weight points u.
 
-    ``fits(k, x)`` fits at the points x from one row of kernel weights per
-    point, shape (len(x), n), each row aligned element by element with d
-    and y; a weight of exactly 0 drops its observation from that row's
-    sums, which is how block cross-validation holds a block out.  The rows
-    go through one exact engine together, so each fit is the one its row
-    gives alone.  The fitter keeps the engine's work array between calls,
-    so a run of blocks allocates it once.
+    ``fits(h, xs, held)`` fits at every point of xs at bandwidth h, with
+    the weights of one ``KernelPlan`` evaluated a batch of points at a
+    time, so memory does not grow with len(xs).  ``held[i] = (a, b)``, when
+    given, zeroes row i's weights on that slice, which drops those
+    observations (how block cross-validation holds a block out).  Each fit
+    is the one its row gives alone, whatever batch it lands in.
     """
 
-    def __init__(self, d: np.ndarray, y: np.ndarray):
+    def __init__(self, family: KernelFamily, u, d: np.ndarray, y: np.ndarray):
+        self.plan = KernelPlan(family, u)
         self.d = d
         self.y = y
-        self._scratch = _Scratch()
+        self._batch = max(_BATCH_TERMS // (5 * max(d.size, 1)), 1)
+        # the engine's work array for a full batch of 5-row fits
+        self._work = np.empty(25 * self._batch * min(d.size, CHUNK))
 
-    def fits(self, k: np.ndarray, x) -> LocalFits:
-        x = np.asarray(x, dtype=float)
-        dx = self.d - x[:, None]
-        live, scale = _weighted_range(k, dx)
-        if not live.all():
-            # rows without kernel mass are summed as zeros, which no term
-            # can turn into an exception, and then flagged sparse
-            k = np.where(live[:, None], k, 0.0)
-        design, rhs = _power_sums(k, dx, self.y, 1, self._scratch)
-        s0, s1, s2, t0, t1 = np.array(design + rhs)
-        # squared by Python's float ** (libm pow), as the floor always was:
-        # numpy's x * x differs from it in the last bit for about 0.1% of
-        # doubles
-        floor = [(a * b) ** 2 for a, b in zip(s0.tolist(), scale.tolist())]
-        with np.errstate(all="ignore"):
-            det = s0 * s2 - s1 * s1
-            intercept = (s2 * t0 - s1 * t1) / det
-            slope = (s0 * t1 - s1 * t0) / det
-        sparse = ~(live & (s0 > _MASS_FLOOR))
-        flat = (scale <= 0.0) | (det <= _DEGENERACY_RTOL * np.array(floor))
-        return LocalFits(
-            x=x, intercept=intercept, slope=slope, weight_mass=s0, det=det,
-            sparse=sparse, degenerate=flat & ~sparse,
-        )
-
-
-def weighted_linear_fit(
-    k: np.ndarray, d: np.ndarray, y: np.ndarray, x: float
-) -> LocalFit:
-    """Local linear fit at x from kernel weights k already computed.
-
-    The one-row case of ``LinearFitter.fits``; raises SparseRegionError or
-    DegenerateDesignError where that fit fails.  See the module docstring
-    for the form of the fit.
-    """
-    return LinearFitter(d, y).fits(k[None, :], [x]).at(0)
+    def fits(self, h: float, xs, held=None) -> LocalFits:
+        xs = np.asarray(xs, dtype=float)
+        fits = LocalFits(xs, *np.empty((4, xs.size)), *np.empty((2, xs.size), bool))
+        for start in range(0, xs.size, self._batch):
+            rows = slice(start, start + self._batch)
+            k = self.plan.weights(h, xs[rows])
+            if held is not None:
+                for row, (a, b) in zip(k, np.asarray(held)[rows].tolist()):
+                    row[a:b] = 0.0
+            dx = self.d - xs[rows, None]
+            live, scale = _weighted_range(k, dx)
+            if not live.all():
+                # rows without kernel mass are summed as zeros, which no
+                # term can turn into an exception, and then flagged sparse
+                k = np.where(live[:, None], k, 0.0)
+            design, rhs = _power_sums(k, dx, self.y, 1, self._work)
+            s0, s1, s2, t0, t1 = np.array(design + rhs)
+            # Python's float ** (libm pow), as always: numpy's x * x differs
+            # from it in the last bit for about 0.1% of doubles
+            floor = [(a * b) ** 2 for a, b in zip(s0.tolist(), scale.tolist())]
+            with np.errstate(all="ignore"):
+                det = fits.det[rows] = s0 * s2 - s1 * s1
+                fits.intercept[rows] = (s2 * t0 - s1 * t1) / det
+                fits.slope[rows] = (s0 * t1 - s1 * t0) / det
+            fits.weight_mass[rows] = s0
+            sparse = fits.sparse[rows] = ~(live & (s0 > _MASS_FLOOR))
+            flat = (scale <= 0.0) | (det <= _DEGENERACY_RTOL * np.array(floor))
+            fits.degenerate[rows] = flat & ~sparse
+        return fits
 
 
 def local_linear_fit(
     triples: RegressionTriples, target: Target, kernel: KernelSpec, x: float
 ) -> LocalFit:
     """Fit the chosen response at x; see the module docstring for the form."""
-    k = weight_values(kernel, triples.weight_points, x)
-    return weighted_linear_fit(k, triples.design_points, triples.response(target), x)
+    u, d, y = triples.weight_points, triples.design_points, triples.response(target)
+    return LinearFitter(kernel.family, u, d, y).fits(kernel.bandwidth, [x]).at(0)
 
 
 def estimate_curve(
@@ -251,34 +247,34 @@ def estimate_curve(
 ) -> CurveEstimate:
     """Estimate of any target's curve over a grid of evaluation points.
 
+    One ``LinearFitter.fits`` call fits the grid; each value, slope and
+    failure reason is what ``local_linear_fit`` gives at that point.
     Points outside the kernel's support, in sparse regions or with a
     degenerate local design are recorded as failures; EstimationError is
-    raised only when every point fails.
+    raised only when every point fails, ValueError at a NaN point.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty one-dimensional array")
-    values = np.full(grid.size, np.nan)
-    slopes = np.full(grid.size, np.nan)
-    failures: dict[int, str] = {}
-    for i, x in enumerate(grid):
-        if kernel.family is KernelFamily.GAMMA and x < 0:
-            failures[i] = "outside Gamma kernel support"
-            continue
-        try:
-            fit = local_linear_fit(triples, target, kernel, float(x))
-        except (SparseRegionError, DegenerateDesignError) as exc:
-            failures[i] = str(exc)
-            continue
-        values[i] = fit.intercept
-        slopes[i] = fit.slope
+    # NaN is not below 0: it is fitted, and the kernel plan raises on it
+    outside = (kernel.family is KernelFamily.GAMMA) & (grid < 0)
+    fitted = np.flatnonzero(~outside)
+    u, d, y = triples.weight_points, triples.design_points, triples.response(target)
+    fits = LinearFitter(kernel.family, u, d, y).fits(kernel.bandwidth, grid[fitted])
+    failures = dict.fromkeys(
+        np.flatnonzero(outside).tolist(), "outside Gamma kernel support"
+    )
+    for j in np.flatnonzero(~fits.ok).tolist():
+        failures[int(fitted[j])] = str(fits.error(j))
+    est = np.full((2, grid.size), np.nan)
+    est[:, fitted] = np.where(fits.ok, [fits.intercept, fits.slope], np.nan)
     if len(failures) == grid.size:
         raise EstimationError(
             f"estimation failed at every one of the {grid.size} grid points"
         )
     return CurveEstimate(
-        grid=grid, values=values, slopes=slopes, kernel=kernel, target=target,
-        failures=failures,
+        grid=grid, values=est[0], slopes=est[1], kernel=kernel, target=target,
+        failures=dict(sorted(failures.items())),
     )
 
 

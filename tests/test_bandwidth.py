@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jdsmooth import bandwidth
+from jdsmooth import locallinear
 from jdsmooth.bandwidth import (
     BandwidthMethod,
     asymptotic_h_opt,
@@ -213,7 +213,7 @@ def test_block_cv_batches_match_brute_force_leave_block_out(family):
     values[400] = 0.0
     p = ProxySeries(delta=0.1, values=values)
     triples = n - 2
-    batch = bandwidth._FOLD_TERMS // (5 * triples)
+    batch = locallinear._BATCH_TERMS // (5 * triples)
     assert triples > CHUNK and 1 < batch and (n - 2 * k) % batch
     h_grid = np.array([0.001, 0.3])
     choice = block_cv(p, h_grid=h_grid, k=k, family=family)

@@ -253,6 +253,51 @@ class TestEstimate:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["ci", "--alpha", "1.5"], "--alpha", id="ci_alpha"),
+        pytest.param(["ci", "--tau", "-1"], "--tau", id="ci_tau"),
+        pytest.param(
+            ["mc-table", "--experiment", "coverage", "--eval-points", "0.1",
+             "--tau", "-1"],
+            "--tau", id="mc_tau",
+        ),
+        pytest.param(
+            ["bandwidth", "--method", "plugin", "--x", "0.1", "--tau", "-1"],
+            "--tau", id="plugin_tau",
+        ),
+        pytest.param(
+            ["bandwidth", "--method", "plugin", "--x", "nan"], "--x", id="plugin_x_nan"
+        ),
+        pytest.param(
+            ["estimate", "--grid", "nan,0.1", "--family", "gamma"], "--grid",
+            id="gamma_grid_nan",
+        ),
+        pytest.param(
+            ["estimate", "--grid", "nan,0.1", "--family", "gaussian"], "--grid",
+            id="gaussian_grid_nan",
+        ),
+        pytest.param(
+            ["estimate", "--grid", "inf,0.1", "--family", "gaussian"], "--grid",
+            id="gaussian_grid_inf",
+        ),
+        pytest.param(["estimate", "--grid-min", "nan"], "--grid-min", id="grid_min_nan"),
+        pytest.param(["ci", "--grid-max", "inf"], "--grid-max", id="grid_max_inf"),
+        pytest.param(
+            ["mc-table", "--experiment", "coverage", "--eval-points", "nan"],
+            "--eval-points", id="eval_points_nan",
+        ),
+    ])
+    def test_out_of_range_or_non_finite_value_exits_2(
+        self, sim_dir, tmp_path, capsys, argv, flag
+    ):
+        series = [] if argv[0] == "mc-table" else [
+            "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+        ]
+        rc = main([*argv, *series, "--out", str(tmp_path)])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_delta_exits_2(self, sim_dir, capsys):
         rc = main(["estimate", "--input", str(sim_dir / "path.csv")])
         assert rc == 2

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jdsmooth import locallinear
 from jdsmooth.errors import (
     DegenerateDesignError,
     EstimationError,
@@ -22,6 +23,7 @@ from jdsmooth.kernels import KernelFamily, KernelSpec, gamma_kernel, weight_valu
 from jdsmooth.locallinear import (
     Target,
     _power_sums,
+    estimate_curve,
     estimate_density,
     estimate_drift_curve,
     estimate_m_curve,
@@ -356,3 +358,77 @@ def test_curve_all_failed_raises():
     import jdsmooth
 
     assert jdsmooth.EstimationError is EstimationError
+
+
+def batch_test_triples():
+    """1,000 triples spread over [0.2, 1] plus a cluster of 10 at one design
+    point 3: far from the rest, a small bandwidth sees only the cluster,
+    whose design has no spread."""
+    rng = np.random.default_rng(41)
+    w = np.concatenate([rng.uniform(0.2, 1.0, 990), np.full(10, 3.0)])
+    d = np.concatenate([w[:990] + 0.01 * rng.standard_normal(990), np.full(10, 3.0)])
+    resp = rng.standard_normal(1000)
+    return RegressionTriples(
+        delta=0.1, weight_points=w, design_points=d, drift=resp,
+        cond_var=resp**2, moment4=resp**4, moment6=np.abs(resp) ** 6,
+    )
+
+
+@pytest.mark.parametrize("target", [Target.DRIFT, Target.COND_VARIANCE])
+@pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
+def test_curve_batches_match_one_point_fits(family, target):
+    # several grid points per batch and several batches; inside them a
+    # point below 0, the Gamma shape-0 point x = 0, a point with no kernel
+    # mass (x = 100) and one whose design is collinear (the cluster at 3)
+    t = batch_test_triples()
+    batch = locallinear._BATCH_TERMS // (5 * len(t.drift))
+    grid = np.linspace(0.25, 0.95, 26)
+    for i, x in [(3, -0.1), (5, 0.0), (11, 100.0), (13, 3.0)]:
+        grid = np.insert(grid, i, x)
+    assert 1 < batch and 3 * batch < grid.size
+    spec = KernelSpec(family, 0.02)
+    curve = estimate_curve(t, spec, grid, target)
+    assert list(curve.failures) == sorted(curve.failures)
+    raised = set()
+    for i, x in enumerate(grid.tolist()):
+        if family is KernelFamily.GAMMA and x < 0:
+            assert curve.failures[i] == "outside Gamma kernel support"
+            with pytest.raises(ValueError):
+                local_linear_fit(t, target, spec, x)
+            continue
+        try:
+            fit = local_linear_fit(t, target, spec, x)
+        except (SparseRegionError, DegenerateDesignError) as exc:
+            raised.add(type(exc))
+            assert curve.failures[i] == str(exc)
+            assert np.isnan(curve.values[i]) and np.isnan(curve.slopes[i])
+            continue
+        assert i not in curve.failures
+        assert curve.values[i] == fit.intercept
+        assert curve.slopes[i] == fit.slope
+    assert raised == {SparseRegionError, DegenerateDesignError}
+
+    if family is KernelFamily.GAMMA:
+        grid[7] = np.nan
+        with pytest.raises(ValueError):
+            estimate_curve(t, spec, grid, target)
+
+
+def test_curve_memory_does_not_grow_with_the_grid():
+    """Peak new allocation of one curve stays under one bound, whatever the
+    grid size: the fitter works a batch of grid points at a time (measured
+    0.9 MB at n = 2400 for 10 and 400 points; the 400 x 2400 weight matrix
+    alone would be 7.7 MB)."""
+    bound = 1_500_000
+    rng = np.random.default_rng(6)
+    t = make_triples(rng, n=2400)
+    spec = KernelSpec(KernelFamily.GAMMA, 0.1)
+    for size in (10, 400):
+        grid = np.linspace(0.1, 1.0, size)
+        tracemalloc.start()
+        try:
+            estimate_curve(t, spec, grid, Target.DRIFT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (size, peak)
