@@ -24,13 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import EstimationError, SparseRegionError
-from .kernels import (
-    KernelFamily,
-    KernelSpec,
-    PointRegime,
-    RegimeKind,
-    boundary_variance_constant,
-)
+from .inference import asymptotic_moments
+from .kernels import KernelFamily, KernelSpec, PointRegime, RegimeKind
 from .locallinear import LinearFitter, Target, estimate_curve
 from .proxy import ProxySeries, build_regression_triples
 from .summation import exact_sum
@@ -214,17 +209,16 @@ def block_cv(
     xs = p.values[centers - 1]
     ys = resp[centers - off]
     held = np.column_stack([np.maximum(centers - k - off, 0), centers + k + 1 - off])
-    fitted = np.flatnonzero(~((family is KernelFamily.GAMMA) & (xs < 0)))
     objectives = np.empty(h_grid.size)
     failures = 0
     for jh, h in enumerate(h_grid):
-        fits = fitter.fits(float(h), xs[fitted], held[fitted])
-        done = fitted[fits.ok]
+        fits = fitter.fits(float(h), xs, held)
+        done = np.flatnonzero(fits.ok)
         failures += centers.size - done.size
         scores = np.full(centers.size, penalty)
         # squared by Python's float ** (libm pow), which can differ from
         # numpy's x * x in the last bit
-        scores[done] = [r**2 for r in (ys[done] - fits.intercept[fits.ok]).tolist()]
+        scores[done] = [r**2 for r in (ys[done] - fits.intercept[done]).tolist()]
         objectives[jh] = exact_sum(scores) / n
     best = int(np.argmin(objectives))
     return BandwidthChoice(
@@ -248,27 +242,19 @@ def asymptotic_h_opt(
 ) -> BandwidthChoice:
     """Pointwise plug-in bandwidth balancing squared bias and variance.
 
-    Interior: bias h (x/2) f'' against variance M / (2 sqrt(pi x) p) over
-    rate n delta h^(1/2) gives h ~ (n delta)^(-2/5).  Boundary kappa:
-    bias h^2 (2+kappa)/2 f'' against the boundary variance constant over
-    rate n delta h gives h ~ (n delta)^(-1/5).
+    The constants are the drift's limit theory at h = 1
+    (``asymptotic_moments``): bias B h^a and variance V / (n delta h^b).
+    B^2 h^(2a) = V / (n delta h^b) gives h = (V / (B^2 n delta))^(1/(2a+b)),
+    the 2/5 power in the interior (a = 1, b = 1/2) and the 1/5 power at a
+    boundary (a = 2, b = 1).
     """
     if not (math.isfinite(curvature) and curvature != 0.0):
         raise ValueError("plug-in bandwidth needs nonzero curvature")
-    if not (p_hat > 0):
-        raise ValueError(f"density estimate must be positive, got {p_hat!r}")
     if not (m_hat > 0):
         raise ValueError(f"variance numerator must be positive, got {m_hat!r}")
-    if not (n > 0 and delta > 0):
-        raise ValueError("need positive n and delta")
-    nd = n * delta
-    if regime.kind is RegimeKind.INTERIOR:
-        if not (x > 0):
-            raise ValueError("interior plug-in needs x > 0")
-        variance = m_hat / (2.0 * math.sqrt(math.pi) * math.sqrt(x) * p_hat)
-        h = (variance * 4.0 / (x * curvature) ** 2 / nd) ** 0.4
-    else:
-        kappa = float(regime.kappa)
-        variance = boundary_variance_constant(kappa) * m_hat / p_hat
-        h = (variance * 4.0 / ((2.0 + kappa) * curvature) ** 2 / nd) ** 0.2
+    mom = asymptotic_moments(
+        x, 1.0, n, delta, Target.DRIFT, curvature, m_hat, p_hat, regime
+    )
+    exponent = 0.4 if regime.kind is RegimeKind.INTERIOR else 0.2
+    h = (mom.variance * 4.0 / (2.0 * mom.bias) ** 2 / (n * delta)) ** exponent
     return BandwidthChoice(h=float(h), method=BandwidthMethod.ASYMPTOTIC_PLUGIN)

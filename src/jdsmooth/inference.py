@@ -36,13 +36,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DegenerateDesignError,
-    EstimationError,
-    NotIdentifiableError,
-    SparseRegionError,
-)
+from .errors import DataError, NotIdentifiableError
 from .kernels import (
     DEFAULT_REGIME_THRESHOLD,
     KernelFamily,
@@ -52,12 +46,7 @@ from .kernels import (
     boundary_variance_constant,
     classify_point,
 )
-from .locallinear import (
-    CurveEstimate,
-    estimate_curve,
-    estimate_density,
-    estimate_second_derivative,
-)
+from .locallinear import CurveEstimate, LinearFitter, estimate_density
 from .proxy import ProxySeries, RegressionTriples, Target
 from .summation import exact_sum
 
@@ -165,9 +154,10 @@ def band_companions(
     At each grid point: the local linear estimate of the variance
     numerator (M_hat for drift, the fourth moment for conditional
     variance), the kernel density of the proxy, and the pilot curvature
-    of the target.  A point where one of them cannot be estimated
-    (outside the Gamma support, a sparse region, a degenerate design)
-    holds NaN there, which ``confidence_band`` turns into a gap.
+    of the target, the first and last by one ``LinearFitter`` call each.
+    A point where one of them cannot be estimated (outside the Gamma
+    support, a sparse region, a degenerate design) holds NaN there, which
+    ``confidence_band`` turns into a gap.
     """
     if target is Target.DRIFT:
         companion = Target.COND_VARIANCE
@@ -175,24 +165,15 @@ def band_companions(
         companion = Target.FOURTH_MOMENT
     else:
         raise ValueError(f"no limit theory wired for target {target!r}")
-    grid = np.asarray(grid, dtype=float)
-    try:
-        numerator = estimate_curve(triples, kernel, grid, companion).values
-    except EstimationError:
-        numerator = np.full(grid.size, np.nan)
-    density = np.full(grid.size, np.nan)
-    curvature = np.full(grid.size, np.nan)
-    # ValueError: x outside the Gamma kernel's support
-    failures = (SparseRegionError, DegenerateDesignError, ValueError)
-    for i, x in enumerate(grid.tolist()):
-        try:
-            density[i] = estimate_density(p, kernel, x)
-        except failures:
-            pass
-        try:
-            curvature[i] = estimate_second_derivative(triples, target, kernel, x)
-        except failures:
-            pass
+    h, u, d = kernel.bandwidth, triples.weight_points, triples.design_points
+    fitter = LinearFitter(kernel.family, u, d, triples.response(companion))
+    fits = fitter.fits(h, grid)
+    numerator = np.where(fits.ok, fits.intercept, np.nan)
+    fitter = LinearFitter(kernel.family, u, d, triples.response(target))
+    curvature, _ = fitter.curvatures(h, fits.x)
+    density = np.full(fits.x.size, np.nan)
+    for i in np.flatnonzero(~fits.outside).tolist():
+        density[i] = estimate_density(p, kernel, float(fits.x[i]))
     return BandCompanions(numerator, density, curvature)
 
 

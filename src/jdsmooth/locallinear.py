@@ -43,9 +43,14 @@ _MASS_FLOOR = 1e-300
 # pilot bandwidth multiple for curvature estimation
 _PILOT_FACTOR = 2.0
 
-# terms one batch of fits sends through the exact engine, at 5 product
-# rows per point: 8 points of a 1000-point series
+# terms one batch of fits sends through the exact engine: 8 points of a
+# 1000-point series at 5 product rows per point (a line), 3 at 11 (a cubic)
 _BATCH_TERMS = 40 * CHUNK
+
+
+def _outside_support(x) -> ValueError:
+    msg = "Gamma kernel evaluation point must be nonnegative, got"
+    return ValueError(f"{msg} {float(x)!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,9 +67,10 @@ class LocalFit:
 class LocalFits:
     """Local linear fits at r points x, as arrays of r entries.
 
-    ``sparse`` marks fits with no kernel mass and ``degenerate`` fits
-    whose weighted design is collinear (determinant ``det`` at or below
-    the floor); the other entries of a failed fit mean nothing.  ``at(i)``
+    ``outside`` marks points below the Gamma support (not fitted),
+    ``sparse`` fits with no kernel mass and ``degenerate`` fits whose
+    weighted design is collinear (determinant ``det`` at or below the
+    floor); the other entries of a failed fit mean nothing.  ``at(i)``
     gives row i as a ``LocalFit`` or raises the error it failed with.
     """
 
@@ -73,16 +79,19 @@ class LocalFits:
     slope: np.ndarray
     weight_mass: np.ndarray
     det: np.ndarray
+    outside: np.ndarray
     sparse: np.ndarray
     degenerate: np.ndarray
 
     @property
     def ok(self) -> np.ndarray:
-        return ~(self.sparse | self.degenerate)
+        return ~(self.outside | self.sparse | self.degenerate)
 
-    def error(self, i: int) -> EstimationError | None:
+    def error(self, i: int) -> Exception | None:
         """The error fit i failed with, or None where it succeeded."""
         x = float(self.x[i])
+        if self.outside[i]:
+            return _outside_support(x)
         if self.sparse[i]:
             return SparseRegionError(x)
         if self.degenerate[i]:
@@ -172,63 +181,110 @@ def _power_sums(
     return totals[: 2 * degree + 1], totals[2 * degree + 1 :]
 
 
-def _weighted_range(k: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each row of weights k clears the mass floor, and the row's
-    half-range max |dx| over its nonzero weights (0 where there are none)."""
-    live = np.maximum.reduce(k, axis=-1, initial=0.0) > _MASS_FLOOR
-    scale = np.where(k > 0.0, np.abs(dx), 0.0).max(axis=-1, initial=0.0)
-    return live, scale
-
-
 class LinearFitter:
-    """Local linear fits of the responses y on the design points d, with
-    kernel weights of one family at the weight points u.
+    """Local polynomial fits of the responses y on the design points d,
+    with kernel weights of one family at the weight points u.
 
-    ``fits(h, xs, held)`` fits at every point of xs at bandwidth h, with
-    the weights of one ``KernelPlan`` evaluated a batch of points at a
-    time, so memory does not grow with len(xs).  ``held[i] = (a, b)``, when
-    given, zeroes row i's weights on that slice, which drops those
-    observations (how block cross-validation holds a block out).  Each fit
-    is the one its row gives alone, whatever batch it lands in.
+    ``fits`` fits a line and ``curvatures`` a cubic at every point of xs,
+    with the weights of one ``KernelPlan`` evaluated a batch of points at
+    a time, so memory does not grow with len(xs).  Points below the Gamma
+    support are flagged, not fitted; a non-finite point raises ValueError.
+    Each point's result is the one it gives alone, whatever its batch.
     """
 
     def __init__(self, family: KernelFamily, u, d: np.ndarray, y: np.ndarray):
         self.plan = KernelPlan(family, u)
         self.d = d
         self.y = y
-        self._batch = max(_BATCH_TERMS // (5 * max(d.size, 1)), 1)
-        # the engine's work array for a full batch of 5-row fits
-        self._work = np.empty(25 * self._batch * min(d.size, CHUNK))
+
+    def _points(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """xs as an array, and whether each point lies below the support."""
+        xs = np.asarray(xs, dtype=float)
+        if not np.isfinite(xs).all():
+            x = float(xs[~np.isfinite(xs)][0])
+            raise ValueError(f"evaluation point must be finite, got {x!r}")
+        return xs, (self.plan.family is KernelFamily.GAMMA) & (xs < 0)
+
+    def _batches(self, h, xs, outside, rows: int, held=None):
+        """(indices, weights, d - x, live, half-range, work array) for the
+        points of xs not outside, _BATCH_TERMS terms a batch at ``rows``
+        product rows per point."""
+        fitted = np.flatnonzero(~outside)
+        n = self.d.size
+        batch = max(_BATCH_TERMS // (rows * max(n, 1)), 1)
+        # the engine's work array, allocated once per call
+        work = np.empty(5 * rows * min(batch, fitted.size) * min(n, CHUNK))
+        for start in range(0, fitted.size, batch):
+            idx = fitted[start : start + batch]
+            k = self.plan.weights(h, xs[idx])
+            if held is not None:
+                for row, (a, b) in zip(k, np.asarray(held)[idx].tolist()):
+                    row[a:b] = 0.0
+            dx = self.d - xs[idx, None]
+            # live: a weight above the mass floor; scale: max |dx| where k > 0
+            live = np.maximum.reduce(k, axis=-1, initial=0.0) > _MASS_FLOOR
+            scale = np.where(k > 0.0, np.abs(dx), 0.0).max(axis=-1, initial=0.0)
+            yield idx, k, dx, live, scale, work
 
     def fits(self, h: float, xs, held=None) -> LocalFits:
-        xs = np.asarray(xs, dtype=float)
-        fits = LocalFits(xs, *np.empty((4, xs.size)), *np.empty((2, xs.size), bool))
-        for start in range(0, xs.size, self._batch):
-            rows = slice(start, start + self._batch)
-            k = self.plan.weights(h, xs[rows])
-            if held is not None:
-                for row, (a, b) in zip(k, np.asarray(held)[rows].tolist()):
-                    row[a:b] = 0.0
-            dx = self.d - xs[rows, None]
-            live, scale = _weighted_range(k, dx)
+        """Local linear fits at bandwidth h.  ``held[i] = (a, b)``, when
+        given, zeroes point i's weights on that slice, which drops those
+        observations (how block cross-validation holds a block out)."""
+        xs, outside = self._points(xs)
+        nans, flags = np.full((4, xs.size), np.nan), np.zeros((2, xs.size), bool)
+        fits = LocalFits(xs, *nans, outside, *flags)
+        for idx, k, dx, live, scale, work in self._batches(h, xs, outside, 5, held):
             if not live.all():
                 # rows without kernel mass are summed as zeros, which no
                 # term can turn into an exception, and then flagged sparse
                 k = np.where(live[:, None], k, 0.0)
-            design, rhs = _power_sums(k, dx, self.y, 1, self._work)
+            design, rhs = _power_sums(k, dx, self.y, 1, work)
             s0, s1, s2, t0, t1 = np.array(design + rhs)
             # Python's float ** (libm pow), as always: numpy's x * x differs
             # from it in the last bit for about 0.1% of doubles
             floor = [(a * b) ** 2 for a, b in zip(s0.tolist(), scale.tolist())]
             with np.errstate(all="ignore"):
-                det = fits.det[rows] = s0 * s2 - s1 * s1
-                fits.intercept[rows] = (s2 * t0 - s1 * t1) / det
-                fits.slope[rows] = (s0 * t1 - s1 * t0) / det
-            fits.weight_mass[rows] = s0
-            sparse = fits.sparse[rows] = ~(live & (s0 > _MASS_FLOOR))
+                det = fits.det[idx] = s0 * s2 - s1 * s1
+                fits.intercept[idx] = (s2 * t0 - s1 * t1) / det
+                fits.slope[idx] = (s0 * t1 - s1 * t0) / det
+            fits.weight_mass[idx] = s0
+            sparse = fits.sparse[idx] = ~(live & (s0 > _MASS_FLOOR))
             flat = (scale <= 0.0) | (det <= _DEGENERACY_RTOL * np.array(floor))
-            fits.degenerate[rows] = flat & ~sparse
+            fits.degenerate[idx] = flat & ~sparse
         return fits
+
+    def curvatures(self, h: float, xs) -> tuple[np.ndarray, list]:
+        """Second derivatives of the response by local cubic fits at the
+        pilot bandwidth _PILOT_FACTOR h, since curvature needs a wider
+        window than the level fit: the values (NaN where a fit failed) and
+        each point's error (None where it succeeded).  Each row's design is
+        rescaled by its half-range, which keeps the 4x4 moment matrix well
+        conditioned.
+        """
+        xs, outside = self._points(xs)
+        values = np.full(xs.size, np.nan)
+        errors = [_outside_support(x) if o else None for x, o in zip(xs, outside)]
+        pilot = _PILOT_FACTOR * h
+        for idx, k, dx, live, scale, work in self._batches(pilot, xs, outside, 11):
+            # a row without mass or spread is summed with t = 0 and fails
+            spread = live & (scale > 0.0)
+            t = dx / np.where(spread, scale, np.inf)[:, None]
+            design, rhs = _power_sums(k, t, self.y, 3, work)
+            # Hankel index: entry (a, b) of the moment matrix is sum k t^(a + b)
+            moment = np.array(design).T[:, np.add.outer(range(4), range(4))]
+            sv = np.linalg.svd(moment, compute_uv=False)
+            full = spread & (sv[:, -1] > 1e-12 * sv[:, 0])
+            coef = np.linalg.solve(moment[full], np.array(rhs).T[full, :, None])
+            values[idx[full]] = 2.0 * coef[:, 2, 0] / (scale[full] * scale[full])
+            for j in np.flatnonzero(~full).tolist():
+                x = float(xs[idx[j]])
+                msg = f"local cubic design is rank deficient at x={x:g}"
+                if not spread[j]:
+                    msg = f"no design spread around x={x:g}"
+                errors[idx[j]] = (
+                    DegenerateDesignError(msg) if live[j] else SparseRegionError(x)
+                )
+        return values, errors
 
 
 def local_linear_fit(
@@ -251,30 +307,25 @@ def estimate_curve(
     failure reason is what ``local_linear_fit`` gives at that point.
     Points outside the kernel's support, in sparse regions or with a
     degenerate local design are recorded as failures; EstimationError is
-    raised only when every point fails, ValueError at a NaN point.
+    raised only when every point fails, ValueError at a non-finite point.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty one-dimensional array")
-    # NaN is not below 0: it is fitted, and the kernel plan raises on it
-    outside = (kernel.family is KernelFamily.GAMMA) & (grid < 0)
-    fitted = np.flatnonzero(~outside)
     u, d, y = triples.weight_points, triples.design_points, triples.response(target)
-    fits = LinearFitter(kernel.family, u, d, y).fits(kernel.bandwidth, grid[fitted])
-    failures = dict.fromkeys(
-        np.flatnonzero(outside).tolist(), "outside Gamma kernel support"
-    )
-    for j in np.flatnonzero(~fits.ok).tolist():
-        failures[int(fitted[j])] = str(fits.error(j))
-    est = np.full((2, grid.size), np.nan)
-    est[:, fitted] = np.where(fits.ok, [fits.intercept, fits.slope], np.nan)
+    fits = LinearFitter(kernel.family, u, d, y).fits(kernel.bandwidth, grid)
+    failures = {
+        i: "outside Gamma kernel support" if fits.outside[i] else str(fits.error(i))
+        for i in np.flatnonzero(~fits.ok).tolist()
+    }
+    est = np.where(fits.ok, [fits.intercept, fits.slope], np.nan)
     if len(failures) == grid.size:
         raise EstimationError(
             f"estimation failed at every one of the {grid.size} grid points"
         )
     return CurveEstimate(
         grid=grid, values=est[0], slopes=est[1], kernel=kernel, target=target,
-        failures=dict(sorted(failures.items())),
+        failures=failures,
     )
 
 
@@ -320,36 +371,15 @@ def estimate_density(p: ProxySeries, kernel: KernelSpec, x: float) -> float:
 
 
 def estimate_second_derivative(
-    triples: RegressionTriples,
-    target: Target,
-    kernel: KernelSpec,
-    x: float,
-    pilot_h: float | None = None,
+    triples: RegressionTriples, target: Target, kernel: KernelSpec, x: float
 ) -> float:
-    """Second derivative of the target function at x via a local cubic fit.
-
-    Runs at a pilot bandwidth (default twice the kernel's) because
-    curvature needs a wider window than the level fit.  The cubic basis is
-    rescaled by the local design range before solving, which keeps the
-    4x4 moment matrix well conditioned.
-    """
-    if pilot_h is None:
-        pilot_h = _PILOT_FACTOR * kernel.bandwidth
-    pilot = KernelSpec(kernel.family, float(pilot_h))
-    k = weight_values(pilot, triples.weight_points, x)
-    dx = triples.design_points - x
-    live, scale = _weighted_range(k, dx)
-    if not live:
-        raise SparseRegionError(x)
-    if scale <= 0.0:
-        raise DegenerateDesignError(f"no design spread around x={x:g}")
-
-    design, rhs = _power_sums(k, dx / scale, triples.response(target), 3)
-    moment = np.array([[design[a + b] for b in range(4)] for a in range(4)])
-    sv = np.linalg.svd(moment, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise DegenerateDesignError(
-            f"local cubic design is rank deficient at x={x:g}"
-        )
-    coef = np.linalg.solve(moment, rhs)
-    return float(2.0 * coef[2] / (scale * scale))
+    """Second derivative of the target function at x via a local cubic fit
+    at twice the kernel's bandwidth: the one-point case of
+    ``LinearFitter.curvatures``."""
+    u, d, y = triples.weight_points, triples.design_points, triples.response(target)
+    fitter = LinearFitter(kernel.family, u, d, y)
+    values, errors = fitter.curvatures(kernel.bandwidth, [x])
+    if errors[0] is not None:
+        # popped: no reference cycle keeps this frame and its fitter alive
+        raise errors.pop()
+    return float(values[0])

@@ -108,6 +108,8 @@ class McConfig:
             raise ValueError("experiments cover drift and conditional variance")
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must be in (0, 1)")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

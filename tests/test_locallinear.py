@@ -6,6 +6,7 @@ implementation under test.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from jdsmooth.errors import (
 )
 from jdsmooth.kernels import KernelFamily, KernelSpec, gamma_kernel, weight_values
 from jdsmooth.locallinear import (
+    LinearFitter,
     Target,
     _power_sums,
     estimate_curve,
@@ -412,6 +414,77 @@ def test_curve_batches_match_one_point_fits(family, target):
         grid[7] = np.nan
         with pytest.raises(ValueError):
             estimate_curve(t, spec, grid, target)
+
+
+def cubic_test_triples():
+    """1,000 triples spread over [0.2, 1] plus two clusters of 10 far from
+    them: at weight and design point 50 (no design spread), and at weight
+    point 5 with design points 4.9 and 5.1 only (a rank-deficient cubic)."""
+    rng = np.random.default_rng(43)
+    w = np.concatenate(
+        [rng.uniform(0.2, 1.0, 980), np.full(10, 50.0), np.full(10, 5.0)]
+    )
+    d = np.concatenate(
+        [w[:980] + 0.01 * rng.standard_normal(980), np.full(10, 50.0), [4.9, 5.1] * 5]
+    )
+    resp = rng.standard_normal(1000)
+    return RegressionTriples(
+        delta=0.1, weight_points=w, design_points=d, drift=resp,
+        cond_var=resp**2, moment4=resp**4, moment6=np.abs(resp) ** 6,
+    )
+
+
+@pytest.mark.parametrize("target", [Target.DRIFT, Target.COND_VARIANCE])
+@pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
+def test_curvature_batches_match_the_per_point_cubic(family, target, curvature_oracle):
+    # several 11-row batches; inside them a point below 0, the Gamma
+    # shape-0 point x = 0, a point with no kernel mass (x = 1000), one with
+    # no design spread (50) and one with a rank-deficient cubic (5)
+    t = cubic_test_triples()
+    batch = locallinear._BATCH_TERMS // (11 * len(t.drift))
+    grid = np.linspace(0.25, 0.95, 26)
+    for i, x in [(3, -0.1), (5, 0.0), (11, 1000.0), (13, 50.0), (17, 5.0)]:
+        grid = np.insert(grid, i, x)
+    assert 1 < batch and 3 * batch < grid.size
+    spec = KernelSpec(family, 0.02)
+    fitter = LinearFitter(family, t.weight_points, t.design_points, t.response(target))
+    values, errors = fitter.curvatures(spec.bandwidth, grid)
+    kinds = set()
+    for i, x in enumerate(grid.tolist()):
+        try:
+            want = curvature_oracle(t, target, spec, x)
+        except (ValueError, SparseRegionError, DegenerateDesignError) as exc:
+            kinds.add(" ".join(str(exc).split()[:2]))
+            assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
+            assert np.isnan(values[i])
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                estimate_second_derivative(t, target, spec, x)
+            continue
+        assert errors[i] is None
+        assert values[i] == want
+        assert estimate_second_derivative(t, target, spec, x) == want
+    expected = {"no usable", "no design", "local cubic"}
+    if family is KernelFamily.GAMMA:
+        expected.add("Gamma kernel")
+    assert kinds == expected
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
+def test_non_finite_points_raise_in_both_families(family, x):
+    # one rule for every family, and no numpy warning on the way
+    t = make_triples(np.random.default_rng(3))
+    spec = KernelSpec(family, 0.1)
+    fitter = LinearFitter(family, t.weight_points, t.design_points, t.drift)
+    for call in (
+        lambda: fitter.fits(0.1, [0.5, x]),
+        lambda: fitter.curvatures(0.1, [0.5, x]),
+        lambda: estimate_curve(t, spec, [0.5, x], Target.DRIFT),
+        lambda: local_linear_fit(t, Target.DRIFT, spec, x),
+        lambda: estimate_second_derivative(t, Target.DRIFT, spec, x),
+    ):
+        with pytest.raises(ValueError, match=f"must be finite, got {x!r}"):
+            call()
 
 
 def test_curve_memory_does_not_grow_with_the_grid():

@@ -114,6 +114,13 @@ def test_adjusted_reuses_coverage_records():
     assert rep.rows == rep2.rows
 
 
+@pytest.mark.parametrize("tau", [-1.0, 0.0, float("nan"), float("inf")])
+def test_config_rejects_a_bad_regime_threshold(tau):
+    # before any replicate runs, not late in the first point's classification
+    with pytest.raises(ValueError, match="tau must be positive"):
+        small_config(tau=tau)
+
+
 def test_qq_data_normal_sample():
     rng = np.random.default_rng(0)
     theo, emp = qq_data(rng.standard_normal(200))
