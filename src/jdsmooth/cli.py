@@ -7,13 +7,21 @@ days, say) is not recoverable from the data.  The observed column can be
 levels of the integrated series, prices to be logged, or per-interval
 returns; exactly one of those proxy modes applies per run.
 
+Each option is declared once, in the ``_COMMANDS`` table: its ``--config``
+key and flag, default, choices and the rule its value must meet.  The
+argument parser and the config merge both come from that table, so a
+value given as a flag and one read from a ``--config`` file pass the same
+parser and the same checks before any command runs; a bad value is a
+configuration error naming both the key and the flag.  Commands read
+typed values (a ``Target``, a tuple of kernel families, float tuples).
+
 Every artifact is plain CSV or JSON carrying comment/header lines with
-the package version, the fully merged configuration, and the seed, so a
-result file documents how to regenerate itself.  Numbers are written in
-shortest round-trip form, which makes simulate followed by estimate on
-the written file bit-identical to the in-memory pipeline.  Failures at
-individual grid points become per-point flags inside the output; only
-configuration and data problems abort a run.
+the package version, the fully merged configuration as given, and the
+seed, so a result file documents how to regenerate itself.  Numbers are
+written in shortest round-trip form, which makes simulate followed by
+estimate on the written file bit-identical to the in-memory pipeline.
+Failures at individual grid points become per-point flags inside the
+output; only configuration and data problems abort a run.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -26,20 +34,16 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from ._version import VERSION
-from .bandwidth import (
-    BandwidthMethod,
-    asymptotic_h_opt,
-    block_cv,
-    default_h_grid,
-    rule_of_thumb,
-)
+from .bandwidth import asymptotic_h_opt, block_cv, rule_of_thumb
 from .errors import ConfigError, DataError, EstimationError, JdsmoothError
-from .inference import band_companions, bs_jump_test, confidence_band
+from .inference import NUMERATOR_TARGET, band_companions, bs_jump_test, confidence_band
 from .kernels import (
     DEFAULT_REGIME_THRESHOLD,
     KernelFamily,
@@ -56,19 +60,7 @@ from .mc import (
     run_mse_experiment,
 )
 from .proxy import ProxySeries, build_log_proxy, build_proxy, build_regression_triples
-from .simulate import ModelSpec, simulate_path
-
-_MODEL_FIELDS = (
-    ("drift_intercept", 1.0),
-    ("drift_slope", -10.0),
-    ("diffusion_const", 0.1),
-    ("diffusion_quad", 0.1),
-    ("jump_total", 20.0),
-    ("jump_size_std", 0.036),
-    ("jump_size_mean", 0.0),
-    ("x0", 0.1),
-    ("y0", 100.0),
-)
+from .simulate import ModelSpec, baseline_model, simulate_path
 
 _TARGETS = {
     "drift": Target.DRIFT,
@@ -76,6 +68,9 @@ _TARGETS = {
     "m4": Target.FOURTH_MOMENT,
     "m6": Target.SIXTH_MOMENT,
 }
+
+# rule-of-thumb scale constant when neither a bandwidth nor c is given
+_DEFAULT_C = 2.0
 
 
 def _fmt(v) -> str:
@@ -89,74 +84,6 @@ def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
-
-
-# what a value must satisfy besides being finite, and how errors say it
-_FLOAT_RULES = {
-    "alpha": (lambda a: 0.0 < a < 1.0, "in (0, 1)"),
-    "tau": (lambda t: t > 0.0, "positive and finite"),
-}
-
-
-def _flag(key: str) -> str:
-    return f"--{key.replace('_', '-')}"
-
-
-def _as_float(cfg: dict, key: str) -> float:
-    try:
-        v = float(cfg[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
-    ok, need = _FLOAT_RULES.get(key, (math.isfinite, "finite"))
-    if not (math.isfinite(v) and ok(v)):
-        raise ConfigError(f"{_flag(key)} must be {need}, got {v!r}")
-    return v
-
-
-def _opt_float(cfg: dict, key: str) -> float | None:
-    return None if cfg.get(key) is None else _as_float(cfg, key)
-
-
-def _as_int(cfg: dict, key: str) -> int:
-    v = cfg[key]
-    try:
-        i = int(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {v!r}") from None
-    if isinstance(v, float) and v != i:
-        raise ConfigError(f"{key} must be an integer, got {v!r}")
-    return i
-
-
-def _float_list(value, key: str) -> tuple[float, ...]:
-    """Accept a comma-separated string or a list of numbers."""
-    if value is None:
-        return ()
-    if isinstance(value, str):
-        parts = [s for s in (t.strip() for t in value.split(",")) if s]
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        raise ConfigError(f"{key} must be a list or comma-separated string")
-    try:
-        floats = tuple(float(v) for v in parts)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} contains a non-numeric entry: {value!r}") from None
-    if not all(math.isfinite(v) for v in floats):
-        raise ConfigError(f"{_flag(key)} entries must be finite, got {value!r}")
-    return floats
-
-
-def _families(name: str) -> tuple[KernelFamily, ...]:
-    table = {
-        "gamma": (KernelFamily.GAMMA,),
-        "gaussian": (KernelFamily.GAUSSIAN,),
-        "both": (KernelFamily.GAMMA, KernelFamily.GAUSSIAN),
-    }
-    try:
-        return table[name]
-    except KeyError:
-        raise ConfigError(f"family must be gamma, gaussian or both, got {name!r}") from None
 
 
 def _config_echo(cfg: dict) -> str:
@@ -179,8 +106,8 @@ def _write_table(path: Path, command: str, cfg: dict, seed, columns, rows) -> No
             writer.writerow([_fmt(v) for v in row])
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("out") or ".")
+def _out_dir(o) -> Path:
+    out = Path(o.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -284,111 +211,84 @@ def ingest_series(
     return values
 
 
-def _load_series(cfg: dict) -> ProxySeries:
-    if not cfg.get("input"):
+def _direct_returns(values, delta: float) -> ProxySeries:
+    return ProxySeries(delta=delta, values=np.asarray(values, dtype=float) / delta)
+
+
+def _load_series(o) -> ProxySeries:
+    if not o.input:
         raise ConfigError("an --input CSV file is required")
-    if cfg.get("delta") is None:
+    if o.delta is None:
         raise ConfigError("--delta is required; it is never inferred from timestamps")
-    delta = _as_float(cfg, "delta")
-    if not (math.isfinite(delta) and delta > 0):
-        raise ConfigError(f"delta must be positive, got {delta!r}")
     values = ingest_series(
-        cfg["input"],
-        value_column=cfg.get("value_column"),
-        time_column=cfg.get("time_column"),
+        o.input, value_column=o.value_column, time_column=o.time_column
     )
-    mode = cfg.get("proxy_mode", "levels")
-    if mode == "levels":
-        return build_proxy(values, delta)
-    if mode == "log-prices":
-        return build_log_proxy(values, delta)
-    if mode == "direct-returns":
-        return ProxySeries(delta=delta, values=np.asarray(values, dtype=float) / delta)
-    raise ConfigError(
-        f"proxy mode must be levels, log-prices or direct-returns, got {mode!r}"
-    )
+    return o.proxy_mode(values, o.delta)
 
 
 def _resolve_h(
-    cfg: dict, p: ProxySeries, fixed_key: str = "bandwidth", c_key: str = "rot_c"
+    o, p: ProxySeries, fixed_key: str = "bandwidth", c_key: str = "rot_c"
 ) -> float:
-    """A fixed bandwidth, or the rule of thumb at scale constant c (default 2).
+    """A fixed bandwidth, or the rule of thumb at scale constant c.
 
     Errors name the flags of the two keys, so the plug-in pilot's
     ``pilot_h``/``pilot_c`` report as --pilot-h/--pilot-c.
     """
-    fixed_flag, c_flag = _flag(fixed_key), _flag(c_key)
-    fixed = cfg.get(fixed_key)
-    c = cfg.get(c_key)
+    fixed, c = getattr(o, fixed_key), getattr(o, c_key)
+    c_flag = _flag(c_key)
     if fixed is not None and c is not None:
-        raise ConfigError(f"give either {fixed_flag} or {c_flag}, not both")
+        raise ConfigError(f"give either {_flag(fixed_key)} or {c_flag}, not both")
     if fixed is not None:
-        h = _as_float(cfg, fixed_key)
-        if not (math.isfinite(h) and h > 0):
-            raise ConfigError(f"{fixed_flag} must be positive, got {fixed!r}")
-        return h
-    c = 2.0 if c is None else _as_float(cfg, c_key)
+        return fixed
     try:
-        return rule_of_thumb(p, c=c, T=p.delta * len(p)).h
+        return rule_of_thumb(p, c=_DEFAULT_C if c is None else c, T=p.delta * len(p)).h
     except ValueError as exc:
         raise ConfigError(f"{c_flag}: {exc}") from None
 
 
-def _resolve_grid(cfg: dict, p: ProxySeries) -> np.ndarray:
-    explicit = _float_list(cfg.get("grid"), "grid")
-    if explicit:
-        return np.asarray(explicit, dtype=float)
-    count = _as_int(cfg, "grid_count")
-    if count < 2:
-        raise ConfigError("grid-count must be at least 2")
-    lo, hi = _opt_float(cfg, "grid_min"), _opt_float(cfg, "grid_max")
-    lo = float(np.min(p.values)) if lo is None else lo
-    hi = float(np.max(p.values)) if hi is None else hi
+def _resolve_grid(o, p: ProxySeries) -> np.ndarray:
+    if o.grid:
+        return np.asarray(o.grid, dtype=float)
+    lo = float(np.min(p.values)) if o.grid_min is None else o.grid_min
+    hi = float(np.max(p.values)) if o.grid_max is None else o.grid_max
     if not hi > lo:
         raise ConfigError(f"grid range is empty: [{lo!r}, {hi!r}]")
-    return np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, o.grid_count)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each takes the checked options and the raw merged config
 
 
-def _model_from(cfg: dict) -> ModelSpec:
-    kwargs = {name: _as_float(cfg, name) for name, _ in _MODEL_FIELDS}
+def _model_from(o) -> ModelSpec:
     try:
-        return ModelSpec(**kwargs)
+        return ModelSpec(**{m.key: getattr(o, m.key) for m in _MODEL})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _cmd_simulate(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    model = _model_from(cfg)
-    T = _as_float(cfg, "T")
-    n = _as_int(cfg, "n")
-    seed = _as_int(cfg, "seed")
-    substep = _as_int(cfg, "substep")
-    if substep < 1:
-        raise ConfigError("substep must be at least 1")
+def _cmd_simulate(o, cfg: dict) -> int:
+    out = _out_dir(o)
+    model = _model_from(o)
     try:
-        path = simulate_path(model, T, n * substep, seed)
-        if substep > 1:
-            path = path.thin(substep)
+        path = simulate_path(model, o.T, o.n * o.substep, o.seed)
+        if o.substep > 1:
+            path = path.thin(o.substep)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     t = path.t
     path_csv = out / "path.csv"
     _write_table(
-        path_csv, "simulate", cfg, seed, ("t", "y"),
+        path_csv, "simulate", cfg, o.seed, ("t", "y"),
         zip(t, path.y),
     )
     _write_table(
-        out / "state.csv", "simulate", cfg, seed, ("t", "x"),
+        out / "state.csv", "simulate", cfg, o.seed, ("t", "x"),
         zip(t, path.x),
     )
     _write_table(
-        out / "jumps.csv", "simulate", cfg, seed, ("time", "size"),
+        out / "jumps.csv", "simulate", cfg, o.seed, ("time", "size"),
         zip(path.jump_times, path.jump_sizes),
     )
     print(
@@ -398,21 +298,19 @@ def _cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-def _cmd_estimate(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    p = _load_series(cfg)
+def _cmd_estimate(o, cfg: dict) -> int:
+    out = _out_dir(o)
+    p = _load_series(o)
     triples = build_regression_triples(p)
-    families = _families(cfg["family"])
-    target = _TARGETS[cfg["target"]]
-    h = _resolve_h(cfg, p)
-    grid = _resolve_grid(cfg, p)
+    h = _resolve_h(o, p)
+    grid = _resolve_grid(o, p)
 
     columns = ["x"]
     series = {}
-    for fam in families:
+    for fam in o.family:
         spec = KernelSpec(fam, h)
         try:
-            curve = estimate_curve(triples, spec, grid, target)
+            curve = estimate_curve(triples, spec, grid, o.target)
             values, slopes, failures = curve.values, curve.slopes, curve.failures
         except EstimationError as exc:
             values = np.full(grid.size, np.nan)
@@ -424,7 +322,7 @@ def _cmd_estimate(cfg: dict) -> int:
     rows = []
     for i, x in enumerate(grid):
         row = [x]
-        for fam in families:
+        for fam in o.family:
             values, slopes, failures = series[fam]
             row += [values[i], slopes[i], failures.get(i, "")]
         rows.append(row)
@@ -438,27 +336,21 @@ def _cmd_estimate(cfg: dict) -> int:
     return 0
 
 
-def _cmd_ci(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    p = _load_series(cfg)
+def _cmd_ci(o, cfg: dict) -> int:
+    out = _out_dir(o)
+    p = _load_series(o)
     triples = build_regression_triples(p)
-    families = _families(cfg["family"])
-    target = _TARGETS[cfg["target"]]
-    if target not in (Target.DRIFT, Target.COND_VARIANCE):
-        raise ConfigError("confidence bands cover the drift and variance targets")
-    h = _resolve_h(cfg, p)
-    grid = _resolve_grid(cfg, p)
-    alpha = _as_float(cfg, "alpha")
-    tau = _as_float(cfg, "tau")
-    bias_correct = bool(cfg["bias_correct"])
+    families = o.family
+    h = _resolve_h(o, p)
+    grid = _resolve_grid(o, p)
 
     bands = {}
     for fam in families:
         spec = KernelSpec(fam, h)
         bands[fam] = confidence_band(
-            estimate_curve(triples, spec, grid, target),
-            band_companions(p, triples, spec, grid, target),
-            alpha, n=len(p), delta=p.delta, tau=tau, bias_correct=bias_correct,
+            estimate_curve(triples, spec, grid, o.target),
+            band_companions(p, triples, spec, grid, o.target),
+            o.alpha, n=len(p), delta=p.delta, tau=o.tau, bias_correct=o.bias_correct,
         )
 
     columns = ["x"]
@@ -504,53 +396,39 @@ def _cmd_ci(cfg: dict) -> int:
     return 0
 
 
-def _cmd_bandwidth(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    p = _load_series(cfg)
-    method = cfg["method"]
-    if method == "rule-of-thumb":
-        c = 2.0 if cfg.get("c") is None else _as_float(cfg, "c")
-        span = _opt_float(cfg, "horizon")
-        span = p.delta * len(p) if span is None else span
-        regime = (
-            RegimeKind.BOUNDARY if cfg.get("regime") == "boundary"
-            else RegimeKind.INTERIOR
-        )
+def _cmd_bandwidth(o, cfg: dict) -> int:
+    out = _out_dir(o)
+    p = _load_series(o)
+    if o.method == "rule-of-thumb":
+        span = p.delta * len(p) if o.horizon is None else o.horizon
         try:
-            choice = rule_of_thumb(p, c=c, T=span, regime=regime)
+            choice = rule_of_thumb(
+                p, c=_DEFAULT_C if o.c is None else o.c, T=span, regime=o.regime
+            )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    elif method == "block-cv":
-        grid_vals = _float_list(cfg.get("h_grid"), "h_grid")
-        h_grid = np.asarray(grid_vals) if grid_vals else default_h_grid(p)
-        k = None if cfg.get("k") is None else _as_int(cfg, "k")
-        family = _families(cfg.get("family") or "gamma")[0]
+    elif o.method == "block-cv":
         try:
-            choice = block_cv(p, h_grid=h_grid, k=k, family=family)
+            choice = block_cv(p, h_grid=o.h_grid or None, k=o.k, family=o.family)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    elif method == "plugin":
-        if cfg.get("x") is None:
+    else:
+        if o.x is None:
             raise ConfigError("plugin selection needs an evaluation point --x")
-        x = _as_float(cfg, "x")
-        tau = _as_float(cfg, "tau")
-        pilot_h = _resolve_h(cfg, p, "pilot_h", "pilot_c")
+        pilot_h = _resolve_h(o, p, "pilot_h", "pilot_c")
         spec = KernelSpec(KernelFamily.GAMMA, pilot_h)
         triples = build_regression_triples(p)
-        target = _TARGETS[cfg["target"]]
         try:
-            comp = band_companions(p, triples, spec, [x], target)
-            regime = classify_point(x, pilot_h, tau)
+            comp = band_companions(p, triples, spec, [o.x], o.target)
+            regime = classify_point(o.x, pilot_h, o.tau)
             choice = asymptotic_h_opt(
-                x, n=len(p), delta=p.delta,
+                o.x, n=len(p), delta=p.delta,
                 m_hat=float(comp.variance_numerator[0]),
                 p_hat=float(comp.density[0]), curvature=float(comp.curvature[0]),
                 regime=regime,
             )
         except (JdsmoothError, ValueError) as exc:
-            raise JdsmoothError(f"plug-in selection failed at x={x:g}: {exc}")
-    else:
-        raise ConfigError(f"unknown bandwidth method {method!r}")
+            raise JdsmoothError(f"plug-in selection failed at x={o.x:g}: {exc}")
 
     choice_csv = out / "bandwidth.csv"
     _write_table(
@@ -571,9 +449,9 @@ def _cmd_bandwidth(cfg: dict) -> int:
     return 0
 
 
-def _cmd_jumptest(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    p = _load_series(cfg)
+def _cmd_jumptest(o, cfg: dict) -> int:
+    out = _out_dir(o)
+    p = _load_series(o)
     try:
         res = bs_jump_test(p)
     except ValueError as exc:
@@ -610,48 +488,28 @@ def _cmd_jumptest(cfg: dict) -> int:
     return 0
 
 
-def _mc_settings(cfg: dict) -> tuple[BandwidthSetting, ...]:
-    fixed = _float_list(cfg.get("fixed_h"), "fixed_h")
-    rots = _float_list(cfg.get("rot_c"), "rot_c")
-    settings = tuple(BandwidthSetting(fixed=h) for h in fixed)
-    settings += tuple(BandwidthSetting(rot_c=c) for c in rots)
-    if not settings:
-        settings = (BandwidthSetting(rot_c=2.8),)
-    return settings
-
-
-def _cmd_mc_table(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    experiment = cfg["experiment"]
-    eval_points = _float_list(cfg.get("eval_points"), "eval_points")
-    if experiment in ("coverage", "adjusted-length") and not eval_points:
-        raise ConfigError(f"the {experiment} experiment needs --eval-points")
-    trim_raw = cfg.get("mse_trim")
-    if trim_raw in (None, "", "none"):
-        trim = None
-    else:
-        trim = _float_list(trim_raw, "mse_trim")
-        if len(trim) != 2:
-            raise ConfigError("mse-trim needs two percentiles, e.g. 5,95")
-    target = _TARGETS[cfg["target"]]
-    if target not in (Target.DRIFT, Target.COND_VARIANCE):
-        raise ConfigError("mc experiments cover the drift and variance targets")
+def _cmd_mc_table(o, cfg: dict) -> int:
+    out = _out_dir(o)
+    if o.experiment in ("coverage", "adjusted-length") and not o.eval_points:
+        raise ConfigError(f"the {o.experiment} experiment needs --eval-points")
     try:
+        settings = tuple(BandwidthSetting(fixed=h) for h in o.fixed_h or ())
+        settings += tuple(BandwidthSetting(rot_c=c) for c in o.rot_c or ())
         mc_cfg = McConfig(
-            model=_model_from(cfg),
-            T=_as_float(cfg, "T"),
-            n=_as_int(cfg, "n"),
-            replicates=_as_int(cfg, "replicates"),
-            base_seed=_as_int(cfg, "base_seed"),
-            families=_families(cfg["family"]),
-            bandwidths=_mc_settings(cfg),
-            eval_points=eval_points,
-            target=target,
-            alpha=_as_float(cfg, "alpha"),
-            tau=_as_float(cfg, "tau"),
-            workers=_as_int(cfg, "workers"),
-            mse_grid_size=_as_int(cfg, "mse_grid_size"),
-            mse_trim=trim,
+            model=_model_from(o),
+            T=o.T,
+            n=o.n,
+            replicates=o.replicates,
+            base_seed=o.base_seed,
+            families=o.family,
+            bandwidths=settings or McConfig.bandwidths,
+            eval_points=o.eval_points or (),
+            target=o.target,
+            alpha=o.alpha,
+            tau=o.tau,
+            workers=o.workers,
+            mse_grid_size=o.mse_grid_size,
+            mse_trim=o.mse_trim,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -660,9 +518,9 @@ def _cmd_mc_table(cfg: dict) -> int:
         "mse": run_mse_experiment,
         "coverage": run_coverage_experiment,
         "adjusted-length": run_adjusted_length_experiment,
-    }[experiment]
+    }[o.experiment]
     report = runner(mc_cfg)
-    stem = f"mc_{experiment.replace('-', '_')}"
+    stem = f"mc_{o.experiment.replace('-', '_')}"
     csv_path = out / f"{stem}.csv"
     report.to_csv(csv_path)
     report.to_json(out / f"{stem}.json")
@@ -671,67 +529,209 @@ def _cmd_mc_table(cfg: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# the option table
 
+
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
+
+
+def _is_number(v, cast=float) -> bool:
+    """A JSON number, an integer when cast is int; a bool is neither."""
+    return not isinstance(v, bool) and isinstance(v, int if cast is int else (int, float))
+
+
+def _text(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError("a string")
+    return v
+
+
+def _switch(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError("true or false")
+    return v
+
+
+def _floats(v) -> tuple[float, ...]:
+    """A comma-separated string or a list of numbers, all finite."""
+    if isinstance(v, str):
+        try:
+            values = tuple(float(s) for s in v.split(",") if s.strip())
+        except ValueError:
+            raise ValueError("comma-separated numbers") from None
+    elif isinstance(v, list) and all(_is_number(e) for e in v):
+        values = tuple(float(e) for e in v)
+    else:
+        raise ValueError("a list of numbers or a comma-separated string")
+    if not all(math.isfinite(e) for e in values):
+        raise ValueError("finite numbers")
+    return values
+
+
+def _trim(v) -> tuple[float, ...] | None:
+    return None if v in ("", "none") else _floats(v)
+
+
+@dataclass(frozen=True)
+class _Opt:
+    """One option: the ``--config`` key ``key`` and its flag ``--key``.
+
+    ``kind`` turns flag text into the value a JSON config file would hold
+    (float, int or str; None marks an on/off flag).  ``value`` checks that
+    value, from a flag and from a file alike: a name among ``choices``
+    maps to what commands read, any other value goes through ``parse``.
+    An option without a default reads None when not given.
+    """
+
+    key: str
+    default: object = None
+    parse: Callable[[object], object] = _text
+    choices: dict | None = None
+    kind: type | None = str
+    help: str | None = None
+
+    def value(self, v):
+        if v is None and self.default is None:
+            return None
+        try:
+            if self.choices is None:
+                return self.parse(v)
+            if isinstance(v, str) and v in self.choices:
+                return self.choices[v]
+            need = "one of " + ", ".join(self.choices)
+        except ValueError as exc:
+            need = str(exc)
+        except OverflowError:  # an integer beyond the float range
+            need = "finite"
+        raise ConfigError(f"{self.key} ({_flag(self.key)}) must be {need}, got {v!r}")
+
+
+_FINITE = ("finite", math.isfinite)
+_POSITIVE = ("positive and finite", lambda v: math.isfinite(v) and v > 0)
+
+
+def _num(key, default=None, cast=float, rule=_FINITE, help=None) -> _Opt:
+    """A number option; ``rule`` is (what errors say it needs, its test)."""
+    need, ok = rule
+
+    def parse(v):
+        if not _is_number(v, cast):
+            raise ValueError("an integer" if cast is int else "a number")
+        if not ok(v):
+            raise ValueError(need)
+        return cast(v)
+
+    return _Opt(key, default, parse, kind=cast, help=help)
+
+
+def _options(*opts: _Opt) -> dict[str, _Opt]:
+    """A subcommand's options by key; a later entry overrides an earlier one."""
+    return {o.key: o for o in (_OUT, *opts)}
+
+
+_OUT = _Opt("out", ".", help="output directory (default: current)")
+_PROXY_MODE = _Opt(
+    "proxy_mode", "levels",
+    choices={
+        "levels": build_proxy,
+        "log-prices": build_log_proxy,
+        "direct-returns": _direct_returns,
+    },
+    help="how the value column maps to the latent-state proxy",
+)
+_IO = (
+    _Opt("input", help="input CSV file with a header row"),
+    _num("delta", rule=_POSITIVE, help="sampling interval (required; never inferred)"),
+    _PROXY_MODE,
+    _Opt("value_column",
+         help="value column name (default: second column, or the only one)"),
+    _Opt("time_column",
+         help="time column name, or 'none' (default: first column when several)"),
+)
+_MODEL = tuple(_num(key, default) for key, default in asdict(baseline_model()).items())
+_T = _num("T", 10.0, help="time horizon")
+_N = _num("n", 1000, int, help="number of observation steps")
+_FAMILY = _Opt("family", "both", choices={
+    "gamma": (KernelFamily.GAMMA,),
+    "gaussian": (KernelFamily.GAUSSIAN,),
+    "both": (KernelFamily.GAMMA, KernelFamily.GAUSSIAN),
+})
+# bands, the plug-in selector and mc cover the targets with limit theory
+_TARGET = _Opt("target", "drift", choices={
+    name: t for name, t in _TARGETS.items() if t in NUMERATOR_TARGET
+})
+_BANDWIDTH = _num("bandwidth", rule=_POSITIVE, help="fixed bandwidth h")
+_ROT_C = _num(
+    "rot_c", help=f"rule-of-thumb scale constant (default {_DEFAULT_C} if no bandwidth)"
+)
+_GRID = (
+    _Opt("grid", parse=_floats, help="explicit evaluation points, comma separated"),
+    _num("grid_min"),
+    _num("grid_max"),
+    _num("grid_count", 50, int, ("at least 2", lambda c: c >= 2)),
+)
+_ALPHA = _num("alpha", 0.05, rule=("in (0, 1)", lambda a: 0.0 < a < 1.0))
+_TAU = _num("tau", DEFAULT_REGIME_THRESHOLD, rule=_POSITIVE,
+            help="interior/boundary threshold on x/h")
+
+# subcommand -> (function, help, options)
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "bandwidth": _cmd_bandwidth,
-    "ci": _cmd_ci,
-    "jumptest": _cmd_jumptest,
-    "mc-table": _cmd_mc_table,
+    "simulate": (_cmd_simulate, "simulate a path and write CSV artifacts", _options(
+        _T, _N, _num("seed", 0, int),
+        _num("substep", 1, int, ("at least 1", lambda s: s >= 1),
+             help="internal Euler substeps per observation (default 1)"),
+        *_MODEL,
+    )),
+    "estimate": (_cmd_estimate, "fit drift/variance/moment curves", _options(
+        *_IO, replace(_TARGET, choices=_TARGETS), _FAMILY, _BANDWIDTH, _ROT_C, *_GRID,
+    )),
+    "bandwidth": (_cmd_bandwidth, "select a bandwidth and dump the score curve", _options(
+        *_IO,
+        _Opt("method", "block-cv",
+             choices={m: m for m in ("rule-of-thumb", "block-cv", "plugin")}),
+        _num("c", help="rule-of-thumb scale constant"),
+        _num("horizon", help="time span T for the rule of thumb (default delta*n)"),
+        _Opt("regime", "interior", choices={r.value: r for r in RegimeKind}),
+        _Opt("h_grid", parse=_floats, help="candidate bandwidths, comma separated"),
+        _num("k", cast=int, help="cross-validation block half-width"),
+        _num("x", help="evaluation point for the plug-in method"),
+        _num("pilot_h", rule=_POSITIVE),
+        _num("pilot_c"),
+        _TARGET,
+        _TAU,
+        # block CV selects for one kernel family
+        _Opt("family", "gamma", choices={f.value: f for f in KernelFamily},
+             help="kernel family for block-cv"),
+    )),
+    "ci": (_cmd_ci, "pointwise asymptotic confidence bands", _options(
+        *_IO, _TARGET, _FAMILY, _BANDWIDTH, _ROT_C, _ALPHA, _TAU,
+        _Opt("bias_correct", True, _switch, kind=None),
+        *_GRID,
+    )),
+    "jumptest": (_cmd_jumptest, "bipower-ratio jump test on a return series", _options(
+        *_IO, replace(_PROXY_MODE, default="log-prices"),
+    )),
+    "mc-table": (_cmd_mc_table, "Monte Carlo experiment tables", _options(
+        _Opt("experiment", "mse",
+             choices={e: e for e in ("mse", "coverage", "adjusted-length")}),
+        _T, _N,
+        _num("replicates", 100, int),
+        _num("base_seed", 0, int),
+        _num("workers", 1, int),
+        _FAMILY,
+        _TARGET,
+        _Opt("fixed_h", parse=_floats, help="fixed bandwidths, comma separated"),
+        _Opt("rot_c", parse=_floats, help="rule-of-thumb constants, comma separated"),
+        _Opt("eval_points", parse=_floats, help="evaluation points, comma separated"),
+        _ALPHA,
+        _TAU,
+        _num("mse_grid_size", 50, int),
+        _Opt("mse_trim", parse=_trim,
+             help="percentile pair like 5,95; default none (full range)"),
+        *_MODEL,
+    )),
 }
-
-_DEFAULTS: dict[str, dict] = {
-    "simulate": {
-        "out": ".", "T": 10.0, "n": 1000, "seed": 0, "substep": 1,
-        **{name: default for name, default in _MODEL_FIELDS},
-    },
-    "estimate": {
-        "out": ".", "proxy_mode": "levels", "family": "both", "target": "drift",
-        "grid_count": 50,
-    },
-    "bandwidth": {
-        "out": ".", "proxy_mode": "levels", "method": "block-cv",
-        "family": "gamma", "target": "drift", "tau": DEFAULT_REGIME_THRESHOLD,
-        "regime": "interior",
-    },
-    "ci": {
-        "out": ".", "proxy_mode": "levels", "family": "both", "target": "drift",
-        "grid_count": 50, "alpha": 0.05, "tau": DEFAULT_REGIME_THRESHOLD,
-        "bias_correct": True,
-    },
-    "jumptest": {"out": ".", "proxy_mode": "log-prices"},
-    "mc-table": {
-        "out": ".", "experiment": "mse", "T": 10.0, "n": 1000, "replicates": 100,
-        "base_seed": 0, "family": "both", "target": "drift", "alpha": 0.05,
-        "tau": DEFAULT_REGIME_THRESHOLD, "workers": 1, "mse_grid_size": 50,
-        **{name: default for name, default in _MODEL_FIELDS},
-    },
-}
-
-
-def _add_io_flags(sp) -> None:
-    sp.add_argument("--input", help="input CSV file with a header row")
-    sp.add_argument("--delta", type=float,
-                    help="sampling interval (required; never inferred)")
-    sp.add_argument("--proxy-mode", choices=("levels", "log-prices", "direct-returns"),
-                    dest="proxy_mode",
-                    help="how the value column maps to the latent-state proxy")
-    sp.add_argument("--value-column", dest="value_column",
-                    help="value column name (default: second column, or the only one)")
-    sp.add_argument("--time-column", dest="time_column",
-                    help="time column name, or 'none' (default: first column when several)")
-
-
-def _add_model_flags(sp) -> None:
-    for name, _ in _MODEL_FIELDS:
-        sp.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
-
-
-def _add_common(sp) -> None:
-    sp.add_argument("--config", help="JSON file of option defaults; flags win")
-    sp.add_argument("--out", help="output directory (default: current)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -741,92 +741,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"jdsmooth {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="simulate a path and write CSV artifacts")
-    _add_common(sp)
-    sp.add_argument("--T", type=float, help="time horizon")
-    sp.add_argument("--n", type=int, help="number of observation steps")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--substep", type=int,
-                    help="internal Euler substeps per observation (default 1)")
-    _add_model_flags(sp)
-
-    sp = sub.add_parser("estimate", help="fit drift/variance/moment curves")
-    _add_common(sp)
-    _add_io_flags(sp)
-    sp.add_argument("--target", choices=tuple(_TARGETS))
-    sp.add_argument("--family", choices=("gamma", "gaussian", "both"))
-    sp.add_argument("--bandwidth", type=float, help="fixed bandwidth h")
-    sp.add_argument("--rot-c", dest="rot_c", type=float,
-                    help="rule-of-thumb scale constant (default 2.0 if no bandwidth)")
-    sp.add_argument("--grid", help="explicit evaluation points, comma separated")
-    sp.add_argument("--grid-min", dest="grid_min", type=float)
-    sp.add_argument("--grid-max", dest="grid_max", type=float)
-    sp.add_argument("--grid-count", dest="grid_count", type=int)
-
-    sp = sub.add_parser("bandwidth", help="select a bandwidth and dump the score curve")
-    _add_common(sp)
-    _add_io_flags(sp)
-    sp.add_argument("--method", choices=("rule-of-thumb", "block-cv", "plugin"))
-    sp.add_argument("--c", type=float, help="rule-of-thumb scale constant")
-    sp.add_argument("--horizon", type=float,
-                    help="time span T for the rule of thumb (default delta*n)")
-    sp.add_argument("--regime", choices=("interior", "boundary"))
-    sp.add_argument("--h-grid", dest="h_grid", help="candidate bandwidths, comma separated")
-    sp.add_argument("--k", type=int, help="cross-validation block half-width")
-    sp.add_argument("--x", type=float, help="evaluation point for the plug-in method")
-    sp.add_argument("--pilot-h", dest="pilot_h", type=float)
-    sp.add_argument("--pilot-c", dest="pilot_c", type=float)
-    sp.add_argument("--target", choices=("drift", "variance"))
-    sp.add_argument("--tau", type=float, help="interior/boundary threshold on x/h")
-
-    sp = sub.add_parser("ci", help="pointwise asymptotic confidence bands")
-    _add_common(sp)
-    _add_io_flags(sp)
-    sp.add_argument("--target", choices=("drift", "variance"))
-    sp.add_argument("--family", choices=("gamma", "gaussian", "both"))
-    sp.add_argument("--bandwidth", type=float)
-    sp.add_argument("--rot-c", dest="rot_c", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--bias-correct", dest="bias_correct",
-                    action=argparse.BooleanOptionalAction)
-    sp.add_argument("--grid", help="explicit evaluation points, comma separated")
-    sp.add_argument("--grid-min", dest="grid_min", type=float)
-    sp.add_argument("--grid-max", dest="grid_max", type=float)
-    sp.add_argument("--grid-count", dest="grid_count", type=int)
-
-    sp = sub.add_parser("jumptest", help="bipower-ratio jump test on a return series")
-    _add_common(sp)
-    _add_io_flags(sp)
-
-    sp = sub.add_parser("mc-table", help="Monte Carlo experiment tables")
-    _add_common(sp)
-    sp.add_argument("--experiment", choices=("mse", "coverage", "adjusted-length"))
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--replicates", type=int)
-    sp.add_argument("--base-seed", dest="base_seed", type=int)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--family", choices=("gamma", "gaussian", "both"))
-    sp.add_argument("--target", choices=("drift", "variance"))
-    sp.add_argument("--fixed-h", dest="fixed_h", help="fixed bandwidths, comma separated")
-    sp.add_argument("--rot-c", dest="rot_c", help="rule-of-thumb constants, comma separated")
-    sp.add_argument("--eval-points", dest="eval_points",
-                    help="evaluation points, comma separated")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--mse-grid-size", dest="mse_grid_size", type=int)
-    sp.add_argument("--mse-trim", dest="mse_trim",
-                    help="percentile pair like 5,95; default none (full range)")
-    _add_model_flags(sp)
-
+    for command, (_, about, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=about)
+        sp.add_argument("--config", help="JSON file of option values; flags win")
+        for o in options.values():
+            if o.kind is None:
+                sp.add_argument(_flag(o.key), dest=o.key, help=o.help,
+                                action=argparse.BooleanOptionalAction)
+            else:
+                sp.add_argument(_flag(o.key), dest=o.key, help=o.help,
+                                type=o.kind, choices=o.choices)
     return parser
 
 
-def _merge_config(command: str, provided: dict) -> dict:
-    defaults = dict(_DEFAULTS[command])
-    cfg = dict(defaults)
+def _merge_config(command: str, provided: dict) -> tuple[dict, argparse.Namespace]:
+    """Defaults, beneath the ``--config`` file, beneath the flags given.
+
+    Returns the merged values as given, which artifact headers echo, and
+    every option's checked value.
+    """
+    options = _COMMANDS[command][2]
+    cfg = {key: o.default for key, o in options.items() if o.default is not None}
     config_path = provided.pop("config", None)
     if config_path is not None:
         try:
@@ -837,14 +772,13 @@ def _merge_config(command: str, provided: dict) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        # the legal keys are exactly this subcommand's flags and defaults
-        known = set(defaults) | set(provided)
-        for key, value in loaded.items():
-            if key not in known:
+        for key in loaded:
+            if key not in options:
                 raise ConfigError(f"unknown config key {key!r}")
-            cfg[key] = value
+        cfg.update(loaded)
     cfg.update({k: v for k, v in provided.items() if v is not None})
-    return cfg
+    checked = {key: o.value(cfg.get(key)) for key, o in options.items()}
+    return cfg, argparse.Namespace(**checked)
 
 
 def main(argv=None) -> int:
@@ -856,8 +790,8 @@ def main(argv=None) -> int:
     provided = vars(args)
     command = provided.pop("command")
     try:
-        cfg = _merge_config(command, provided)
-        return _COMMANDS[command](cfg)
+        cfg, opts = _merge_config(command, provided)
+        return _COMMANDS[command][0](opts, cfg)
     except JdsmoothError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

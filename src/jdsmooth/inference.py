@@ -129,6 +129,14 @@ def asymptotic_moments(
     )
 
 
+# target of a band -> target whose local linear estimate is the band's
+# variance numerator; the keys are the targets with band limit theory
+NUMERATOR_TARGET = {
+    Target.DRIFT: Target.COND_VARIANCE,
+    Target.COND_VARIANCE: Target.FOURTH_MOMENT,
+}
+
+
 @dataclass(frozen=True)
 class BandCompanions:
     """Pointwise companion estimates a band needs alongside the curve.
@@ -159,12 +167,9 @@ def band_companions(
     support, a sparse region, a degenerate design) holds NaN there, which
     ``confidence_band`` turns into a gap.
     """
-    if target is Target.DRIFT:
-        companion = Target.COND_VARIANCE
-    elif target is Target.COND_VARIANCE:
-        companion = Target.FOURTH_MOMENT
-    else:
+    if target not in NUMERATOR_TARGET:
         raise ValueError(f"no limit theory wired for target {target!r}")
+    companion = NUMERATOR_TARGET[target]
     h, u, d = kernel.bandwidth, triples.weight_points, triples.design_points
     fitter = LinearFitter(kernel.family, u, d, triples.response(companion))
     fits = fitter.fits(h, grid)

@@ -41,7 +41,8 @@ class KernelSpec:
 
     def __post_init__(self):
         b = self.bandwidth
-        if not (isinstance(b, (int, float)) and math.isfinite(b) and b > 0):
+        number = isinstance(b, (int, float)) and not isinstance(b, bool)
+        if not (number and math.isfinite(b) and b > 0):
             raise ValueError(f"bandwidth must be a positive finite number, got {b!r}")
 
 

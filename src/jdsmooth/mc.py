@@ -30,7 +30,7 @@ import numpy as np
 
 from ._version import VERSION
 from .errors import EstimationError
-from .inference import band_companions, confidence_band
+from .inference import NUMERATOR_TARGET, band_companions, confidence_band
 from .kernels import DEFAULT_REGIME_THRESHOLD, KernelFamily, KernelSpec
 from .locallinear import Target, estimate_curve
 
@@ -59,7 +59,8 @@ class BandwidthSetting:
         if (self.fixed is None) == (self.rot_c is None):
             raise ValueError("set exactly one of fixed= or rot_c=")
         v = self.fixed if self.fixed is not None else self.rot_c
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not (number and math.isfinite(v) and v > 0):
             raise ValueError(f"bandwidth setting must be positive, got {v!r}")
 
     @property
@@ -104,7 +105,7 @@ class McConfig:
             raise ValueError("need at least one bandwidth setting")
         if not self.families:
             raise ValueError("need at least one kernel family")
-        if self.target not in (Target.DRIFT, Target.COND_VARIANCE):
+        if self.target not in NUMERATOR_TARGET:
             raise ValueError("experiments cover drift and conditional variance")
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must be in (0, 1)")
@@ -112,6 +113,13 @@ class McConfig:
             raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.mse_grid_size < 1:
+            raise ValueError("mse_grid_size must be at least 1")
+        trim = self.mse_trim
+        if trim is not None and not (len(trim) == 2 and 0 <= trim[0] < trim[1] <= 100):
+            raise ValueError(
+                f"mse_trim must be two percentiles 0 <= lo < hi <= 100, got {trim!r}"
+            )
 
     def to_dict(self) -> dict:
         # workers is an execution detail, not part of the experiment's

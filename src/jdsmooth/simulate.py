@@ -54,7 +54,8 @@ class ModelSpec:
             "y0",
         ):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (number and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.jump_total < 0:
             raise ValueError("jump_total must be nonnegative")

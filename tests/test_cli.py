@@ -18,8 +18,8 @@ import pytest
 
 import jdsmooth
 from jdsmooth import __version__
-from jdsmooth.cli import ingest_series, main
-from jdsmooth.errors import DataError
+from jdsmooth.cli import _merge_config, build_parser, ingest_series, main
+from jdsmooth.errors import ConfigError, DataError
 from jdsmooth.kernels import KernelFamily, KernelSpec
 from jdsmooth.locallinear import estimate_drift_curve
 from jdsmooth.proxy import build_proxy, build_regression_triples
@@ -531,6 +531,83 @@ class TestMcTable:
         ])
         assert rc == 2
         assert "eval-points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--mse-grid-size", "0"], id="grid_size_0"),
+        pytest.param(["--mse-grid-size", "-3"], id="grid_size_negative"),
+        pytest.param(["--mse-trim", "5,200"], id="trim_above_100"),
+        pytest.param(["--mse-trim", "95,5"], id="trim_reversed"),
+    ])
+    def test_bad_mse_grid_exits_2(self, tmp_path, capsys, flags):
+        rc = main([
+            "mc-table", "--T", "5", "--n", "300", "--replicates", "2", *flags,
+            "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "mse" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+COMMANDS = ("simulate", "estimate", "bandwidth", "ci", "jumptest", "mc-table")
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("argv, key, value", [
+        pytest.param(["estimate"], "target", "bogus", id="target"),
+        pytest.param(["mc-table"], "experiment", "bogus", id="experiment"),
+        pytest.param(["estimate"], "out", 5, id="out"),
+        pytest.param(["ci"], "bias_correct", "no", id="bias_correct"),
+        pytest.param(
+            ["bandwidth", "--method", "block-cv"], "family", "both",
+            id="block_cv_family",
+        ),
+        pytest.param(
+            ["bandwidth", "--method", "rule-of-thumb"], "regime", "bndry", id="regime"
+        ),
+        pytest.param(
+            ["bandwidth", "--method", "plugin", "--x", "0.12"], "target", "m4",
+            id="plugin_target",
+        ),
+        pytest.param(["simulate"], "seed", True, id="seed"),
+        pytest.param(["simulate"], "T", 10**400, id="T_beyond_float_range"),
+        pytest.param(["estimate"], "grid_count", "50", id="grid_count"),
+    ])
+    def test_bad_config_value_exits_2_naming_key(
+        self, sim_dir, tmp_path, capsys, argv, key, value
+    ):
+        # config values pass the same parser and checks as flags
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({key: value}))
+        series = [] if argv[0] in ("simulate", "mc-table") else [
+            "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+        ]
+        out = tmp_path / "out"
+        out_flag = [] if key == "out" else ["--out", str(out)]
+        rc = main([*argv, "--config", str(conf), *series, *out_flag])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_keys_are_the_parser_dests(self, tmp_path, command):
+        parser = build_parser()
+        dests = {
+            c: set(vars(parser.parse_args([c]))) - {"command", "config"}
+            for c in COMMANDS
+        }
+        conf = tmp_path / "conf.json"
+        accepted = set()
+        for key in set().union(*dests.values()):
+            conf.write_text(json.dumps({key: None}))
+            provided = vars(parser.parse_args([command, "--config", str(conf)]))
+            del provided["command"]
+            try:
+                _merge_config(command, provided)
+            except ConfigError as exc:
+                if "unknown config key" in str(exc):
+                    continue
+            accepted.add(key)
+        assert accepted == dests[command]
 
 
 def test_import_loads_no_scipy():

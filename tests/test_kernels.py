@@ -162,6 +162,12 @@ def test_kernel_spec_validation():
         KernelSpec(KernelFamily.GAUSSIAN, math.nan)
 
 
+def test_kernel_spec_rejects_a_bool_bandwidth():
+    # True is an int to isinstance and would pass as h = 1
+    with pytest.raises(ValueError, match="bandwidth"):
+        KernelSpec(KernelFamily.GAMMA, True)
+
+
 def test_weight_values_zero_weight_below_support():
     # estimation data can sit below zero; for the Gamma family those points
     # receive zero weight instead of raising

@@ -121,6 +121,25 @@ def test_config_rejects_a_bad_regime_threshold(tau):
         small_config(tau=tau)
 
 
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"mse_grid_size": 0}, id="grid_size_0"),
+    pytest.param({"mse_grid_size": -3}, id="grid_size_negative"),
+    pytest.param({"mse_trim": (5.0, 200.0)}, id="trim_above_100"),
+    pytest.param({"mse_trim": (-1.0, 95.0)}, id="trim_below_0"),
+    pytest.param({"mse_trim": (95.0, 5.0)}, id="trim_reversed"),
+    pytest.param({"mse_trim": (5.0,)}, id="trim_one_value"),
+])
+def test_config_rejects_a_bad_mse_grid(overrides):
+    with pytest.raises(ValueError, match="mse_"):
+        small_config(**overrides)
+
+
+def test_bandwidth_setting_rejects_a_bool():
+    # True is an int to isinstance and would pass as h = 1
+    with pytest.raises(ValueError, match="positive"):
+        BandwidthSetting(fixed=True)
+
+
 def test_qq_data_normal_sample():
     rng = np.random.default_rng(0)
     theo, emp = qq_data(rng.standard_normal(200))

@@ -6,6 +6,8 @@ bookkeeping, and the closed-form relation between the integrated series
 and the state recursion pin the implementation down.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,12 @@ def test_true_moments_baseline():
     # same expected jump count spread over a longer horizon thins the rate
     tm50 = true_moments(model, 0.2, T=50.0)
     assert tm50.m == pytest.approx(0.1 + 0.1 * 0.04 + 0.4 * 0.036**2)
+
+
+def test_model_rejects_a_bool_coefficient():
+    # True is an int to isinstance and would pass as a jump intensity of 1
+    with pytest.raises(ValueError, match="jump_total"):
+        replace(baseline_model(), jump_total=True)
 
 
 def test_model_validation():
