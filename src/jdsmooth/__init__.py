@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     DataError,
     DegenerateDesignError,
-    EstimationError,
     JdsmoothError,
     NotIdentifiableError,
     SparseRegionError,
@@ -95,7 +94,6 @@ __all__ = [
     "CurveEstimate",
     "DataError",
     "DegenerateDesignError",
-    "EstimationError",
     "JdsmoothError",
     "JumpComponents",
     "JumpTestResult",

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EstimationError, SparseRegionError
+from .errors import SparseRegionError
 from .inference import asymptotic_moments
 from .kernels import KernelFamily, KernelSpec, PointRegime, RegimeKind
 from .locallinear import LinearFitter, Target, estimate_curve
@@ -120,7 +120,8 @@ def mse_grid_search(
 
     For each candidate c the curve is fitted at h(c) over eval_grid and
     scored by mean squared error against truth(x); failed grid points are
-    dropped from the average and counted.  Ties go to the smallest
+    dropped from the average and counted, and a candidate that fails at
+    every point keeps the objective inf.  Ties go to the smallest
     candidate.  Only meaningful in simulation studies where the truth is
     available.
     """
@@ -137,14 +138,11 @@ def mse_grid_search(
     failures = 0
     for j, c in enumerate(c_grid):
         spec = KernelSpec(family, c * s * T**exponent)
-        try:
-            curve = estimate_curve(triples, spec, eval_grid, target)
-        except EstimationError:
-            failures += eval_grid.size
-            continue
+        curve = estimate_curve(triples, spec, eval_grid, target)
         failures += len(curve.failures)
         errs = np.delete((curve.values - true_vals) ** 2, list(curve.failures))
-        objectives[j] = exact_sum(errs) / errs.size
+        if errs.size:
+            objectives[j] = exact_sum(errs) / errs.size
     if not np.any(np.isfinite(objectives)):
         raise SparseRegionError(
             float(eval_grid[0]), "every candidate bandwidth failed at every point"

@@ -21,7 +21,8 @@ seed, so a result file documents how to regenerate itself.  Numbers are
 written in shortest round-trip form, which makes simulate followed by
 estimate on the written file bit-identical to the in-memory pipeline.
 Failures at individual grid points become per-point flags inside the
-output; only configuration and data problems abort a run.
+output, even where one kernel family fails at every point; only
+configuration and data problems abort a run.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -42,7 +43,7 @@ import numpy as np
 
 from ._version import VERSION
 from .bandwidth import asymptotic_h_opt, block_cv, rule_of_thumb
-from .errors import ConfigError, DataError, EstimationError, JdsmoothError
+from .errors import ConfigError, DataError, JdsmoothError
 from .inference import NUMERATOR_TARGET, band_companions, bs_jump_test, confidence_band
 from .kernels import (
     DEFAULT_REGIME_THRESHOLD,
@@ -53,6 +54,7 @@ from .kernels import (
 )
 from .locallinear import Target, estimate_curve
 from .mc import (
+    MIN_ADJUSTED_REPLICATES,
     BandwidthSetting,
     McConfig,
     run_adjusted_length_experiment,
@@ -305,30 +307,21 @@ def _cmd_estimate(o, cfg: dict) -> int:
     h = _resolve_h(o, p)
     grid = _resolve_grid(o, p)
 
+    curves = [estimate_curve(triples, KernelSpec(fam, h), grid, o.target)
+              for fam in o.family]
     columns = ["x"]
-    series = {}
     for fam in o.family:
-        spec = KernelSpec(fam, h)
-        try:
-            curve = estimate_curve(triples, spec, grid, o.target)
-            values, slopes, failures = curve.values, curve.slopes, curve.failures
-        except EstimationError as exc:
-            values = np.full(grid.size, np.nan)
-            slopes = np.full(grid.size, np.nan)
-            failures = {i: str(exc) for i in range(grid.size)}
-        series[fam] = (values, slopes, failures)
         columns += [f"{fam.value}_estimate", f"{fam.value}_slope", f"{fam.value}_flag"]
 
     rows = []
     for i, x in enumerate(grid):
         row = [x]
-        for fam in o.family:
-            values, slopes, failures = series[fam]
-            row += [values[i], slopes[i], failures.get(i, "")]
+        for curve in curves:
+            row += [curve.values[i], curve.slopes[i], curve.failures.get(i, "")]
         rows.append(row)
     curves_csv = out / "curves.csv"
     _write_table(curves_csv, "estimate", cfg, None, columns, rows)
-    flagged = sum(len(s[2]) for s in series.values())
+    flagged = sum(len(curve.failures) for curve in curves)
     print(
         f"wrote {curves_csv} ({grid.size} grid points, h={h!r},"
         f" {flagged} flagged fits)"
@@ -492,6 +485,11 @@ def _cmd_mc_table(o, cfg: dict) -> int:
     out = _out_dir(o)
     if o.experiment in ("coverage", "adjusted-length") and not o.eval_points:
         raise ConfigError(f"the {o.experiment} experiment needs --eval-points")
+    if o.experiment == "adjusted-length" and o.replicates < MIN_ADJUSTED_REPLICATES:
+        raise ConfigError(
+            f"replicates (--replicates) must be at least {MIN_ADJUSTED_REPLICATES}"
+            f" for the adjusted-length experiment, got {o.replicates}"
+        )
     try:
         settings = tuple(BandwidthSetting(fixed=h) for h in o.fixed_h or ())
         settings += tuple(BandwidthSetting(rot_c=c) for c in o.rot_c or ())

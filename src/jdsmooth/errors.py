@@ -1,10 +1,14 @@
 """Exception types and process exit codes shared across the package.
 
-Argument domain violations (negative bandwidth, evaluation point outside
-the kernel support) raise plain ``ValueError``.  The classes below cover
-failures that depend on the data rather than on the call signature, so
-callers can distinguish "your input is unusable" from "the estimator has
-nothing to work with here".
+A grid function (``estimate_curve``, ``band_companions``,
+``confidence_band``) never raises because a point failed, even if every
+point did: it records each point's reason and NaN there.  A one-point
+function (``local_linear_fit``, ``estimate_second_derivative``,
+``estimate_density``) raises that point's error.  An argument error
+(negative bandwidth, non-finite evaluation point) raises ``ValueError``.
+The classes below cover failures that depend on the data rather than on
+the call signature, so callers can distinguish "your input is unusable"
+from "the estimator has nothing to work with here".
 """
 
 EXIT_OK = 0
@@ -41,10 +45,6 @@ class SparseRegionError(JdsmoothError):
 
 class DegenerateDesignError(JdsmoothError):
     """Weighted design matrix is numerically singular at this point."""
-
-
-class EstimationError(JdsmoothError):
-    """An estimation task produced no usable result at all."""
 
 
 class NotIdentifiableError(JdsmoothError):

@@ -46,7 +46,7 @@ from .kernels import (
     boundary_variance_constant,
     classify_point,
 )
-from .locallinear import CurveEstimate, LinearFitter, estimate_density
+from .locallinear import CurveEstimate, LinearFitter, densities
 from .proxy import ProxySeries, RegressionTriples, Target
 from .summation import exact_sum
 
@@ -162,7 +162,8 @@ def band_companions(
     At each grid point: the local linear estimate of the variance
     numerator (M_hat for drift, the fourth moment for conditional
     variance), the kernel density of the proxy, and the pilot curvature
-    of the target, the first and last by one ``LinearFitter`` call each.
+    of the target, the first and last by one ``LinearFitter`` call each
+    and the density by one ``densities`` call over the supported points.
     A point where one of them cannot be estimated (outside the Gamma
     support, a sparse region, a degenerate design) holds NaN there, which
     ``confidence_band`` turns into a gap.
@@ -177,8 +178,7 @@ def band_companions(
     fitter = LinearFitter(kernel.family, u, d, triples.response(target))
     curvature, _ = fitter.curvatures(h, fits.x)
     density = np.full(fits.x.size, np.nan)
-    for i in np.flatnonzero(~fits.outside).tolist():
-        density[i] = estimate_density(p, kernel, float(fits.x[i]))
+    density[~fits.outside] = densities(p, kernel, fits.x[~fits.outside])
     return BandCompanions(numerator, density, curvature)
 
 
@@ -222,7 +222,10 @@ def confidence_band(
     bias_correct=False) and widened by z_{1-alpha/2} sqrt(variance)/rate.
     Conditional-variance bands are intersected with [0, inf) and the
     clipped points flagged.  Points where the curve failed or a companion
-    estimate is unusable become gaps rather than errors.  At the regime
+    estimate is unusable become gaps, even when every point is one; only
+    arguments raise ValueError: alpha outside (0, 1), n below 1, delta not
+    positive and finite, a target not in ``NUMERATOR_TARGET``, companion
+    arrays that do not match the grid.  At the regime
     knife-edge x = tau h the interior and the boundary half-widths are both
     recorded in diagnostics, and the band keeps the point's own regime:
     the squared boundary/interior half-width ratio C(kappa) 2 sqrt(pi
@@ -232,6 +235,12 @@ def confidence_band(
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    if curve.target not in NUMERATOR_TARGET:
+        raise ValueError(f"no limit theory wired for target {curve.target!r}")
     grid = curve.grid
     m = grid.size
     comp_arrays = (
@@ -288,26 +297,22 @@ def confidence_band(
             family is KernelFamily.GAMMA
             and abs(x / h - tau) <= _KNIFE_EDGE_RTOL * tau
         )
-        try:
-            mom = asymptotic_moments(
-                x, h, n, delta, curve.target, curv, numer, dens,
-                regime, family,
-            )
-            if knife_edge:
-                widths = {}
-                for key, side in (
-                    ("interior_halfwidth", PointRegime(RegimeKind.INTERIOR)),
-                    ("boundary_halfwidth", PointRegime(RegimeKind.BOUNDARY, x / h)),
-                ):
-                    alt = asymptotic_moments(
-                        x, h, n, delta, curve.target, curv, numer, dens,
-                        side, family,
-                    )
-                    widths[key] = z * math.sqrt(alt.variance) / alt.rate
-                diagnostics[i] = widths
-        except ValueError as exc:
-            gaps[i] = str(exc)
-            continue
+        # nothing left for asymptotic_moments to reject: a Gamma point is
+        # interior only at x / h >= tau > 0, and below 0 its curve failed
+        mom = asymptotic_moments(
+            x, h, n, delta, curve.target, curv, numer, dens, regime, family
+        )
+        if knife_edge:
+            widths = {}
+            for key, side in (
+                ("interior_halfwidth", PointRegime(RegimeKind.INTERIOR)),
+                ("boundary_halfwidth", PointRegime(RegimeKind.BOUNDARY, x / h)),
+            ):
+                alt = asymptotic_moments(
+                    x, h, n, delta, curve.target, curv, numer, dens, side, family
+                )
+                widths[key] = z * math.sqrt(alt.variance) / alt.rate
+            diagnostics[i] = widths
 
         # without bias correction curv is 0, so mom.bias is 0
         c = float(curve.values[i]) - mom.bias

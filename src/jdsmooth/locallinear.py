@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDesignError, EstimationError, SparseRegionError
-from .kernels import KernelFamily, KernelPlan, KernelSpec, weight_values
+from .errors import DegenerateDesignError, SparseRegionError
+from .kernels import KernelFamily, KernelPlan, KernelSpec
 from .proxy import ProxySeries, RegressionTriples, Target
 from .summation import CHUNK, ExactSums, exact_row_sums, exact_sum
 
@@ -306,8 +306,9 @@ def estimate_curve(
     One ``LinearFitter.fits`` call fits the grid; each value, slope and
     failure reason is what ``local_linear_fit`` gives at that point.
     Points outside the kernel's support, in sparse regions or with a
-    degenerate local design are recorded as failures; EstimationError is
-    raised only when every point fails, ValueError at a non-finite point.
+    degenerate local design are recorded in ``failures`` with NaN values,
+    even when that is every point; only an empty or non-finite grid
+    raises (ValueError).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -319,10 +320,6 @@ def estimate_curve(
         for i in np.flatnonzero(~fits.ok).tolist()
     }
     est = np.where(fits.ok, [fits.intercept, fits.slope], np.nan)
-    if len(failures) == grid.size:
-        raise EstimationError(
-            f"estimation failed at every one of the {grid.size} grid points"
-        )
     return CurveEstimate(
         grid=grid, values=est[0], slopes=est[1], kernel=kernel, target=target,
         failures=failures,
@@ -360,14 +357,26 @@ def estimate_moment_curve(
     return estimate_curve(triples, kernel, grid, target)
 
 
-def estimate_density(p: ProxySeries, kernel: KernelSpec, x: float) -> float:
-    """Kernel density estimate of the proxy's stationary law at x.
+def densities(p: ProxySeries, kernel: KernelSpec, xs) -> np.ndarray:
+    """Kernel density estimates of the proxy's stationary law at each x of xs.
 
     Gamma family: (1/n) sum_j K_Gamma(value_j; x, h).  Gaussian family:
-    (1/(n h)) sum_j phi((x - value_j)/h).
+    (1/(n h)) sum_j phi((x - value_j)/h).  One ``KernelPlan`` of the proxy
+    values serves every point, one weight row at a time, so memory does not
+    grow with len(xs).  The points must lie in the kernel's support: a
+    Gamma point below 0 is an argument error (ValueError).
     """
-    vals = weight_values(kernel, p.values, x)
-    return exact_sum(vals) / p.values.size
+    plan = KernelPlan(kernel.family, p.values)
+    return np.array([
+        exact_sum(plan.weights(kernel.bandwidth, x)[0]) / p.values.size
+        for x in np.asarray(xs, dtype=float).tolist()
+    ])
+
+
+def estimate_density(p: ProxySeries, kernel: KernelSpec, x: float) -> float:
+    """Kernel density estimate of the proxy at x: the one-point case of
+    ``densities``."""
+    return float(densities(p, kernel, [x])[0])
 
 
 def estimate_second_derivative(

@@ -29,7 +29,6 @@ from statistics import NormalDist
 import numpy as np
 
 from ._version import VERSION
-from .errors import EstimationError
 from .inference import NUMERATOR_TARGET, band_companions, confidence_band
 from .kernels import DEFAULT_REGIME_THRESHOLD, KernelFamily, KernelSpec
 from .locallinear import Target, estimate_curve
@@ -40,7 +39,8 @@ from .locallinear import local_linear_fit  # noqa: F401
 from .proxy import build_proxy, build_regression_triples
 from .simulate import ModelSpec, replicate_seed, simulate_path, true_moments
 
-_MIN_ADJUSTED_REPLICATES = 40
+# fewest replicates whose studentized errors give adjusted lengths
+MIN_ADJUSTED_REPLICATES = 40
 _MIN_QQ_VALUES = 40
 
 
@@ -215,7 +215,7 @@ def _mse_replicate(cfg: McConfig, r: int) -> list[dict]:
     for setting in cfg.bandwidths:
         h = setting.resolve(s, cfg.T)
         for family in cfg.families:
-            spec = KernelSpec(family, h)
+            curve = estimate_curve(triples, KernelSpec(family, h), grid, cfg.target)
             rec = {
                 "r": r,
                 "seed": seed,
@@ -224,19 +224,13 @@ def _mse_replicate(cfg: McConfig, r: int) -> list[dict]:
                 "h": h,
                 "ok": False,
                 "mse": None,
-                "point_failures": cfg.mse_grid_size,
+                "point_failures": len(curve.failures),
             }
-            try:
-                curve = estimate_curve(triples, spec, grid, cfg.target)
-            except EstimationError:
-                out.append(rec)
-                continue
             good = np.isfinite(curve.values)
-            truth = np.array([_truth_value(cfg, float(x)) for x in grid[good]])
-            errs = (curve.values[good] - truth) ** 2
-            rec["ok"] = True
-            rec["mse"] = float(np.mean(errs))
-            rec["point_failures"] = int(len(curve.failures))
+            if good.any():
+                truth = np.array([_truth_value(cfg, float(x)) for x in grid[good]])
+                rec["ok"] = True
+                rec["mse"] = float(np.mean((curve.values[good] - truth) ** 2))
             out.append(rec)
     return out
 
@@ -286,15 +280,12 @@ def _pointwise_replicate(cfg: McConfig, r: int) -> list[dict]:
         h = setting.resolve(s, cfg.T)
         for family in cfg.families:
             spec = KernelSpec(family, h)
-            try:
-                curve = estimate_curve(triples, spec, grid, cfg.target)
-                companions = band_companions(p, triples, spec, grid, cfg.target)
-                band = confidence_band(
-                    curve, companions, cfg.alpha, n=cfg.n, delta=p.delta, tau=cfg.tau
-                )
-                gaps = band.gaps
-            except EstimationError as exc:
-                band, gaps = None, dict.fromkeys(range(grid.size), str(exc))
+            curve = estimate_curve(triples, spec, grid, cfg.target)
+            band = confidence_band(
+                curve,
+                band_companions(p, triples, spec, grid, cfg.target),
+                cfg.alpha, n=cfg.n, delta=p.delta, tau=cfg.tau,
+            )
             for i, x in enumerate(grid.tolist()):
                 rec = {
                     "r": r,
@@ -310,9 +301,9 @@ def _pointwise_replicate(cfg: McConfig, r: int) -> list[dict]:
                     "rate": None,
                     "covered": None,
                     "length": None,
-                    "reason": gaps.get(i, ""),
+                    "reason": band.gaps.get(i, ""),
                 }
-                if i not in gaps:
+                if i not in band.gaps:
                     lo, hi = float(band.lower[i]), float(band.upper[i])
                     truth = _truth_value(cfg, x)
                     rec.update(
@@ -418,9 +409,9 @@ def run_adjusted_length_experiment(
     are averaged.  Needs at least 40 replicates to make the quantiles
     meaningful.  Pass ``records`` to reuse a coverage run's sweep.
     """
-    if cfg.replicates < _MIN_ADJUSTED_REPLICATES:
+    if cfg.replicates < MIN_ADJUSTED_REPLICATES:
         raise ValueError(
-            f"adjusted lengths need at least {_MIN_ADJUSTED_REPLICATES} replicates"
+            f"adjusted lengths need at least {MIN_ADJUSTED_REPLICATES} replicates"
         )
     if records is None:
         records = _pointwise_records(cfg)
@@ -440,7 +431,7 @@ def run_adjusted_length_experiment(
             "replicates_ok": len(good),
             "failures": len(cell) - len(good),
         }
-        if len(good) >= _MIN_ADJUSTED_REPLICATES:
+        if len(good) >= MIN_ADJUSTED_REPLICATES:
             z = np.array(
                 [
                     (rec["estimate"] - rec["bias"] - truth)

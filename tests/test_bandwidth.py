@@ -319,3 +319,22 @@ def test_mse_grid_search_tie_breaks_smallest():
         eval_grid=np.linspace(0.05, 0.2, 5),
     )
     assert choice.c == 2.0
+
+
+def test_mse_grid_search_candidate_failing_everywhere_scores_inf():
+    """A candidate with no usable point keeps objective inf and adds every
+    grid point to the failure count; the others are scored as usual."""
+    model = baseline_model()
+    path = simulate_path(model, T=10.0, n=400, seed=4)
+    p = build_proxy(path.y, path.delta)
+    # far above the data: at the smallest constant the Gamma kernel puts
+    # no mass on any observation, at the larger ones it does
+    eval_grid = np.array([2.0, 2.5, 3.0])
+    choice = mse_grid_search(
+        lambda x: model.mu(x), p, np.array([0.01, 50.0, 80.0]), T=10.0,
+        eval_grid=eval_grid,
+    )
+    assert choice.objectives[0] == np.inf
+    assert np.all(np.isfinite(choice.objectives[1:]))
+    assert choice.failures == eval_grid.size
+    assert choice.c in (50.0, 80.0)

@@ -188,6 +188,19 @@ class TestEstimate:
         # the symmetric kernel has no support restriction at negative x
         assert data[0][header.index("gaussian_flag")] == ""
 
+    def test_all_negative_grid_flags_each_gamma_point(self, sim_dir, tmp_path):
+        rc = main([
+            "estimate", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--bandwidth", "0.05", "--family", "both",
+            "--grid=-0.2,-0.1",
+        ])
+        assert rc == 0
+        curves = tmp_path / "curves.csv"
+        flags = column(curves, "gamma_flag", cast=str)
+        assert flags == ["outside Gamma kernel support"] * 2
+        assert np.all(np.isnan(column(curves, "gamma_estimate")))
+        assert column(curves, "gaussian_flag", cast=str) == ["", ""]
+
     def test_variance_target_and_rot_bandwidth(self, sim_dir, tmp_path):
         rc = main([
             "estimate", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
@@ -454,6 +467,23 @@ class TestCi:
         for name in ("gaussian_center", "gaussian_lower", "gaussian_upper"):
             assert np.all(np.isfinite(column(bands, name)[below]))
 
+    def test_all_negative_grid_gives_gamma_gaps_and_exits_0(self, sim_dir, tmp_path):
+        rc = main([
+            "ci", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--bandwidth", "0.08", "--family", "both",
+            "--grid=-0.1,-0.05",
+        ])
+        assert rc == 0
+        bands = tmp_path / "bands.csv"
+        flags = column(bands, "gamma_flag", cast=str)
+        assert flags == ["estimate failed: outside Gamma kernel support"] * 2
+        for name in ("gamma_center", "gamma_lower", "gamma_upper",
+                     "length_ratio_sym_over_asym"):
+            assert np.all(np.isnan(column(bands, name)))
+        assert column(bands, "gaussian_flag", cast=str) == ["", ""]
+        for name in ("gaussian_center", "gaussian_lower", "gaussian_upper"):
+            assert np.all(np.isfinite(column(bands, name)))
+
     def test_m4_target_rejected(self, sim_dir, capsys):
         rc = main([
             "ci", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
@@ -531,6 +561,15 @@ class TestMcTable:
         ])
         assert rc == 2
         assert "eval-points" in capsys.readouterr().err
+
+    def test_adjusted_length_below_replicate_floor_exits_2(self, tmp_path, capsys):
+        rc = main([
+            "mc-table", "--experiment", "adjusted-length", "--T", "5", "--n", "300",
+            "--replicates", "10", "--eval-points", "0.1", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "--replicates" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flags", [
         pytest.param(["--mse-grid-size", "0"], id="grid_size_0"),

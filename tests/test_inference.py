@@ -164,6 +164,26 @@ def test_confidence_band_gaps():
     assert np.isfinite(band.lower[0])
 
 
+@pytest.mark.parametrize("curve, kwargs", [
+    pytest.param(_toy_curve([1.0, 2.0, 3.0]), {"n": 0}, id="n_0"),
+    pytest.param(_toy_curve([1.0, 2.0, 3.0]), {"delta": math.nan}, id="delta_nan"),
+    pytest.param(
+        _toy_curve([1.0, 2.0, 3.0], target=Target.FOURTH_MOMENT), {},
+        id="fourth_moment",
+    ),
+])
+def test_confidence_band_rejects_bad_arguments(curve, kwargs):
+    """Arguments raise up front instead of turning every point into a gap."""
+    comp = BandCompanions(
+        variance_numerator=np.array([0.12, 0.12, 0.12]),
+        density=np.array([2.0, 2.0, 2.0]),
+        curvature=np.array([3.0, 3.0, 3.0]),
+    )
+    args = {"alpha": 0.05, "n": 1000, "delta": 0.01, **kwargs}
+    with pytest.raises(ValueError):
+        confidence_band(curve, comp, **args)
+
+
 def test_confidence_band_knife_edge_uses_larger_variance():
     h = 0.05
     tau = 20.0

@@ -7,13 +7,16 @@ importer to an implementation detail and fails the test.  The package's
 own ``_version`` module is a module, not a name, and is allowed.  Array
 sums go through ``jdsmooth.summation``, never ``math.fsum(arr.tolist())``.
 Kernel densities are evaluated by ``jdsmooth.kernels`` alone, so no other
-module calls ``lgamma`` or ``np.exp``.
+module calls ``lgamma`` or ``np.exp``.  The package's export list
+``__all__`` is exactly the public names its ``__init__`` imports.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import jdsmooth
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "jdsmooth").glob("*.py"))
 
@@ -88,3 +91,24 @@ def test_kernel_arithmetic_stays_in_kernels(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [f"line {node.lineno}" for node in ast.walk(tree) if _kernel_arithmetic(node)]
     assert not calls, calls
+
+
+def test_exports_are_the_public_names_init_imports():
+    """Every name in ``jdsmooth.__all__`` resolves, and every public name
+    ``__init__`` imports is listed, so deleting a class from a module
+    breaks here rather than in a user's ``from jdsmooth import *``."""
+    init = next(p for p in SOURCES if p.name == "__init__.py")
+    tree = ast.parse(init.read_text(), filename=str(init))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unresolved = [name for name in jdsmooth.__all__ if not hasattr(jdsmooth, name)]
+    assert not unresolved, unresolved
+    unlisted = sorted(
+        name for name in imported
+        if not name.startswith("_") and name not in jdsmooth.__all__
+    )
+    assert not unlisted, unlisted

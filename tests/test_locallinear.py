@@ -15,11 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jdsmooth import locallinear
-from jdsmooth.errors import (
-    DegenerateDesignError,
-    EstimationError,
-    SparseRegionError,
-)
+from jdsmooth.errors import DegenerateDesignError, SparseRegionError
 from jdsmooth.kernels import KernelFamily, KernelSpec, gamma_kernel, weight_values
 from jdsmooth.locallinear import (
     LinearFitter,
@@ -350,16 +346,23 @@ def test_curve_records_failures_per_point():
         estimate_moment_curve(t, spec, np.array([0.5]), order=5)
 
 
-def test_curve_all_failed_raises():
+def test_curve_all_failed_records_every_point():
+    """A grid where every point fails is a curve of failures, not an error."""
     rng = np.random.default_rng(8)
     t = make_triples(rng, n=30, center=0.5, spread=0.1)
     spec = KernelSpec(KernelFamily.GAMMA, 0.05)
-    with pytest.raises(EstimationError):
-        estimate_drift_curve(t, spec, np.array([-1.0, -2.0]))
-    # the public estimators raise it, so the package exports it
+    curve = estimate_drift_curve(t, spec, np.array([-1.0, -2.0]))
+    assert curve.failures == dict.fromkeys((0, 1), "outside Gamma kernel support")
+    assert np.isnan(curve.values).all() and np.isnan(curve.slopes).all()
+    far = estimate_drift_curve(t, spec, np.array([40.0, 50.0]))
+    assert sorted(far.failures) == [0, 1]
+    assert np.isnan(far.values).all()
+    with pytest.raises(SparseRegionError):
+        local_linear_fit(t, Target.DRIFT, spec, 40.0)
+    # the class that used to carry the all-fail case is gone
     import jdsmooth
 
-    assert jdsmooth.EstimationError is EstimationError
+    assert not hasattr(jdsmooth, "EstimationError")
 
 
 def batch_test_triples():

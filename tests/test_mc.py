@@ -6,6 +6,7 @@ re-derivable from their own fields, and the QQ helper is checked on known
 samples.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -92,6 +93,34 @@ def test_coverage_not_degenerate_at_desk_scale():
     rep = run_coverage_experiment(small_config(replicates=40, n=800))
     gamma_rows = [r for r in rep.rows if r["family"] == "gamma"]
     assert gamma_rows[0]["coverage_pct"] > 50.0
+
+
+def test_gamma_points_all_below_zero_run_to_completion():
+    """A cell whose Gamma points all lie below 0 records each point's own
+    reason; the Gaussian cell beside it is unaffected."""
+    rep = run_coverage_experiment(small_config(eval_points=(-0.2, -0.1)))
+    for rec in rep.records:
+        if rec["family"] == "gamma":
+            assert not rec["ok"]
+            assert rec["reason"] == "estimate failed: outside Gamma kernel support"
+        else:
+            assert rec["ok"] and rec["reason"] == ""
+    rows = {row["family"]: row for row in rep.rows}
+    assert rows["gamma"]["replicates_ok"] == 0 and rows["gamma"]["failures"] == 8
+    assert rows["gaussian"]["replicates_ok"] == 8
+
+    # a state process far below 0: every point of the mse grid is outside
+    # the Gamma support
+    model = dataclasses.replace(baseline_model(), drift_intercept=-10.0, x0=-1.0)
+    rep = run_mse_experiment(small_config(model=model, mse_grid_size=5))
+    for rec in rep.records:
+        if rec["family"] == "gamma":
+            assert (rec["ok"], rec["mse"], rec["point_failures"]) == (False, None, 5)
+        else:
+            assert rec["ok"] and rec["mse"] > 0
+    rows = {row["family"]: row for row in rep.rows}
+    assert rows["gamma"]["replicates_ok"] == 0
+    assert rows["gamma"]["point_failures"] == 8 * 5
 
 
 def test_adjusted_length_experiment():
