@@ -198,7 +198,7 @@ def block_cv(
     off = triples.source_offset
     resp = triples.drift
     penalty = float(np.var(resp))
-    fitter = LinearFitter(family, triples.weight_points, triples.design_points, resp)
+    fitter = LinearFitter(family, triples)
 
     # proxy index i runs k+1 .. n-k in 1-based terms.  Triple j has design
     # point Xt_{j + off}: the one at i - off is predicted and the block
@@ -210,13 +210,12 @@ def block_cv(
     objectives = np.empty(h_grid.size)
     failures = 0
     for jh, h in enumerate(h_grid):
-        fits = fitter.fits(float(h), xs, held)
+        fits = fitter.fits(float(h), xs, [Target.DRIFT], held)
         done = np.flatnonzero(fits.ok)
         failures += centers.size - done.size
         scores = np.full(centers.size, penalty)
-        # squared by Python's float ** (libm pow), which can differ from
-        # numpy's x * x in the last bit
-        scores[done] = [r**2 for r in (ys[done] - fits.intercept[done]).tolist()]
+        r = ys[done] - fits.intercept[0, done]
+        scores[done] = r * r
         objectives[jh] = exact_sum(scores) / n
     best = int(np.argmin(objectives))
     return BandwidthChoice(

@@ -341,8 +341,7 @@ def _cmd_ci(o, cfg: dict) -> int:
     for fam in families:
         spec = KernelSpec(fam, h)
         bands[fam] = confidence_band(
-            estimate_curve(triples, spec, grid, o.target),
-            band_companions(p, triples, spec, grid, o.target),
+            *band_companions(p, triples, spec, grid, o.target),
             o.alpha, n=len(p), delta=p.delta, tau=o.tau, bias_correct=o.bias_correct,
         )
 
@@ -411,17 +410,13 @@ def _cmd_bandwidth(o, cfg: dict) -> int:
         pilot_h = _resolve_h(o, p, "pilot_h", "pilot_c")
         spec = KernelSpec(KernelFamily.GAMMA, pilot_h)
         triples = build_regression_triples(p)
-        try:
-            comp = band_companions(p, triples, spec, [o.x], o.target)
-            regime = classify_point(o.x, pilot_h, o.tau)
-            choice = asymptotic_h_opt(
-                o.x, n=len(p), delta=p.delta,
-                m_hat=float(comp.variance_numerator[0]),
-                p_hat=float(comp.density[0]), curvature=float(comp.curvature[0]),
-                regime=regime,
-            )
-        except (JdsmoothError, ValueError) as exc:
-            raise JdsmoothError(f"plug-in selection failed at x={o.x:g}: {exc}")
+        _, comp = band_companions(p, triples, spec, [o.x], o.target)
+        choice = asymptotic_h_opt(
+            o.x, n=len(p), delta=p.delta,
+            m_hat=float(comp.variance_numerator[0]),
+            p_hat=float(comp.density[0]), curvature=float(comp.curvature[0]),
+            regime=classify_point(o.x, pilot_h, o.tau),
+        )
 
     choice_csv = out / "bandwidth.csv"
     _write_table(
@@ -693,7 +688,8 @@ _COMMANDS = {
         _Opt("regime", "interior", choices={r.value: r for r in RegimeKind}),
         _Opt("h_grid", parse=_floats, help="candidate bandwidths, comma separated"),
         _num("k", cast=int, help="cross-validation block half-width"),
-        _num("x", help="evaluation point for the plug-in method"),
+        _num("x", rule=("nonnegative and finite", lambda x: math.isfinite(x) and x >= 0),
+             help="evaluation point for the plug-in method"),
         _num("pilot_h", rule=_POSITIVE),
         _num("pilot_c"),
         _TARGET,

@@ -156,30 +156,31 @@ def band_companions(
     kernel: KernelSpec,
     grid,
     target: Target,
-) -> BandCompanions:
-    """Companion estimates for a band around the target curve on a grid.
+) -> tuple[CurveEstimate, BandCompanions]:
+    """The target curve on a grid, as ``estimate_curve`` gives it, and the
+    companion estimates of its band.
 
     At each grid point: the local linear estimate of the variance
     numerator (M_hat for drift, the fourth moment for conditional
-    variance), the kernel density of the proxy, and the pilot curvature
-    of the target, the first and last by one ``LinearFitter`` call each
-    and the density by one ``densities`` call over the supported points.
-    A point where one of them cannot be estimated (outside the Gamma
-    support, a sparse region, a degenerate design) holds NaN there, which
-    ``confidence_band`` turns into a gap.
+    variance), fitted with the curve from the same weights by one
+    ``LinearFitter.fits`` call; the pilot curvature of the target, by one
+    ``curvatures`` call; the kernel density of the proxy, by one
+    ``densities`` call over the supported points.  A point where one of
+    them cannot be estimated (outside the Gamma support, a sparse region,
+    a degenerate design) holds NaN there, which ``confidence_band`` turns
+    into a gap.
     """
     if target not in NUMERATOR_TARGET:
         raise ValueError(f"no limit theory wired for target {target!r}")
     companion = NUMERATOR_TARGET[target]
-    h, u, d = kernel.bandwidth, triples.weight_points, triples.design_points
-    fitter = LinearFitter(kernel.family, u, d, triples.response(companion))
-    fits = fitter.fits(h, grid)
-    numerator = np.where(fits.ok, fits.intercept, np.nan)
-    fitter = LinearFitter(kernel.family, u, d, triples.response(target))
-    curvature, _ = fitter.curvatures(h, fits.x)
+    fitter = LinearFitter(kernel.family, triples)
+    fits = fitter.fits(kernel.bandwidth, grid, [target, companion])
+    numerator = np.where(fits.ok, fits.intercept[1], np.nan)
+    curvature, _ = fitter.curvatures(kernel.bandwidth, fits.x, target)
     density = np.full(fits.x.size, np.nan)
     density[~fits.outside] = densities(p, kernel, fits.x[~fits.outside])
-    return BandCompanions(numerator, density, curvature)
+    curve = CurveEstimate.of(fits, kernel, target)
+    return curve, BandCompanions(numerator, density, curvature)
 
 
 @dataclass(frozen=True)

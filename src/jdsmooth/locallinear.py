@@ -44,7 +44,8 @@ _MASS_FLOOR = 1e-300
 _PILOT_FACTOR = 2.0
 
 # terms one batch of fits sends through the exact engine: 8 points of a
-# 1000-point series at 5 product rows per point (a line), 3 at 11 (a cubic)
+# 1000-point series at 5 product rows per point (one line), 5 at 7 (two
+# lines, a band's), 3 at 11 (a cubic)
 _BATCH_TERMS = 40 * CHUNK
 
 
@@ -65,16 +66,19 @@ class LocalFit:
 
 @dataclass(frozen=True)
 class LocalFits:
-    """Local linear fits at r points x, as arrays of r entries.
+    """Local linear fits of several targets at r points x.
 
-    ``outside`` marks points below the Gamma support (not fitted),
-    ``sparse`` fits with no kernel mass and ``degenerate`` fits whose
-    weighted design is collinear (determinant ``det`` at or below the
-    floor); the other entries of a failed fit mean nothing.  ``at(i)``
-    gives row i as a ``LocalFit`` or raises the error it failed with.
+    ``intercept`` and ``slope`` hold a row of r entries per target of
+    ``targets``; the other arrays, one entry per point, depend only on the
+    weights and the design and serve every target.  ``outside`` marks
+    points below the Gamma support (not fitted), ``sparse`` fits with no
+    kernel mass and ``degenerate`` fits whose weighted design is collinear
+    (determinant ``det`` at or below the floor); the other entries of a
+    failed fit mean nothing.
     """
 
     x: np.ndarray
+    targets: tuple[Target, ...]
     intercept: np.ndarray
     slope: np.ndarray
     weight_mass: np.ndarray
@@ -100,16 +104,6 @@ class LocalFits:
             )
         return None
 
-    def at(self, i: int) -> LocalFit:
-        exc = self.error(i)
-        if exc is not None:
-            raise exc
-        return LocalFit(
-            intercept=float(self.intercept[i]),
-            slope=float(self.slope[i]),
-            weight_mass=float(self.weight_mass[i]),
-        )
-
 
 @dataclass(frozen=True)
 class CurveEstimate:
@@ -126,42 +120,52 @@ class CurveEstimate:
         if not (len(self.grid) == len(self.values) == len(self.slopes)):
             raise ValueError("grid, values and slopes must have equal length")
 
+    @classmethod
+    def of(cls, fits: LocalFits, kernel: KernelSpec, target: Target) -> CurveEstimate:
+        """One target's curve from ``fits``, NaN and a reason where they failed."""
+        failures = {
+            i: "outside Gamma kernel support" if fits.outside[i] else str(fits.error(i))
+            for i in np.flatnonzero(~fits.ok).tolist()
+        }
+        j = fits.targets.index(target)
+        est = np.where(fits.ok, [fits.intercept[j], fits.slope[j]], np.nan)
+        return cls(fits.x, est[0], est[1], kernel, target, failures)
+
 
 def _power_products(
-    out: np.ndarray, k: np.ndarray, t: np.ndarray, y: np.ndarray, degree: int
+    out: np.ndarray, k: np.ndarray, t: np.ndarray, ys: np.ndarray, degree: int
 ) -> None:
-    """Fill the rows of out with k t^j (j = 0..2 degree), then k y t^j
-    (j = 0..degree), each power built as the iterated product k t t ..."""
+    """Fill the rows of out with k t^j (j = 0..2 degree), then for each
+    response y of ys k y t^j (j = 0..degree), each power built as the
+    iterated product k t t ..."""
     np.copyto(out[0], k)
     for j in range(1, 2 * degree + 1):
         np.multiply(out[j - 1], t, out=out[j])
     base = 2 * degree + 1
-    np.multiply(k, y, out=out[base])
-    for j in range(base + 1, base + degree + 1):
-        np.multiply(out[j - 1], t, out=out[j])
+    for y in ys:
+        np.multiply(k, y, out=out[base])
+        for j in range(base + 1, base + degree + 1):
+            np.multiply(out[j - 1], t, out=out[j])
+        base += degree + 1
 
 
 def _power_sums(
-    k: np.ndarray,
-    t: np.ndarray,
-    y: np.ndarray,
-    degree: int,
-    work: np.ndarray | None = None,
+    k: np.ndarray, t: np.ndarray, ys: np.ndarray, degree: int, work=None
 ) -> tuple[list, list]:
     """Kernel-weighted power sums of a local polynomial fit of this degree.
 
     k and t hold one row of n terms, or a block of r rows of n terms each
-    (one per evaluation point); y holds the n responses.  Returns [sum k
-    t^j for j = 0..2 degree] and [sum k y t^j for j = 0..degree], summed
-    exactly: one float per sum for a row, a list of r floats for a block.
-    The products are built CHUNK columns at a time into one work array
-    (``work`` when given, at least 5 (3 degree + 2) r min(n, CHUNK) long),
-    so memory does not grow with the sample; only a term the engine leaves
-    to ``math.fsum`` (non-finite, or 2^500 or more) sends the whole rows
-    through it at once.
+    (one per evaluation point); ys holds m rows of n responses.  Returns
+    [sum k t^j for j = 0..2 degree] and [sum k y t^j for j = 0..degree]
+    for each y of ys in turn, summed exactly: one float per sum for a row,
+    a list of r floats for a block.  The products are built CHUNK columns
+    at a time into one work array (``work``, when given: 5 min(n, CHUNK)
+    entries or more per product row), so memory does not grow with the
+    sample; only a term the engine leaves to ``math.fsum`` (non-finite, or
+    2^500 or more) sends the whole rows through it at once.
     """
     n = k.shape[-1]
-    shape = (3 * degree + 2,) + k.shape[:-1]
+    shape = (2 * degree + 1 + len(ys) * (degree + 1),) + k.shape[:-1]
     rows = math.prod(shape)
     size = rows * min(n, CHUNK)
     work = np.empty(5 * size) if work is None else work
@@ -170,36 +174,39 @@ def _power_sums(
         cols = slice(start, start + CHUNK)
         width = min(CHUNK, n - start)
         part = work[: rows * width].reshape(shape + (width,))
-        _power_products(part, k[..., cols], t[..., cols], y[cols], degree)
+        _power_products(part, k[..., cols], t[..., cols], ys[:, cols], degree)
         sums.add(part.reshape(rows, width), work[size:])
     totals = sums.totals()
     if None in totals:
         block = np.empty(shape + (n,))
-        _power_products(block, k, t, y, degree)
+        _power_products(block, k, t, ys, degree)
         totals = exact_row_sums(block.reshape(rows, n))
     totals = np.reshape(totals, shape).tolist()
     return totals[: 2 * degree + 1], totals[2 * degree + 1 :]
 
 
 class LinearFitter:
-    """Local polynomial fits of the responses y on the design points d,
-    with kernel weights of one family at the weight points u.
+    """Local polynomial fits of the triples' responses on their design
+    points, with kernel weights of one family at their weight points.
 
-    ``fits`` fits a line and ``curvatures`` a cubic at every point of xs,
-    with the weights of one ``KernelPlan`` evaluated a batch of points at
-    a time, so memory does not grow with len(xs).  Points below the Gamma
-    support are flagged, not fitted; a non-finite point raises ValueError.
-    Each point's result is the one it gives alone, whatever its batch.
+    ``fits`` fits lines to several targets and ``curvatures`` a cubic to
+    one at every point of xs, with the weights of one ``KernelPlan``
+    evaluated a batch of points at a time, so memory does not grow with
+    len(xs).  Points below the Gamma support are flagged, not fitted; an
+    empty, multidimensional or non-finite xs raises ValueError.  Each
+    point's result is the one it gives alone, whatever its batch and the
+    other targets.
     """
 
-    def __init__(self, family: KernelFamily, u, d: np.ndarray, y: np.ndarray):
-        self.plan = KernelPlan(family, u)
-        self.d = d
-        self.y = y
+    def __init__(self, family: KernelFamily, triples: RegressionTriples):
+        self.plan = KernelPlan(family, triples.weight_points)
+        self.triples = triples
 
     def _points(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """xs as an array, and whether each point lies below the support."""
         xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 1 or xs.size == 0:
+            raise ValueError("grid must be a nonempty one-dimensional array")
         if not np.isfinite(xs).all():
             x = float(xs[~np.isfinite(xs)][0])
             raise ValueError(f"evaluation point must be finite, got {x!r}")
@@ -210,7 +217,7 @@ class LinearFitter:
         points of xs not outside, _BATCH_TERMS terms a batch at ``rows``
         product rows per point."""
         fitted = np.flatnonzero(~outside)
-        n = self.d.size
+        d, n = self.triples.design_points, len(self.triples)
         batch = max(_BATCH_TERMS // (rows * max(n, 1)), 1)
         # the engine's work array, allocated once per call
         work = np.empty(5 * rows * min(batch, fitted.size) * min(n, CHUNK))
@@ -220,41 +227,47 @@ class LinearFitter:
             if held is not None:
                 for row, (a, b) in zip(k, np.asarray(held)[idx].tolist()):
                     row[a:b] = 0.0
-            dx = self.d - xs[idx, None]
+            dx = d - xs[idx, None]
             # live: a weight above the mass floor; scale: max |dx| where k > 0
             live = np.maximum.reduce(k, axis=-1, initial=0.0) > _MASS_FLOOR
             scale = np.where(k > 0.0, np.abs(dx), 0.0).max(axis=-1, initial=0.0)
             yield idx, k, dx, live, scale, work
 
-    def fits(self, h: float, xs, held=None) -> LocalFits:
-        """Local linear fits at bandwidth h.  ``held[i] = (a, b)``, when
-        given, zeroes point i's weights on that slice, which drops those
-        observations (how block cross-validation holds a block out)."""
+    def fits(self, h: float, xs, targets, held=None) -> LocalFits:
+        """Local linear fits of each target of ``targets`` at bandwidth h
+        from one weight block: s0, s1, s2 and the flags once per point, t0
+        and t1 once per target.  ``held[i] = (a, b)``, when given, zeroes
+        point i's weights on that slice, which drops those observations
+        (how block cross-validation holds a block out)."""
         xs, outside = self._points(xs)
-        nans, flags = np.full((4, xs.size), np.nan), np.zeros((2, xs.size), bool)
-        fits = LocalFits(xs, *nans, outside, *flags)
-        for idx, k, dx, live, scale, work in self._batches(h, xs, outside, 5, held):
+        m, r = len(targets), xs.size
+        ys = np.array([self.triples.response(target) for target in targets])
+        fits = LocalFits(
+            xs, tuple(targets), *np.full((2, m, r), np.nan), *np.full((2, r), np.nan),
+            outside, *np.zeros((2, r), bool),
+        )
+        rows = 3 + 2 * m
+        for idx, k, dx, live, scale, work in self._batches(h, xs, outside, rows, held):
             if not live.all():
                 # rows without kernel mass are summed as zeros, which no
                 # term can turn into an exception, and then flagged sparse
                 k = np.where(live[:, None], k, 0.0)
-            design, rhs = _power_sums(k, dx, self.y, 1, work)
-            s0, s1, s2, t0, t1 = np.array(design + rhs)
-            # Python's float ** (libm pow), as always: numpy's x * x differs
-            # from it in the last bit for about 0.1% of doubles
-            floor = [(a * b) ** 2 for a, b in zip(s0.tolist(), scale.tolist())]
+            design, rhs = _power_sums(k, dx, ys, 1, work)
+            s0, s1, s2 = np.array(design)
+            t0, t1 = np.array(rhs).reshape(m, 2, -1).transpose(1, 0, 2)
             with np.errstate(all="ignore"):
                 det = fits.det[idx] = s0 * s2 - s1 * s1
-                fits.intercept[idx] = (s2 * t0 - s1 * t1) / det
-                fits.slope[idx] = (s0 * t1 - s1 * t0) / det
+                fits.intercept[:, idx] = (s2 * t0 - s1 * t1) / det
+                fits.slope[:, idx] = (s0 * t1 - s1 * t0) / det
+                floor = s0 * scale
+                flat = (scale <= 0.0) | (det <= _DEGENERACY_RTOL * (floor * floor))
             fits.weight_mass[idx] = s0
             sparse = fits.sparse[idx] = ~(live & (s0 > _MASS_FLOOR))
-            flat = (scale <= 0.0) | (det <= _DEGENERACY_RTOL * np.array(floor))
             fits.degenerate[idx] = flat & ~sparse
         return fits
 
-    def curvatures(self, h: float, xs) -> tuple[np.ndarray, list]:
-        """Second derivatives of the response by local cubic fits at the
+    def curvatures(self, h: float, xs, target: Target) -> tuple[np.ndarray, list]:
+        """Second derivatives of the target by local cubic fits at the
         pilot bandwidth _PILOT_FACTOR h, since curvature needs a wider
         window than the level fit: the values (NaN where a fit failed) and
         each point's error (None where it succeeded).  Each row's design is
@@ -265,11 +278,12 @@ class LinearFitter:
         values = np.full(xs.size, np.nan)
         errors = [_outside_support(x) if o else None for x, o in zip(xs, outside)]
         pilot = _PILOT_FACTOR * h
+        ys = self.triples.response(target)[None]
         for idx, k, dx, live, scale, work in self._batches(pilot, xs, outside, 11):
             # a row without mass or spread is summed with t = 0 and fails
             spread = live & (scale > 0.0)
             t = dx / np.where(spread, scale, np.inf)[:, None]
-            design, rhs = _power_sums(k, t, self.y, 3, work)
+            design, rhs = _power_sums(k, t, ys, 3, work)
             # Hankel index: entry (a, b) of the moment matrix is sum k t^(a + b)
             moment = np.array(design).T[:, np.add.outer(range(4), range(4))]
             sv = np.linalg.svd(moment, compute_uv=False)
@@ -291,8 +305,12 @@ def local_linear_fit(
     triples: RegressionTriples, target: Target, kernel: KernelSpec, x: float
 ) -> LocalFit:
     """Fit the chosen response at x; see the module docstring for the form."""
-    u, d, y = triples.weight_points, triples.design_points, triples.response(target)
-    return LinearFitter(kernel.family, u, d, y).fits(kernel.bandwidth, [x]).at(0)
+    fits = LinearFitter(kernel.family, triples).fits(kernel.bandwidth, [x], [target])
+    if not fits.ok[0]:
+        raise fits.error(0)
+    return LocalFit(
+        float(fits.intercept[0, 0]), float(fits.slope[0, 0]), float(fits.weight_mass[0])
+    )
 
 
 def estimate_curve(
@@ -310,20 +328,8 @@ def estimate_curve(
     even when that is every point; only an empty or non-finite grid
     raises (ValueError).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty one-dimensional array")
-    u, d, y = triples.weight_points, triples.design_points, triples.response(target)
-    fits = LinearFitter(kernel.family, u, d, y).fits(kernel.bandwidth, grid)
-    failures = {
-        i: "outside Gamma kernel support" if fits.outside[i] else str(fits.error(i))
-        for i in np.flatnonzero(~fits.ok).tolist()
-    }
-    est = np.where(fits.ok, [fits.intercept, fits.slope], np.nan)
-    return CurveEstimate(
-        grid=grid, values=est[0], slopes=est[1], kernel=kernel, target=target,
-        failures=failures,
-    )
+    fits = LinearFitter(kernel.family, triples).fits(kernel.bandwidth, grid, [target])
+    return CurveEstimate.of(fits, kernel, target)
 
 
 def estimate_drift_curve(
@@ -385,9 +391,8 @@ def estimate_second_derivative(
     """Second derivative of the target function at x via a local cubic fit
     at twice the kernel's bandwidth: the one-point case of
     ``LinearFitter.curvatures``."""
-    u, d, y = triples.weight_points, triples.design_points, triples.response(target)
-    fitter = LinearFitter(kernel.family, u, d, y)
-    values, errors = fitter.curvatures(kernel.bandwidth, [x])
+    fitter = LinearFitter(kernel.family, triples)
+    values, errors = fitter.curvatures(kernel.bandwidth, [x], target)
     if errors[0] is not None:
         # popped: no reference cycle keeps this frame and its fitter alive
         raise errors.pop()

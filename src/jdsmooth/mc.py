@@ -280,11 +280,9 @@ def _pointwise_replicate(cfg: McConfig, r: int) -> list[dict]:
         h = setting.resolve(s, cfg.T)
         for family in cfg.families:
             spec = KernelSpec(family, h)
-            curve = estimate_curve(triples, spec, grid, cfg.target)
+            curve, companions = band_companions(p, triples, spec, grid, cfg.target)
             band = confidence_band(
-                curve,
-                band_companions(p, triples, spec, grid, cfg.target),
-                cfg.alpha, n=cfg.n, delta=p.delta, tau=cfg.tau,
+                curve, companions, cfg.alpha, n=cfg.n, delta=p.delta, tau=cfg.tau
             )
             for i, x in enumerate(grid.tolist()):
                 rec = {

@@ -157,7 +157,8 @@ def test_block_cv_matches_brute_force_leave_block_out(family, k):
                 terms.append(penalty)
                 failures += 1
                 continue
-            terms.append((y_i - fit.intercept) ** 2)
+            r = y_i - fit.intercept
+            terms.append(r * r)
         assert objective == math.fsum(terms) / n
     assert choice.failures == failures
 
@@ -196,7 +197,8 @@ def brute_force_block_cv(p, h_grid, k, family):
                 terms.append(penalty)
                 failures += 1
                 continue
-            terms.append((float(t.drift[i - t.source_offset]) - fit.intercept) ** 2)
+            r = float(t.drift[i - t.source_offset]) - fit.intercept
+            terms.append(r * r)
         objectives.append(math.fsum(terms) / n)
     return objectives, failures
 

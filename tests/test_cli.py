@@ -406,6 +406,24 @@ class TestBandwidthCommand:
         assert "--bandwidth" not in err and "--rot-c" not in err
         assert not (tmp_path / "bandwidth.csv").exists()
 
+    def test_plugin_point_below_the_support_exits_2(self, sim_dir, tmp_path, capsys):
+        rc = main([
+            "bandwidth", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--method", "plugin", "--x", "-0.1",
+        ])
+        assert rc == 2
+        assert "x (--x) must be nonnegative" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_plugin_point_without_kernel_mass_exits_4(self, sim_dir, tmp_path, capsys):
+        rc = main([
+            "bandwidth", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--method", "plugin", "--x", "1000",
+        ])
+        assert rc == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_plugin_selects_positive_h(self, sim_dir, tmp_path):
         rc = main([
             "bandwidth", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",

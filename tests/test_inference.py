@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jdsmooth import locallinear
 from jdsmooth.errors import DataError, NotIdentifiableError
 from jdsmooth.inference import (
     BandCompanions,
@@ -27,6 +28,7 @@ from jdsmooth.inference import (
 )
 from jdsmooth.kernels import (
     KernelFamily,
+    KernelPlan,
     KernelSpec,
     PointRegime,
     RegimeKind,
@@ -268,7 +270,7 @@ def test_band_companions_per_target_and_nan_outside_support(
         Target.COND_VARIANCE: estimate_moment_curve(t, spec, grid, 4).values,
     }
     for target, numerator in numerators.items():
-        comp = band_companions(p, t, spec, grid, target)
+        _, comp = band_companions(p, t, spec, grid, target)
         for arr in (comp.variance_numerator, comp.density, comp.curvature):
             assert np.isnan(arr[0])
         np.testing.assert_array_equal(comp.variance_numerator, numerator)
@@ -278,6 +280,45 @@ def test_band_companions_per_target_and_nan_outside_support(
             assert comp.curvature[i] == curvature_oracle(t, target, spec, x)
     with pytest.raises(ValueError):
         band_companions(p, t, spec, grid, Target.FOURTH_MOMENT)
+
+
+@pytest.mark.parametrize("target", [Target.DRIFT, Target.COND_VARIANCE])
+@pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
+def test_band_curve_is_the_estimated_curve(sim_series, family, target):
+    # the curve comes from the band's own two-target fit; points below 0,
+    # at 0 and with no kernel mass (x = 40) included
+    p, t = sim_series
+    spec = KernelSpec(family, 0.08)
+    grid = np.array([-0.05, 0.0, 0.05, 0.12, 0.2, 40.0])
+    curve, _ = band_companions(p, t, spec, grid, target)
+    want = estimate_curve(t, spec, grid, target)
+    np.testing.assert_array_equal(curve.grid, want.grid)
+    np.testing.assert_array_equal(curve.values, want.values)
+    np.testing.assert_array_equal(curve.slopes, want.slopes)
+    assert curve.failures == want.failures and 5 in curve.failures
+    assert curve.kernel == spec and curve.target is target
+
+
+def test_band_weighs_each_point_once_at_the_bandwidth(sim_series, monkeypatch):
+    """The curve and its companion share one weight block per batch: the
+    triples' plan is asked for each supported point's weights at h once,
+    in batches sized for 7 product rows per point."""
+    p, t = sim_series
+    calls = []
+    weights = KernelPlan.weights
+
+    def spy(plan, h, xs):
+        calls.append((plan.size, h, np.atleast_1d(xs).tolist()))
+        return weights(plan, h, xs)
+
+    monkeypatch.setattr(KernelPlan, "weights", spy)
+    spec = KernelSpec(KernelFamily.GAMMA, 0.08)
+    grid = np.concatenate([[-0.05], np.linspace(0.0, 0.3, 11)])
+    band_companions(p, t, spec, grid, Target.DRIFT)
+    at_h = [xs for size, h, xs in calls if size == len(t) and h == spec.bandwidth]
+    assert [x for xs in at_h for x in xs] == grid[1:].tolist()
+    batch = locallinear._BATCH_TERMS // (7 * len(t))
+    assert len(at_h) == -(-(grid.size - 1) // batch)
 
 
 @pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
@@ -303,11 +344,21 @@ def test_band_companions_memory_does_not_grow_with_the_grid(family):
 
 def test_band_companions_never_raise_when_every_point_fails(sim_series):
     p, t = sim_series
-    comp = band_companions(
+    _, comp = band_companions(
         p, t, KernelSpec(KernelFamily.GAMMA, 0.08), [-0.2, -0.1], Target.DRIFT
     )
     for arr in (comp.variance_numerator, comp.density, comp.curvature):
         assert np.all(np.isnan(arr))
+
+
+@pytest.mark.parametrize("grid", [[], [[0.05, 0.1], [0.12, 0.2]]], ids=["empty", "2d"])
+def test_band_companions_reject_a_grid_that_is_not_a_list_of_points(sim_series, grid):
+    # an argument error, as for estimate_curve, whose curve the band is
+    p, t = sim_series
+    spec = KernelSpec(KernelFamily.GAUSSIAN, 0.08)
+    for call in (band_companions, lambda *a: estimate_curve(*a[1:])):
+        with pytest.raises(ValueError, match="nonempty one-dimensional"):
+            call(p, t, spec, grid, Target.DRIFT)
 
 
 @pytest.mark.parametrize("c", [0.5, 3.0])
@@ -331,7 +382,7 @@ def test_estimates_and_drift_band_scale_with_the_data(c):
             drift = estimate_curve(t, spec, g, Target.DRIFT)
             m = estimate_curve(t, spec, g, Target.COND_VARIANCE)
             band = confidence_band(
-                drift, band_companions(p, t, spec, g, Target.DRIFT), 0.05,
+                drift, band_companions(p, t, spec, g, Target.DRIFT)[1], 0.05,
                 n=len(p), delta=p.delta,
             )
             out[family] = (drift, m, band)

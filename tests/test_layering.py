@@ -7,7 +7,9 @@ importer to an implementation detail and fails the test.  The package's
 own ``_version`` module is a module, not a name, and is allowed.  Array
 sums go through ``jdsmooth.summation``, never ``math.fsum(arr.tolist())``.
 Kernel densities are evaluated by ``jdsmooth.kernels`` alone, so no other
-module calls ``lgamma`` or ``np.exp``.  The package's export list
+module calls ``lgamma`` or ``np.exp``.  The triples' weight and design
+points are read by ``proxy``, which builds them, and by ``locallinear``,
+whose ``LinearFitter`` owns them for every fit.  The package's export list
 ``__all__`` is exactly the public names its ``__init__`` imports.
 """
 
@@ -91,6 +93,24 @@ def test_kernel_arithmetic_stays_in_kernels(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [f"line {node.lineno}" for node in ast.walk(tree) if _kernel_arithmetic(node)]
     assert not calls, calls
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p.name not in ("proxy.py", "locallinear.py")],
+    ids=lambda p: p.name,
+)
+def test_triples_points_stay_in_the_fitter(path):
+    """Fits take the triples whole (``LinearFitter(family, triples)``), so
+    no other module unpacks ``.weight_points`` or ``.design_points``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("weight_points", "design_points")
+    ]
+    assert not reads, reads
 
 
 def test_exports_are_the_public_names_init_imports():

@@ -114,7 +114,7 @@ def test_power_sums_memory_does_not_grow_with_n(degree):
         y = rng.standard_normal(n)
         tracemalloc.start()
         try:
-            _power_sums(k, t, y, degree)
+            _power_sums(k, t, y[None], degree)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -419,6 +419,38 @@ def test_curve_batches_match_one_point_fits(family, target):
             estimate_curve(t, spec, grid, target)
 
 
+@pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
+def test_multi_target_fits_equal_one_target_fits(family):
+    # the four targets share each batch's weight block; every row, with and
+    # without held-out blocks, is the one fitting that target alone gives.
+    # Inside the batches: a point below 0, x = 0, a point with no kernel
+    # mass (x = 100) and one whose design is collinear (the cluster at 3)
+    t = batch_test_triples()
+    targets = [Target.SIXTH_MOMENT, Target.DRIFT, Target.FOURTH_MOMENT,
+               Target.COND_VARIANCE]
+    batch = locallinear._BATCH_TERMS // ((3 + 2 * len(targets)) * len(t.drift))
+    grid = np.linspace(0.25, 0.95, 26)
+    for i, x in [(3, -0.1), (5, 0.0), (11, 100.0), (13, 3.0)]:
+        grid = np.insert(grid, i, x)
+    assert 1 < batch and 3 * batch < grid.size
+    starts = np.random.default_rng(2).integers(0, len(t.drift) - 40, grid.size)
+    fitter = LinearFitter(family, t)
+    for held in (None, np.column_stack([starts, starts + 40])):
+        fits = fitter.fits(0.02, grid, targets, held)
+        assert fits.targets == tuple(targets)
+        assert fits.intercept.shape == fits.slope.shape == (len(targets), grid.size)
+        assert fits.sparse.any() and fits.degenerate.any() and fits.ok.any()
+        assert fits.outside.any() == (family is KernelFamily.GAMMA)
+        for j, target in enumerate(targets):
+            alone = fitter.fits(0.02, grid, [target], held)
+            np.testing.assert_array_equal(fits.intercept[j], alone.intercept[0])
+            np.testing.assert_array_equal(fits.slope[j], alone.slope[0])
+            for name in ("weight_mass", "det", "outside", "sparse", "degenerate"):
+                np.testing.assert_array_equal(
+                    getattr(fits, name), getattr(alone, name), err_msg=name
+                )
+
+
 def cubic_test_triples():
     """1,000 triples spread over [0.2, 1] plus two clusters of 10 far from
     them: at weight and design point 50 (no design spread), and at weight
@@ -450,8 +482,8 @@ def test_curvature_batches_match_the_per_point_cubic(family, target, curvature_o
         grid = np.insert(grid, i, x)
     assert 1 < batch and 3 * batch < grid.size
     spec = KernelSpec(family, 0.02)
-    fitter = LinearFitter(family, t.weight_points, t.design_points, t.response(target))
-    values, errors = fitter.curvatures(spec.bandwidth, grid)
+    fitter = LinearFitter(family, t)
+    values, errors = fitter.curvatures(spec.bandwidth, grid, target)
     kinds = set()
     for i, x in enumerate(grid.tolist()):
         try:
@@ -478,10 +510,10 @@ def test_non_finite_points_raise_in_both_families(family, x):
     # one rule for every family, and no numpy warning on the way
     t = make_triples(np.random.default_rng(3))
     spec = KernelSpec(family, 0.1)
-    fitter = LinearFitter(family, t.weight_points, t.design_points, t.drift)
+    fitter = LinearFitter(family, t)
     for call in (
-        lambda: fitter.fits(0.1, [0.5, x]),
-        lambda: fitter.curvatures(0.1, [0.5, x]),
+        lambda: fitter.fits(0.1, [0.5, x], [Target.DRIFT]),
+        lambda: fitter.curvatures(0.1, [0.5, x], Target.DRIFT),
         lambda: estimate_curve(t, spec, [0.5, x], Target.DRIFT),
         lambda: local_linear_fit(t, Target.DRIFT, spec, x),
         lambda: estimate_second_derivative(t, Target.DRIFT, spec, x),

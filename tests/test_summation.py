@@ -162,7 +162,7 @@ def test_power_sums_of_small_bandwidth_weights(family):
     block = np.array(rows)
     assert_rows_match(block)
     want = [math.fsum(row.tolist()) for row in block]
-    design, rhs = _power_sums(k, t, y, 3)
+    design, rhs = _power_sums(k, t, y[None], 3)
     assert design + rhs == want
 
 
@@ -199,7 +199,7 @@ def test_power_sums_hand_non_finite_products_to_fsum():
     t = np.array([1e200, -1.0, math.inf, 3.0] * 600)
     y = np.ones(k.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        design, rhs = _power_sums(k, t, y, 1)
+        design, rhs = _power_sums(k, t, y[None], 1)
         rows = [k, k * t, k * t * t, k * y, k * y * t]
     for got, row in zip(design + rhs, rows):
         assert_same(got, fsum_outcome(row.tolist()))
