@@ -16,13 +16,15 @@ bias against variance pointwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import pool
 from .errors import SparseRegionError
 from .inference import asymptotic_moments
 from .kernels import KernelFamily, KernelSpec, PointRegime, RegimeKind
@@ -159,6 +161,30 @@ def mse_grid_search(
     )
 
 
+class _FoldJob(NamedTuple):
+    """What every block-CV candidate shares: the fitter and the folds."""
+
+    fitter: LinearFitter
+    xs: np.ndarray
+    ys: np.ndarray
+    held: np.ndarray
+    penalty: float
+    n: int
+
+
+def _score_candidates(job: _FoldJob, hs) -> list[tuple[float, int]]:
+    """(objective, failed folds) of each candidate bandwidth in hs."""
+    scored = []
+    for h in hs:
+        fits = job.fitter.fits(float(h), job.xs, [Target.DRIFT], job.held)
+        done = np.flatnonzero(fits.ok)
+        scores = np.full(job.xs.size, job.penalty)
+        r = job.ys[done] - fits.intercept[0, done]
+        scores[done] = r * r
+        scored.append((exact_sum(scores) / job.n, job.xs.size - done.size))
+    return scored
+
+
 def block_cv(
     p: ProxySeries,
     h_grid=None,
@@ -177,6 +203,14 @@ def block_cv(
     discarding them.  On ties the smallest bandwidth wins.  A candidate's
     folds go through one ``LinearFitter.fits`` call with their blocks as
     ``held``; each objective is the one fitting folds one by one gives.
+
+    The sorted candidates are split into contiguous chunks, one per
+    usable CPU, and scored on forked worker processes
+    (``pool.map_in_order``).  They are scored serially where that pool
+    runs inline: one usable CPU or candidate, no fork start method, inside
+    a multiprocessing child, or while other threads are alive.  Every sum
+    is exact, so objectives, failures and the choice are identical for
+    any CPU count.
     """
     n = len(p)
     if k is None:
@@ -197,26 +231,29 @@ def block_cv(
     triples = build_regression_triples(p)
     off = triples.source_offset
     resp = triples.drift
-    penalty = float(np.var(resp))
-    fitter = LinearFitter(family, triples)
 
     # proxy index i runs k+1 .. n-k in 1-based terms.  Triple j has design
     # point Xt_{j + off}: the one at i - off is predicted and the block
     # [i - k, i + k] is held out, clamped at the start of the series
     centers = np.arange(k + 1, n - k + 1)
-    xs = p.values[centers - 1]
-    ys = resp[centers - off]
-    held = np.column_stack([np.maximum(centers - k - off, 0), centers + k + 1 - off])
-    objectives = np.empty(h_grid.size)
-    failures = 0
-    for jh, h in enumerate(h_grid):
-        fits = fitter.fits(float(h), xs, [Target.DRIFT], held)
-        done = np.flatnonzero(fits.ok)
-        failures += centers.size - done.size
-        scores = np.full(centers.size, penalty)
-        r = ys[done] - fits.intercept[0, done]
-        scores[done] = r * r
-        objectives[jh] = exact_sum(scores) / n
+    job = _FoldJob(
+        fitter=LinearFitter(family, triples),
+        xs=p.values[centers - 1],
+        ys=resp[centers - off],
+        held=np.column_stack(
+            [np.maximum(centers - k - off, 0), centers + k + 1 - off]
+        ),
+        penalty=float(np.var(resp)),
+        n=n,
+    )
+    chunks = np.array_split(h_grid, min(h_grid.size, pool.usable_cpus()))
+    scored = [
+        s
+        for chunk in pool.map_in_order(functools.partial(_score_candidates, job), chunks)
+        for s in chunk
+    ]
+    objectives = np.array([objective for objective, _ in scored])
+    failures = sum(failed for _, failed in scored)
     best = int(np.argmin(objectives))
     return BandwidthChoice(
         h=float(h_grid[best]),

@@ -195,24 +195,23 @@ def simulate_path(model: ModelSpec, T: float, n: int, seed: int) -> SamplePath:
     a0, a1 = model.drift_intercept, model.drift_slope
     b0, b1 = model.diffusion_const, model.diffusion_quad
 
-    x = np.empty(n + 1)
-    y = np.empty(n + 1)
-    x[0] = model.x0
-    y[0] = model.y0
+    # Python floats step faster than numpy scalars and round the same
     xi = model.x0
     yi = model.y0
-    for i in range(n):
+    x = [xi]
+    y = [yi]
+    for shock, jump in zip(shocks.tolist(), jump_in_step.tolist()):
         s2 = b0 + b1 * xi * xi
         sig = math.sqrt(s2) if s2 > 0.0 else 0.0
         yi += xi * delta
-        xi += (a0 + a1 * xi) * delta + sig * sqrt_d * shocks[i] + jump_in_step[i]
-        x[i + 1] = xi
-        y[i + 1] = yi
+        xi += (a0 + a1 * xi) * delta + sig * sqrt_d * shock + jump
+        x.append(xi)
+        y.append(yi)
 
     return SamplePath(
         delta=delta,
-        x=x,
-        y=y,
+        x=np.array(x, dtype=float),
+        y=np.array(y, dtype=float),
         jump_times=times,
         jump_sizes=sizes,
         seed=int(seed),

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jdsmooth import locallinear
+from jdsmooth import locallinear, pool
 from jdsmooth.bandwidth import (
     BandwidthMethod,
     asymptotic_h_opt,
@@ -240,6 +240,16 @@ def test_block_cv_memory_does_not_grow_with_candidates_or_folds():
         finally:
             tracemalloc.stop()
         assert peak <= bound, (n, count, k, peak)
+
+
+def test_block_cv_memory_on_one_cpu_does_not_grow_with_candidates_or_folds(
+    monkeypatch,
+):
+    """The bound above, with every fold fitted in this process: on more
+    than one usable CPU the fold batches are allocated by the pool's
+    workers, where tracemalloc does not see them."""
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+    test_block_cv_memory_does_not_grow_with_candidates_or_folds()
 
 
 def test_block_cv_default_k_quarter_power():

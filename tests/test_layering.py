@@ -10,10 +10,15 @@ Kernel densities are evaluated by ``jdsmooth.kernels`` alone, so no other
 module calls ``lgamma`` or ``np.exp``.  The triples' weight and design
 points are read by ``proxy``, which builds them, and by ``locallinear``,
 whose ``LinearFitter`` owns them for every fit.  The package's export list
-``__all__`` is exactly the public names its ``__init__`` imports.
+``__all__`` is exactly the public names its ``__init__`` imports.  Worker
+processes are started by ``jdsmooth.pool`` alone, which imports
+``multiprocessing`` only inside the call that starts them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,3 +137,57 @@ def test_exports_are_the_public_names_init_imports():
         if not name.startswith("_") and name not in jdsmooth.__all__
     )
     assert not unlisted, unlisted
+
+
+_PROCESS_POOL_NAMES = ("multiprocessing", "ProcessPoolExecutor")
+
+
+def _process_pool_references(node, in_function=False):
+    """(line, name, in_function) of each import or name of a process pool."""
+    found = []
+    names = []
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] + [alias.name for alias in node.names]
+    elif isinstance(node, ast.Name):
+        names = [node.id]
+    elif isinstance(node, ast.Attribute):
+        names = [node.attr]
+    for name in names:
+        if any(part in _PROCESS_POOL_NAMES for part in name.split(".")):
+            found.append((node.lineno, name, in_function))
+    inside = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    for child in ast.iter_child_nodes(node):
+        found += _process_pool_references(child, inside)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_process_pools_start_only_inside_pool_calls(path):
+    """Only ``pool.py`` names ``multiprocessing`` or ``ProcessPoolExecutor``,
+    and only inside a function."""
+    refs = _process_pool_references(ast.parse(path.read_text(), filename=str(path)))
+    if path.name == "pool.py":
+        assert refs, "pool.py starts no process pool"
+        refs = [r for r in refs if not r[2]]
+    assert not refs, refs
+
+
+def test_import_loads_no_multiprocessing():
+    """``import jdsmooth`` and the CLI's start-up do not pay for
+    ``multiprocessing``; a block-CV call imports it when it forks."""
+    src = Path(jdsmooth.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, jdsmooth, jdsmooth.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ bookkeeping, and the closed-form relation between the integrated series
 and the state recursion pin the implementation down.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,80 @@ def _constant_drift_model():
         x0=0.0,
         y0=5.0,
     )
+
+
+def _indexed_euler(model, T, n, seed):
+    """The Euler stepper as a numpy-indexed loop over numpy scalars: the
+    same draws, the same operation order and the same s2 > 0 guard as
+    ``simulate_path``, writing each step into preallocated arrays."""
+    delta = float(T) / n
+    rng = np.random.default_rng(int(seed))
+    count = int(rng.poisson(model.jump_total)) if model.jump_total > 0 else 0
+    if count > 0:
+        times = rng.uniform(0.0, float(T), count)
+        sizes = rng.normal(model.jump_size_mean, model.jump_size_std, count)
+        order = np.argsort(times, kind="stable")
+        times, sizes = times[order], sizes[order]
+    else:
+        times = np.empty(0)
+        sizes = np.empty(0)
+    jump_in_step = np.zeros(n)
+    if count > 0:
+        idx = np.minimum((times / delta).astype(np.int64), n - 1)
+        np.add.at(jump_in_step, idx, sizes)
+    shocks = rng.standard_normal(n)
+    sqrt_d = math.sqrt(delta)
+    a0, a1 = model.drift_intercept, model.drift_slope
+    b0, b1 = model.diffusion_const, model.diffusion_quad
+    x = np.empty(n + 1)
+    y = np.empty(n + 1)
+    x[0] = model.x0
+    y[0] = model.y0
+    xi = model.x0
+    yi = model.y0
+    guarded = 0
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            s2 = b0 + b1 * xi * xi
+            guarded += not s2 > 0.0
+            sig = math.sqrt(s2) if s2 > 0.0 else 0.0
+            yi += xi * delta
+            xi += (a0 + a1 * xi) * delta + sig * sqrt_d * shocks[i] + jump_in_step[i]
+            x[i + 1] = xi
+            y[i + 1] = yi
+    return x, y, times, sizes, guarded
+
+
+_ORACLE_CASES = {
+    "baseline": baseline_model(),
+    "no_jumps": baseline_model(jump_total=0.0),
+    # sigma^2(x) = 0.1 - 10 x^2 is negative from x0 = 0.5: the guard steps
+    # without diffusion until the drift pulls x inside |x| < 0.1
+    "negative_quad": replace(baseline_model(), diffusion_quad=-10.0, x0=0.5),
+    "integer_start": replace(baseline_model(), x0=1, y0=100),
+    # explodes past the double range, through inf to NaN
+    "divergent": replace(baseline_model(), drift_slope=-2000.0, jump_total=0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_stepper_matches_indexed_loop_bit_for_bit(case, seed):
+    model = _ORACLE_CASES[case]
+    T, n = 10.0, 500
+    x, y, times, sizes, guarded = _indexed_euler(model, T, n, seed)
+    path = simulate_path(model, T, n, seed)
+    assert path.x.dtype == path.y.dtype == np.float64
+    assert np.array_equal(path.x, x, equal_nan=True)
+    assert np.array_equal(path.y, y, equal_nan=True)
+    assert np.array_equal(path.jump_times, times)
+    assert np.array_equal(path.jump_sizes, sizes)
+    if case == "negative_quad":
+        assert guarded > 0
+    if case == "no_jumps":
+        assert times.size == 0
+    if case == "divergent":
+        assert np.isnan(x[-1]) and np.isfinite(x[1])
 
 
 def test_degenerate_path_by_hand():
