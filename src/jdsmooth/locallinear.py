@@ -159,16 +159,17 @@ def _power_sums(
     [sum k t^j for j = 0..2 degree] and [sum k y t^j for j = 0..degree]
     for each y of ys in turn, summed exactly: one float per sum for a row,
     a list of r floats for a block.  The products are built CHUNK columns
-    at a time into one work array (``work``, when given: 5 min(n, CHUNK)
-    entries or more per product row), so memory does not grow with the
-    sample; only a term the engine leaves to ``math.fsum`` (non-finite, or
-    2^500 or more) sends the whole rows through it at once.
+    at a time into one work array (``work``, when given: 4 min(n, CHUNK)
+    entries or more per product row, the products and the engine's three
+    per term), so memory does not grow with the sample; only a term the
+    engine leaves to ``math.fsum`` (non-finite, or 2^500 or more) sends
+    the whole rows through it at once.
     """
     n = k.shape[-1]
     shape = (2 * degree + 1 + len(ys) * (degree + 1),) + k.shape[:-1]
     rows = math.prod(shape)
     size = rows * min(n, CHUNK)
-    work = np.empty(5 * size) if work is None else work
+    work = np.empty(4 * size) if work is None else work
     sums = ExactSums(rows, n)
     for start in range(0, n, CHUNK):
         cols = slice(start, start + CHUNK)
@@ -220,7 +221,7 @@ class LinearFitter:
         d, n = self.triples.design_points, len(self.triples)
         batch = max(_BATCH_TERMS // (rows * max(n, 1)), 1)
         # the engine's work array, allocated once per call
-        work = np.empty(5 * rows * min(batch, fitted.size) * min(n, CHUNK))
+        work = np.empty(4 * rows * min(batch, fitted.size) * min(n, CHUNK))
         for start in range(0, fitted.size, batch):
             idx = fitted[start : start + batch]
             k = self.plan.weights(h, xs[idx])

@@ -9,7 +9,8 @@ sums go through ``jdsmooth.summation``, never ``math.fsum(arr.tolist())``.
 Kernel densities are evaluated by ``jdsmooth.kernels`` alone, so no other
 module calls ``lgamma`` or ``np.exp``.  The triples' weight and design
 points are read by ``proxy``, which builds them, and by ``locallinear``,
-whose ``LinearFitter`` owns them for every fit.  The package's export list
+whose ``LinearFitter`` owns them for every fit.  Only the engine reads a
+float's bits or bins terms with ``np.bincount``.  The package's export list
 ``__all__`` is exactly the public names its ``__init__`` imports.  Worker
 processes are started by ``jdsmooth.pool`` alone, which imports
 ``multiprocessing`` only inside the call that starts them.
@@ -116,6 +117,45 @@ def test_triples_points_stay_in_the_fitter(path):
         and node.attr in ("weight_points", "design_points")
     ]
     assert not reads, reads
+
+
+_INTEGER_DTYPES = ("int64", "uint64", "int32", "uint32", "intp", "uintp")
+
+
+def _binning_call(node) -> bool:
+    """A call of bincount, or of an array's view as an integer dtype."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "bincount":
+        return True
+    if name != "view":
+        return False
+    dtypes = list(node.args) + [kw.value for kw in node.keywords if kw.arg == "dtype"]
+    return any(
+        (isinstance(d, ast.Attribute) and d.attr in _INTEGER_DTYPES)
+        or (isinstance(d, ast.Name) and d.id in _INTEGER_DTYPES)
+        or (
+            isinstance(d, ast.Constant)
+            and isinstance(d.value, str)
+            and d.value.lstrip("<>=|")[:1] in ("i", "u")
+        )
+        for d in dtypes
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_bit_level_binning_stays_in_the_summation_module(path):
+    """Reading a double's bits (``.view(np.int64)``) and binning terms
+    (``np.bincount``) is how ``jdsmooth.summation`` keeps its sums exact;
+    a copy elsewhere would sit outside the bound that proves them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [f"line {node.lineno}" for node in ast.walk(tree) if _binning_call(node)]
+    if path.name == "summation.py":
+        assert calls, "summation.py bins nothing"
+    else:
+        assert not calls, calls
 
 
 def test_exports_are_the_public_names_init_imports():

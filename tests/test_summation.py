@@ -6,6 +6,7 @@ makes ``math.fsum`` return NaN or infinity or raise must do the same
 through the engine.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -50,6 +51,21 @@ def assert_rows_match(block):
     got = exact_row_sums(block)
     assert len(got) == block.shape[0]
     for row, total in zip(block, got):
+        assert_same(total, fsum_outcome(row.tolist()))
+
+
+def assert_rows_match_in_widths(block, widths):
+    """The rows of a finite block, added through one ExactSums a few columns
+    at a time, in the given widths over and over."""
+    block = np.asarray(block, dtype=float)
+    sums = ExactSums(*block.shape)
+    start = 0
+    for width in itertools.cycle(widths):
+        if start >= block.shape[1]:
+            break
+        sums.add(block[:, start : start + width])
+        start += width
+    for row, total in zip(block, sums.totals()):
         assert_same(total, fsum_outcome(row.tolist()))
 
 
@@ -139,6 +155,79 @@ def test_crowded_windows_keep_a_rounding_tie_exact():
             row[-1] = 2.0**-300
             rows.append(row)
     assert_rows_match(np.array(rows))
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 17])
+def test_subnormal_rows_need_no_scaling(n):
+    """Rows of subnormals alone, and of subnormals between small normals and
+    their negatives.  A subnormal shares the quanta of exponent field 1, so
+    it is split and binned like a normal term; the cancelling normals (fields
+    1 to 63) leave the exact total at the subnormals' scale, where a bin that
+    rounded would show in the result."""
+    rng = np.random.default_rng(n)
+    subnormal = np.ldexp(rng.integers(1 - 2**52, 2**52, (4, n)).astype(float), -1074)
+    normal = np.ldexp(rng.uniform(-2.0, 2.0, (2, n // 3)), rng.integers(-1022, -959, (2, n // 3)))
+    mixed = np.concatenate([normal, subnormal[2:, : n - 2 * (n // 3)], -normal], axis=1)
+    block = np.concatenate([subnormal[:2], mixed])
+    assert_rows_match(block)
+    assert_rows_match_in_widths(block, (1,))
+
+
+def test_crowded_lo_window_keeps_a_rounding_tie_exact():
+    """Rows that fill one window's ``lo`` bins to their bound, on a tie.
+
+    A row has n = 2^13 - 1 terms, the widest row for windows of w = 14
+    fields: n - 2 copies of a term a whose low 27 fraction bits are all set,
+    at exponent field F; one term b at field F - w, so that a and b never
+    share a window; and a tiny term of a quarter of b's last bit.  b puts
+    the exact sum of the first n - 1 terms one of b's last bits below (or
+    above) a rounding tie at 53 bits, and the tiny term moves it a quarter
+    of that toward the tie, so an error of one last bit of b in the wrong
+    direction crosses the tie instead of landing on it.  Windows one field
+    wider would put b in the a's window, whose ``lo`` bin would then round
+    by b's last bit.  F runs over w + 1 consecutive fields, every placement
+    of b in such a wider window.  Added one column at a time, every term
+    goes to the first bin copy.
+    """
+    n = 2**13 - 1
+    w = 27 - n.bit_length()
+    copies, mant_a = n - 2, 2**53 - 1
+    # integers in units of b's last bit
+    sum_a = copies * mant_a * 2**w
+    ulp = 2 ** ((sum_a + 2**52).bit_length() - 53)
+    rows = []
+    for field in range(600, 600 + w + 1):
+        for side in (-1, 1):
+            mant_b = 2**52 + (ulp // 2 + side - sum_a - 2**52) % ulp
+            total = sum_a + mant_b
+            assert total.bit_length() == (sum_a + 2**52).bit_length()
+            assert (total - ulp // 2 - side) % ulp == 0
+            row = np.full(n, math.ldexp(mant_a, field - 1075))
+            row[-2] = math.ldexp(mant_b, field - w - 1075)
+            row[-1] = -side * math.ldexp(1.0, field - w - 1077)
+            rows.append(row)
+    assert_rows_match(np.array(rows))
+    assert_rows_match_in_widths(np.array(rows), (1,))
+
+
+@pytest.mark.parametrize("widths", [(1,), (2,), (3,), (1, 3, 2), (5, CHUNK, 2, 1, 7)])
+def test_narrow_and_uneven_blocks(widths):
+    """Blocks 1 to 3 columns wide and widths that change between calls: the
+    bin copy of a column restarts at every ``add``."""
+    rng = np.random.default_rng(len(widths) * 10 + widths[0])
+    n = 2 * CHUNK + 5
+    block = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-320, 2, (4, n))
+    block[1, n // 2 : 2 * (n // 2)] = -block[1, : n // 2]
+    block[2] = np.ldexp(rng.integers(1 - 2**52, 2**52, n).astype(float), -1074)
+    block[3] = 1.0 + 2.0**-52
+    assert_rows_match_in_widths(block, widths)
+
+
+def test_empty_block_leaves_the_sums_unchanged():
+    sums = ExactSums(2, 3)
+    sums.add(np.empty((2, 0)))
+    sums.add(np.ones((2, 3)))
+    assert sums.totals() == [3.0, 3.0]
 
 
 @pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
