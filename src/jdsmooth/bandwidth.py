@@ -162,26 +162,34 @@ def mse_grid_search(
 
 
 class _FoldJob(NamedTuple):
-    """What every block-CV candidate shares: the fitter and the folds."""
+    """What every (candidate, fold) pair shares: the fitter, the candidates
+    and the folds."""
 
     fitter: LinearFitter
+    hs: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     held: np.ndarray
     penalty: float
-    n: int
 
 
-def _score_candidates(job: _FoldJob, hs) -> list[tuple[float, int]]:
-    """(objective, failed folds) of each candidate bandwidth in hs."""
+def _score_candidates(job: _FoldJob, span) -> list[tuple[int, np.ndarray, int]]:
+    """(candidate index, fold scores, failed folds) of each candidate with
+    pairs in span = (start, stop), a slice of the (candidate, fold) pairs in
+    candidate-major order; the scores are those of its folds in the slice."""
+    start, stop = span
+    folds = job.xs.size
     scored = []
-    for h in hs:
-        fits = job.fitter.fits(float(h), job.xs, [Target.DRIFT], job.held)
+    for j in range(start // folds, -(-stop // folds)):
+        a, b = max(start - j * folds, 0), min(stop - j * folds, folds)
+        fits = job.fitter.fits(
+            float(job.hs[j]), job.xs[a:b], [Target.DRIFT], job.held[a:b]
+        )
         done = np.flatnonzero(fits.ok)
-        scores = np.full(job.xs.size, job.penalty)
-        r = job.ys[done] - fits.intercept[0, done]
+        scores = np.full(b - a, job.penalty)
+        r = job.ys[a + done] - fits.intercept[0, done]
         scores[done] = r * r
-        scored.append((exact_sum(scores) / job.n, job.xs.size - done.size))
+        scored.append((j, scores, b - a - done.size))
     return scored
 
 
@@ -204,13 +212,15 @@ def block_cv(
     folds go through one ``LinearFitter.fits`` call with their blocks as
     ``held``; each objective is the one fitting folds one by one gives.
 
-    The sorted candidates are split into contiguous chunks, one per
-    usable CPU, and scored on forked worker processes
-    (``pool.map_in_order``).  They are scored serially where that pool
-    runs inline: one usable CPU or candidate, no fork start method, inside
-    a multiprocessing child, or while other threads are alive.  Every sum
-    is exact, so objectives, failures and the choice are identical for
-    any CPU count.
+    The (candidate, fold) pairs, sorted candidates first and folds in
+    order within each, are cut into contiguous slices of equal size, one
+    per usable CPU, and scored on forked worker processes
+    (``pool.map_in_order``), so even one candidate uses every core; each
+    candidate's fold scores are joined in fold order and summed exactly.
+    They are scored serially where that pool runs inline: one usable CPU,
+    no fork start method, inside a multiprocessing child, or while other
+    threads are alive.  Every sum is exact, so objectives, failures and
+    the choice are identical for any CPU count.
     """
     n = len(p)
     if k is None:
@@ -238,22 +248,25 @@ def block_cv(
     centers = np.arange(k + 1, n - k + 1)
     job = _FoldJob(
         fitter=LinearFitter(family, triples),
+        hs=h_grid,
         xs=p.values[centers - 1],
         ys=resp[centers - off],
         held=np.column_stack(
             [np.maximum(centers - k - off, 0), centers + k + 1 - off]
         ),
         penalty=float(np.var(resp)),
-        n=n,
     )
-    chunks = np.array_split(h_grid, min(h_grid.size, pool.usable_cpus()))
-    scored = [
-        s
-        for chunk in pool.map_in_order(functools.partial(_score_candidates, job), chunks)
-        for s in chunk
-    ]
-    objectives = np.array([objective for objective, _ in scored])
-    failures = sum(failed for _, failed in scored)
+    pairs = h_grid.size * centers.size
+    count = min(pool.usable_cpus(), pairs)
+    ends = [pairs * i // count for i in range(count + 1)]
+    spans = list(zip(ends, ends[1:]))
+    scores = [[] for _ in range(h_grid.size)]
+    failures = 0
+    for scored in pool.map_in_order(functools.partial(_score_candidates, job), spans):
+        for j, fold_scores, failed in scored:
+            scores[j].append(fold_scores)
+            failures += failed
+    objectives = np.array([exact_sum(np.concatenate(parts)) / n for parts in scores])
     best = int(np.argmin(objectives))
     return BandwidthChoice(
         h=float(h_grid[best]),

@@ -89,7 +89,9 @@ class KernelPlan:
 
     so a row is bit for bit the same whatever block it is evaluated in.  A
     shape of 0 gives a zero power term, even at u = 0; data below the
-    Gamma support get weight 0.
+    Gamma support get weight 0.  A non-finite evaluation point is an
+    argument error (ValueError) in either family, as is a Gamma point
+    below 0.
     """
 
     def __init__(self, family: KernelFamily, u):
@@ -112,13 +114,18 @@ class KernelPlan:
     def weights(self, h: float, xs) -> np.ndarray:
         """Kernel weights at bandwidth h, shape (len(xs), u.size)."""
         h = _check_positive("bandwidth h", h)
-        xs = np.atleast_1d(np.asarray(xs, dtype=float)).tolist()
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        finite = np.isfinite(xs)
+        if not finite.all():
+            x = float(xs[~finite][0])
+            raise ValueError(f"kernel evaluation point must be finite, got {x!r}")
         if self.family is KernelFamily.GAUSSIAN:
-            z = (np.array(xs)[:, None] - self._u) / h
+            z = (xs[:, None] - self._u) / h
             with np.errstate(under="ignore"):
                 return np.exp(-0.5 * z * z) / (h * math.sqrt(2.0 * math.pi))
+        xs = xs.tolist()
         for x in xs:
-            if not (math.isfinite(x) and x >= 0):
+            if not x >= 0:
                 raise ValueError(
                     f"Gamma kernel evaluation point must be nonnegative, got {x!r}"
                 )
@@ -146,13 +153,9 @@ def gamma_kernel(u, x: float, h: float):
     """Evaluate the Gamma kernel for design point x at data points u.
 
     u may be a scalar or an array; all entries must be finite and
-    nonnegative.  Values whose log-density falls below the double
-    precision floor come back as exactly 0.0.
+    nonnegative, and so must x.  Values whose log-density falls below the
+    double precision floor come back as exactly 0.0.
     """
-    h = _check_positive("bandwidth h", h)
-    x = float(x)
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"design point x must be nonnegative, got {x!r}")
     uu = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(uu)) or np.any(uu < 0):
         raise ValueError("data points u must be finite and nonnegative")
@@ -163,7 +166,8 @@ def gamma_kernel(u, x: float, h: float):
 
 
 def gaussian_kernel(u, x: float, h: float):
-    """Evaluate the Gaussian kernel (1/h) phi((x - u)/h) at data points u."""
+    """Evaluate the Gaussian kernel (1/h) phi((x - u)/h) at data points u;
+    x must be finite."""
     uu = np.asarray(u, dtype=float)
     out = KernelPlan(KernelFamily.GAUSSIAN, uu).weights(h, x)[0]
     if uu.ndim == 0:
@@ -176,7 +180,7 @@ def weight_values(spec: KernelSpec, u, x: float) -> np.ndarray:
 
     The Gamma family has support [0, inf): data below zero receive zero
     weight, while x itself must be nonnegative.  The Gaussian family has
-    no such restriction.
+    no such restriction; in both x must be finite.
     """
     uu = np.atleast_1d(np.asarray(u, dtype=float))
     return KernelPlan(spec.family, uu).weights(spec.bandwidth, x)[0].reshape(uu.shape)

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DegenerateDesignError, SparseRegionError
 from .kernels import KernelFamily, KernelPlan, KernelSpec
 from .proxy import ProxySeries, RegressionTriples, Target
-from .summation import CHUNK, ExactSums, exact_row_sums, exact_sum
+from .summation import CHUNK, exact_block_sums, exact_row_sums, exact_sum
 
 # relative floor for the normal-equation determinant and absolute floor
 # for total kernel mass
@@ -170,14 +170,16 @@ def _power_sums(
     rows = math.prod(shape)
     size = rows * min(n, CHUNK)
     work = np.empty(4 * size) if work is None else work
-    sums = ExactSums(rows, n)
-    for start in range(0, n, CHUNK):
-        cols = slice(start, start + CHUNK)
-        width = min(CHUNK, n - start)
-        part = work[: rows * width].reshape(shape + (width,))
-        _power_products(part, k[..., cols], t[..., cols], ys[:, cols], degree)
-        sums.add(part.reshape(rows, width), work[size:])
-    totals = sums.totals()
+
+    def blocks():
+        for start in range(0, n, CHUNK):
+            cols = slice(start, start + CHUNK)
+            width = min(CHUNK, n - start)
+            part = work[: rows * width].reshape(shape + (width,))
+            _power_products(part, k[..., cols], t[..., cols], ys[:, cols], degree)
+            yield part.reshape(rows, width)
+
+    totals = exact_block_sums(rows, n, blocks, work[size:])
     if None in totals:
         block = np.empty(shape + (n,))
         _power_products(block, k, t, ys, degree)
@@ -370,8 +372,9 @@ def densities(p: ProxySeries, kernel: KernelSpec, xs) -> np.ndarray:
     Gamma family: (1/n) sum_j K_Gamma(value_j; x, h).  Gaussian family:
     (1/(n h)) sum_j phi((x - value_j)/h).  One ``KernelPlan`` of the proxy
     values serves every point, one weight row at a time, so memory does not
-    grow with len(xs).  The points must lie in the kernel's support: a
-    Gamma point below 0 is an argument error (ValueError).
+    grow with len(xs).  The points must be finite and lie in the kernel's
+    support: a non-finite point, or a Gamma point below 0, is an argument
+    error (ValueError).
     """
     plan = KernelPlan(kernel.family, p.values)
     return np.array([

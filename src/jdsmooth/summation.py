@@ -4,10 +4,38 @@ Kernel weights at small bandwidths span hundreds of binades, so a local
 moment cannot be added up in floating point in a fixed order without
 losing digits.  ``math.fsum`` returns the correctly rounded exact sum but
 walks a Python list one term at a time.  This module returns the same
-double from a few numpy passes over the terms, by the error-free splitting
-and bucketed summation of Higham (2002, *Accuracy and Stability of
-Numerical Algorithms*, ch. 4) and Rump, Ogita & Oishi (2008, "Accurate
-floating-point summation", SIAM J. Sci. Comput.):
+double from a few numpy passes over the terms, in two stages: a cheap
+filter that certifies most rounded sums, and an exact engine for the rows
+it cannot certify (the filter-then-exact pattern of Shewchuk, 1997,
+"Adaptive precision floating-point arithmetic and fast robust geometric
+predicates", Discrete Comput. Geom. 18).
+
+Stage 1, certified extraction (``exact_block_sums``).  For each block of
+m <= CHUNK columns of a row take sigma = 2^(E + M), where 2^E > max |x|
+with E floored at -900 (so that sigma and the bound below stay normal)
+and 2^M >= m + 2.  Each term splits into q = (x + sigma) - sigma and
+x - q, the error-free extraction of Rump, Ogita & Oishi (2008, "Accurate
+floating-point summation part I", SIAM J. Sci. Comput. 31(1), Lemma 3.3):
+every q is a multiple of 2^-53 sigma and all of them add up below sigma,
+so their numpy sum is exact in any order, and every x - q is exact and
+at most 2^-53 sigma.  The numpy sum of the m low parts is then off by at
+most gamma_(m-1) m 2^-53 sigma (Higham, 2002, *Accuracy and Stability of
+Numerical Algorithms*, ch. 4, for any order of the additions), which
+(m - 1) m 2^-105 sigma bounds.  An all-zero block contributes bound 0.
+Block partials are folded as they arrive by a second error-free
+transformation, TwoSum (Knuth, *TAOCP* vol. 2, 4.2.2), which carries the
+high sums exactly; the low sums add up with their rounding errors added
+to the bound, so memory stays bounded by CHUNK columns.  At the end the row's exact high sum t and
+approximate low sum give r = fl(t + low) and its exact TwoSum residual e;
+r is certified when it is finite and nonzero and fl(|e| + B) is below
+half the smaller gap beside r.  That half-gap is a power of two, so the
+floating-point comparison implies the exact one, and the exact sum lies
+strictly nearer r than any other double: r is its correct rounding.  The
+other certified case is e = B = 0, where r is the exact sum.  A row with
+a non-finite term or a term of 2^500 or more, a sum near a rounding tie
+and a sum at the subnormal scale are refused.
+
+Stage 2, binning (``ExactSums``), takes the refused rows alone:
 
 1. a block whose smallest and largest terms both lie strictly between
    -2^500 and 2^500 is in range; only a block that fails (a NaN fails
@@ -33,8 +61,8 @@ floating-point summation", SIAM J. Sci. Comput.):
    bin together hold at most n halves), and ``math.fsum`` over a row's
    nonzero bins, from the top window down, rounds its exact total once.
 
-A row with a non-finite term or a term of magnitude 2^500 or more goes to
-``math.fsum`` itself, which alone settles the NaN, the infinity or the
+A row with a non-finite term or a term of magnitude 2^500 or more goes on
+to ``math.fsum`` itself, which alone settles the NaN, the infinity or the
 order-dependent overflow it returns or raises.  An exact zero sum comes
 back as +0.0, as ``math.fsum`` returns it.
 """
@@ -59,6 +87,13 @@ _HIGH_BITS = -(1 << 27)
 _MAX_TERMS = 2**26 - 1
 # most interleaved copies of a row's bins
 _COPIES = 4
+# floor of the certified stage's exponent E, 2^E > max |x|
+_MIN_EXPONENT = -900
+# unit roundoff, and a factor above (1 + 2^-53)^4 by which a bound summed in
+# round-to-nearest (three additions and this product) is lifted over its
+# exact value
+_U = 2.0**-53
+_LIFT = 1.0 + 2.0**-49
 
 
 class ExactSums:
@@ -138,17 +173,89 @@ class ExactSums:
         ]
 
 
+def _two_sum(a, b):
+    """s = fl(a + b) and the exact residual a + b - s (Knuth's TwoSum)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _certified(rows: int, blocks, work: np.ndarray) -> tuple[list, np.ndarray]:
+    """The certified stage (see the module docstring): each row's rounded
+    total, and a mask of the rows whose total it could not certify."""
+    high = np.zeros(rows)  # exact
+    low = np.zeros(rows)
+    bound = np.zeros(rows)  # on |low - exact low sum|
+    refused = np.zeros(rows, dtype=bool)
+    for block in blocks:
+        m = block.shape[1]
+        if m == 0:
+            continue
+        top = np.maximum(block.max(axis=1), -block.min(axis=1))
+        out = ~(top < _LIMIT)
+        if out.any():
+            refused |= out
+            top[out] = 0.0
+            block = np.where(out[:, None], 0.0, block)
+        exponent = np.maximum(np.frexp(top)[1], _MIN_EXPONENT)
+        sigma = np.ldexp(1.0, exponent + (m + 1).bit_length())
+        hi, lo = work[: 2 * block.size].reshape((2,) + block.shape)
+        np.add(block, sigma[:, None], out=hi)
+        hi -= sigma[:, None]
+        np.subtract(block, hi, out=lo)
+        high, e = _two_sum(high, hi.sum(axis=1))
+        part = lo.sum(axis=1) + e
+        low += part
+        # each addition errs by at most 2^-53 times its rounded result
+        bound += np.where(top > 0.0, ((m - 1) * m * 2.0**-105) * sigma, 0.0)
+        bound += _U * np.abs(part) + _U * np.abs(low)
+        bound *= _LIFT
+    total, e = _two_sum(high, low)
+    magnitude = np.abs(total)
+    half_gap = (magnitude - np.nextafter(magnitude, 0.0)) * 0.5
+    certified = (np.abs(e) + bound < half_gap) | ((e == 0.0) & (bound == 0.0))
+    # + 0.0: an exact zero sum is +0.0, as math.fsum returns it
+    return (total + 0.0).tolist(), refused | ~certified
+
+
+def exact_block_sums(
+    rows: int, terms: int, blocks, work: np.ndarray | None = None
+) -> list[float | None]:
+    """Each row's ``math.fsum`` over the columns of the blocks ``blocks()``
+    yields, as ``ExactSums.totals`` gives it.
+
+    ``blocks`` is a function returning an iterable of arrays of shape
+    (rows, m), at most CHUNK columns each and ``terms`` in all.  It is
+    called once for the certified stage and, only if that refuses a row,
+    once more, and the refused rows alone go through ``ExactSums``.
+    ``work``, if given, is a float array of at least 3 rows min(terms,
+    CHUNK) entries that may be overwritten.
+    """
+    if work is None:
+        work = np.empty(3 * rows * min(terms, CHUNK))
+    totals, refused = _certified(rows, blocks(), work)
+    if refused.any():
+        redo = np.flatnonzero(refused)
+        sums = ExactSums(redo.size, terms)
+        for block in blocks():
+            sums.add(block[redo], work)
+        for i, total in zip(redo.tolist(), sums.totals()):
+            totals[i] = total
+    return totals
+
+
 def exact_row_sums(block) -> list[float]:
     """``math.fsum`` of each row of a 2-D array, bit for bit."""
     block = np.asarray(block, dtype=float)
     if block.ndim != 2:
         raise ValueError("exact_row_sums needs a 2-D array")
-    sums = ExactSums(*block.shape)
-    for start in range(0, block.shape[1], CHUNK):
-        sums.add(block[:, start : start + CHUNK])
+    rows, n = block.shape
+    totals = exact_block_sums(
+        rows, n, lambda: (block[:, s : s + CHUNK] for s in range(0, n, CHUNK))
+    )
     return [
         math.fsum(row.tolist()) if total is None else total
-        for row, total in zip(block, sums.totals())
+        for row, total in zip(block, totals)
     ]
 
 

@@ -25,6 +25,8 @@ from jdsmooth.kernels import (
     gaussian_kernel,
     weight_values,
 )
+from jdsmooth.locallinear import densities, estimate_density
+from jdsmooth.proxy import ProxySeries
 
 # spot values from stats.gamma.pdf(u, x/h + 1, scale=h)
 FROZEN_GAMMA = [
@@ -100,6 +102,28 @@ def test_gamma_kernel_rejects_bad_arguments():
         gamma_kernel(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         gamma_kernel(np.array([0.5, np.nan]), 1.0, 0.1)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "family, kernel",
+    [(KernelFamily.GAMMA, gamma_kernel), (KernelFamily.GAUSSIAN, gaussian_kernel)],
+    ids=["gamma", "gaussian"],
+)
+def test_non_finite_evaluation_point_is_an_argument_error(family, kernel, x):
+    """Every entry point to the weights rejects x = NaN or +-inf in both
+    families, naming the value, instead of returning NaN or 0.0 weights."""
+    u = np.array([0.1, 0.4, 0.9])
+    spec = KernelSpec(family, 0.2)
+    p = ProxySeries(delta=0.1, values=u)
+    for call in (
+        lambda: kernel(u, x, 0.2),
+        lambda: weight_values(spec, u, x),
+        lambda: densities(p, spec, [0.5, x]),
+        lambda: estimate_density(p, spec, x),
+    ):
+        with pytest.raises(ValueError, match=f"must be finite, got {x!r}"):
+            call()
 
 
 def test_gaussian_kernel_matches_normal_density():

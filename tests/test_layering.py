@@ -10,10 +10,12 @@ Kernel densities are evaluated by ``jdsmooth.kernels`` alone, so no other
 module calls ``lgamma`` or ``np.exp``.  The triples' weight and design
 points are read by ``proxy``, which builds them, and by ``locallinear``,
 whose ``LinearFitter`` owns them for every fit.  Only the engine reads a
-float's bits or bins terms with ``np.bincount``.  The package's export list
-``__all__`` is exactly the public names its ``__init__`` imports.  Worker
-processes are started by ``jdsmooth.pool`` alone, which imports
-``multiprocessing`` only inside the call that starts them.
+float's bits, bins terms with ``np.bincount`` or takes a float apart or
+steps between floats (``np.frexp``, ``np.ldexp``, ``np.spacing``,
+``np.nextafter``).  The package's export list ``__all__`` is exactly the
+public names its ``__init__`` imports.  Worker processes are started by
+``jdsmooth.pool`` alone, which imports ``multiprocessing`` only inside the
+call that starts them.
 """
 
 import ast
@@ -122,13 +124,19 @@ def test_triples_points_stay_in_the_fitter(path):
 _INTEGER_DTYPES = ("int64", "uint64", "int32", "uint32", "intp", "uintp")
 
 
+# the calls that bin terms, take a float's exponent apart or step between
+# neighbouring floats
+_FLOAT_BIT_CALLS = ("bincount", "frexp", "ldexp", "spacing", "nextafter")
+
+
 def _binning_call(node) -> bool:
-    """A call of bincount, or of an array's view as an integer dtype."""
+    """A call of bincount, frexp, ldexp, spacing or nextafter, or of an
+    array's view as an integer dtype."""
     if not isinstance(node, ast.Call):
         return False
     func = node.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    if name == "bincount":
+    if name in _FLOAT_BIT_CALLS:
         return True
     if name != "view":
         return False
@@ -147,9 +155,11 @@ def _binning_call(node) -> bool:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_bit_level_binning_stays_in_the_summation_module(path):
-    """Reading a double's bits (``.view(np.int64)``) and binning terms
-    (``np.bincount``) is how ``jdsmooth.summation`` keeps its sums exact;
-    a copy elsewhere would sit outside the bound that proves them."""
+    """Reading a double's bits (``.view(np.int64)``), binning terms
+    (``np.bincount``), and the exponents and gaps of the certified stage
+    (``np.frexp``, ``np.ldexp``, ``np.spacing``, ``np.nextafter``) are how
+    ``jdsmooth.summation`` keeps its sums exact; a copy elsewhere would sit
+    outside the bound that proves them."""
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [f"line {node.lineno}" for node in ast.walk(tree) if _binning_call(node)]
     if path.name == "summation.py":

@@ -5,6 +5,7 @@ kernel weights through numpy.linalg.lstsq, and never shares code with the
 implementation under test.
 """
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -184,6 +185,54 @@ def test_scale_equivariance_power_of_two_exact():
     # scaling by a power of two commutes with every rounding step
     assert fit.intercept == 4.0 * base.intercept
     assert fit.slope == 4.0 * base.slope
+
+
+_RESPONSE_FIELDS = {
+    Target.DRIFT: "drift",
+    Target.COND_VARIANCE: "cond_var",
+    Target.FOURTH_MOMENT: "moment4",
+    Target.SIXTH_MOMENT: "moment6",
+}
+
+
+@pytest.mark.parametrize("target", list(Target))
+@pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
+def test_scale_equivariance_power_of_two_over_whole_curves(family, target):
+    """Scaling the responses, and only them, by 2^j scales every value and
+    slope of a curve by exactly 2^j and leaves its failures as they are.
+
+    The grid has a point below the Gamma support and one without kernel
+    mass in either family.  At the points that fit, every response product
+    k y and k y (d - x) is a normal double, so every rounding step commutes
+    with the scale.  j = 40 keeps every product normal and below 2^500;
+    the second j lifts the largest product into [2^500, 2^501), which sends
+    its rows on to ``math.fsum``.  Overflow in the products raises here,
+    ``math.fsum`` raises on an intermediate overflow, and a total that
+    overflowed could not scale exactly.
+    """
+    t = make_triples(np.random.default_rng(8), n=CHUNK + 300)
+    spec = KernelSpec(family, 0.3)
+    grid = np.array([-0.4, 0.0, 0.2, 0.5, 0.9, 1.4, 400.0])
+    base = estimate_curve(t, spec, grid, target)
+    assert 0 < len(base.failures) < grid.size
+    assert 6 in base.failures
+    assert (0 in base.failures) == (family is KernelFamily.GAMMA)
+    y = t.response(target)
+    fitted = [i for i in range(grid.size) if i not in base.failures]
+    ky = np.array([weight_values(spec, t.weight_points, grid[i]) * y for i in fitted])
+    products = np.abs(np.concatenate([ky, ky * (t.design_points - grid[fitted, None])]))
+    products = products[products != 0.0]
+    assert products.min() >= 2.0**-1022
+    top = int(np.frexp(products.max())[1])
+    for j in (40, 501 - top):
+        assert products.max() * 2.0**j < (2.0**500 if j == 40 else 2.0**501)
+        assert j == 40 or products.max() * 2.0**j >= 2.0**500
+        scaled = dataclasses.replace(t, **{_RESPONSE_FIELDS[target]: 2.0**j * y})
+        with np.errstate(over="raise"):
+            got = estimate_curve(scaled, spec, grid, target)
+        assert got.failures == base.failures
+        np.testing.assert_array_equal(got.values, 2.0**j * base.values)
+        np.testing.assert_array_equal(got.slopes, 2.0**j * base.slopes)
 
 
 def test_scale_equivariance_general():

@@ -2,9 +2,10 @@
 
 ``pool.map_in_order`` must give what a plain list comprehension gives,
 in task order, leave no worker process behind, and run inline where a
-fork is unsafe.  Block cross-validation scores its candidates through it,
-so its objectives, failure count and choice must be ``==`` for every
-worker count; the serial run (one usable CPU) is the oracle, and
+fork is unsafe.  Block cross-validation scores slices of its (candidate,
+fold) pairs through it, so its objectives, failure count and choice must
+be ``==`` for every worker count, also where a slice splits a candidate;
+the serial run (one usable CPU) is the oracle, and
 ``tests/test_bandwidth.py`` pins that run to brute-force refits.
 """
 
@@ -56,18 +57,37 @@ def test_usable_cpus_is_a_positive_count():
 @pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
 def test_block_cv_is_identical_for_any_cpu_count(monkeypatch, family):
     p = _series()
-    _cpus(monkeypatch, 1)
-    serial = block_cv(p, h_grid=_H_GRID, k=2, family=family)
-    assert serial.failures > 0
-    for cpus in (2, 3, _H_GRID.size + 5):
-        _cpus(monkeypatch, cpus)
-        got = block_cv(p, h_grid=_H_GRID, k=2, family=family)
-        assert multiprocessing.active_children() == []
-        assert list(got.objectives) == list(serial.objectives), cpus
-        assert got.failures == serial.failures
-        assert got.h == serial.h
-        assert got.k == serial.k
-        assert list(got.candidates) == list(serial.candidates)
+    # the full grid; one candidate, which every slice splits; three
+    # candidates, which two slices split in the middle one
+    for h_grid in (_H_GRID, _H_GRID[:1], _H_GRID[:3]):
+        _cpus(monkeypatch, 1)
+        serial = block_cv(p, h_grid=h_grid, k=2, family=family)
+        assert serial.failures > 0
+        for cpus in (2, 3, _H_GRID.size + 5):
+            _cpus(monkeypatch, cpus)
+            got = block_cv(p, h_grid=h_grid, k=2, family=family)
+            assert multiprocessing.active_children() == []
+            assert list(got.objectives) == list(serial.objectives), cpus
+            assert got.failures == serial.failures
+            assert got.h == serial.h
+            assert got.k == serial.k
+            assert list(got.candidates) == list(serial.candidates)
+
+
+def test_block_cv_cuts_one_candidate_into_a_slice_per_cpu(monkeypatch):
+    p = _series()
+    _cpus(monkeypatch, 2)
+    sent = []
+    map_in_order = pool.map_in_order
+
+    def recording(fn, tasks):
+        sent.append(list(tasks))
+        return map_in_order(fn, sent[-1])
+
+    monkeypatch.setattr(pool, "map_in_order", recording)
+    block_cv(p, h_grid=_H_GRID[:1], k=2)
+    folds = len(p) - 2 * 2
+    assert sent == [[(0, folds // 2), (folds // 2, folds)]]
 
 
 def test_map_in_order_uses_workers_and_keeps_task_order(monkeypatch):
@@ -94,7 +114,8 @@ def test_map_in_order_runs_inline_inside_a_worker(monkeypatch):
 
 def test_block_cv_on_a_thread_runs_inline(monkeypatch):
     """With another thread alive a fork could copy a held lock, so the
-    candidates are scored in this process and the result is unchanged."""
+    slices of (candidate, fold) pairs are scored in this process and the
+    result is unchanged."""
     p = _series()
     _cpus(monkeypatch, 1)
     serial = block_cv(p, h_grid=_H_GRID, k=2)

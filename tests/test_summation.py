@@ -8,6 +8,7 @@ through the engine.
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from jdsmooth import summation
 from jdsmooth.kernels import KernelFamily, KernelSpec, weight_values
 from jdsmooth.locallinear import _power_sums
 from jdsmooth.summation import CHUNK, ExactSums, exact_row_sums, exact_sum
@@ -301,3 +303,127 @@ def test_sums_reject_more_terms_than_sized_for():
         sums.add(np.ones((2, 2)))
     with pytest.raises(ValueError):
         sums.add(np.ones((3, 1)))
+
+
+def certified(block, width=CHUNK):
+    """The certified stage's totals of a block's rows, fed ``width`` columns
+    at a time, and the mask of the rows it refused."""
+    block = np.asarray(block, dtype=float)
+    blocks = [block[:, s : s + width] for s in range(0, block.shape[1], width)]
+    return summation._certified(block.shape[0], blocks, np.empty(2 * block.size))
+
+
+def assert_certified_totals_match(block, width=CHUNK):
+    totals, refused = certified(block, width)
+    for row, total, no in zip(np.asarray(block), totals, refused.tolist()):
+        if not no:
+            assert_same(total, fsum_outcome(row.tolist()))
+    return refused
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arrays(float, st.tuples(st.integers(1, 11), st.integers(0, 200)), elements=TERMS),
+    st.integers(1, 64),
+)
+def test_certified_totals_equal_fsum(block, width):
+    """Every total the first stage accepts is math.fsum's, zero sign
+    included, whether a row comes in one block or in many narrow ones."""
+    assert_certified_totals_match(block)
+    assert_certified_totals_match(block, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(TERMS, max_size=100),
+    st.floats(min_value=1.0, max_value=2.0),
+    st.integers(-1000, 500),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.randoms(use_true_random=False),
+)
+def test_certified_totals_near_a_rounding_tie(
+    terms, mantissa, exponent, side, tiny, random
+):
+    """A term a, half a last bit of a beside it (an exact tie), a tiny term
+    that breaks the tie or not, and pairs that cancel: the stage accepts a
+    total only where it is math.fsum's."""
+    a = math.ldexp(mantissa, exponent)
+    row = terms + [-t for t in terms] + [a, side * math.ulp(a) / 2, tiny]
+    random.shuffle(row)
+    assert_certified_totals_match([row])
+    assert_certified_totals_match([row], 7)
+
+
+def test_certified_stage_takes_typical_rows_and_zeros():
+    """Power sums of small-bandwidth weights (from 1e-320 to 1e2, zeros
+    among them), all-zero rows, signed zeros and empty rows: all certified,
+    exact zeros as +0.0."""
+    rng = np.random.default_rng(11)
+    n = 3 * CHUNK + 17
+    w = np.abs(0.1 + 0.1 * rng.standard_normal(n))
+    k = weight_values(KernelSpec(KernelFamily.GAUSSIAN, 5e-4), w, 0.1)
+    t = (w - 0.1) / np.max(np.abs(w - 0.1))
+    block = np.array([k, k * t, k * t * t, np.zeros(n), np.full(n, -0.0)])
+    assert not assert_certified_totals_match(block).any()
+    assert not assert_certified_totals_match(block, 100).any()
+    totals, refused = certified(np.empty((3, 0)))
+    assert not refused.any() and [math.copysign(1.0, s) for s in totals] == [1.0] * 3
+
+
+def _crowded_tie_blocks(monkeypatch):
+    """The blocks the two ``test_crowded_*`` tests check, in that order."""
+    blocks = []
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "assert_rows_match", blocks.append)
+    monkeypatch.setattr(module, "assert_rows_match_in_widths", lambda block, widths: None)
+    test_crowded_windows_keep_a_rounding_tie_exact()
+    test_crowded_lo_window_keeps_a_rounding_tie_exact()
+    monkeypatch.undo()
+    return blocks
+
+
+def test_crowded_tie_rows_are_refused_and_summed_exactly(monkeypatch):
+    """The crowded-window rows sit on a tie that a term of 2^-300 breaks,
+    far below the stage's bound: it refuses every one, and the binning
+    engine sums them exactly through ``exact_row_sums`` and ``_power_sums``.
+    The crowded-``lo`` rows sit 3/4 of a last bit of their small term off
+    the tie, which the stage's bound resolves; whichever stage takes them,
+    the totals are math.fsum's."""
+    windows, lo_rows = _crowded_tie_blocks(monkeypatch)
+    assert certified(windows)[1].all()
+    for block in (windows, lo_rows):
+        assert_certified_totals_match(block)
+        assert_rows_match(block)
+        want = [math.fsum(row.tolist()) for row in block]
+        ones = np.ones(block.shape[1])
+        # k = the row, t = y = 1: all five power-sum rows are the row itself
+        for row, total in zip(block, want):
+            design, rhs = _power_sums(row, ones, ones[None], 1)
+            assert design + rhs == [total] * 5
+        design, rhs = _power_sums(block, np.ones(block.shape), ones[None], 1)
+        assert design + rhs == [want] * 5
+
+
+def test_only_refused_rows_reach_the_binning_engine(monkeypatch):
+    """A batch the stage certifies whole makes no ``ExactSums``; one tie row
+    among certified rows sends that row alone."""
+    made = []
+
+    class Recording(summation.ExactSums):
+        def __init__(self, rows, terms):
+            made.append(rows)
+            super().__init__(rows, terms)
+
+    windows, _ = _crowded_tie_blocks(monkeypatch)
+    monkeypatch.setattr(summation, "ExactSums", Recording)
+    rng = np.random.default_rng(4)
+    n = windows.shape[1]
+    k = rng.uniform(0.0, 2.0, (3, n)) ** 20
+    t = rng.standard_normal((3, n))
+    y = rng.standard_normal((2, n))
+    design, rhs = _power_sums(k, t, y, 1)
+    assert made == []
+    block = np.vstack([k, windows[:1], t])
+    assert exact_row_sums(block) == [math.fsum(row.tolist()) for row in block]
+    assert made == [1]
