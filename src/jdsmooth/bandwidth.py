@@ -235,7 +235,7 @@ def block_cv(
     if h_grid is None:
         h_grid = default_h_grid(p)
     h_grid = np.sort(np.asarray(h_grid, dtype=float))
-    if h_grid.size == 0 or np.any(h_grid <= 0):
+    if h_grid.size == 0 or not np.all(np.isfinite(h_grid) & (h_grid > 0)):
         raise ValueError("h_grid must contain positive bandwidths")
 
     triples = build_regression_triples(p)

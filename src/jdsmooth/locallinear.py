@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DegenerateDesignError, SparseRegionError
 from .kernels import KernelFamily, KernelPlan, KernelSpec
 from .proxy import ProxySeries, RegressionTriples, Target
-from .summation import CHUNK, exact_block_sums, exact_row_sums, exact_sum
+from .summation import CHUNK, exact_block_sums, exact_sum
 
 # relative floor for the normal-equation determinant and absolute floor
 # for total kernel mass
@@ -159,17 +159,16 @@ def _power_sums(
     [sum k t^j for j = 0..2 degree] and [sum k y t^j for j = 0..degree]
     for each y of ys in turn, summed exactly: one float per sum for a row,
     a list of r floats for a block.  The products are built CHUNK columns
-    at a time into one work array (``work``, when given: 4 min(n, CHUNK)
-    entries or more per product row, the products and the engine's three
-    per term), so memory does not grow with the sample; only a term the
-    engine leaves to ``math.fsum`` (non-finite, or 2^500 or more) sends
-    the whole rows through it at once.
+    at a time into one work array (``work``, when given: 3 min(n, CHUNK)
+    entries or more per product row, the products and the engine's two
+    per term), so memory does not grow with the sample; only rows the
+    certified stage refuses go to ``math.fsum`` at their full width.
     """
     n = k.shape[-1]
     shape = (2 * degree + 1 + len(ys) * (degree + 1),) + k.shape[:-1]
     rows = math.prod(shape)
     size = rows * min(n, CHUNK)
-    work = np.empty(4 * size) if work is None else work
+    work = np.empty(3 * size) if work is None else work
 
     def blocks():
         for start in range(0, n, CHUNK):
@@ -179,12 +178,7 @@ def _power_sums(
             _power_products(part, k[..., cols], t[..., cols], ys[:, cols], degree)
             yield part.reshape(rows, width)
 
-    totals = exact_block_sums(rows, n, blocks, work[size:])
-    if None in totals:
-        block = np.empty(shape + (n,))
-        _power_products(block, k, t, ys, degree)
-        totals = exact_row_sums(block.reshape(rows, n))
-    totals = np.reshape(totals, shape).tolist()
+    totals = np.reshape(exact_block_sums(rows, n, blocks, work[size:]), shape).tolist()
     return totals[: 2 * degree + 1], totals[2 * degree + 1 :]
 
 
@@ -223,7 +217,7 @@ class LinearFitter:
         d, n = self.triples.design_points, len(self.triples)
         batch = max(_BATCH_TERMS // (rows * max(n, 1)), 1)
         # the engine's work array, allocated once per call
-        work = np.empty(4 * rows * min(batch, fitted.size) * min(n, CHUNK))
+        work = np.empty(3 * rows * min(batch, fitted.size) * min(n, CHUNK))
         for start in range(0, fitted.size, batch):
             idx = fitted[start : start + batch]
             k = self.plan.weights(h, xs[idx])

@@ -285,6 +285,19 @@ def test_block_cv_rejects_short_series():
         block_cv(p, h_grid=np.array([0.3]), k=4)
 
 
+@pytest.mark.parametrize("h_grid", [[0.1, math.nan], [math.inf]])
+def test_block_cv_rejects_non_finite_candidates_before_scoring(monkeypatch, h_grid):
+    """A NaN or infinite candidate fails the up-front check, before any
+    candidate is scored on the pool."""
+    calls = []
+    monkeypatch.setattr(pool, "map_in_order", lambda *args: calls.append(args))
+    rng = np.random.default_rng(3)
+    p = ProxySeries(delta=0.01, values=0.5 * rng.standard_normal(200) + 0.6)
+    with pytest.raises(ValueError, match="h_grid must contain positive bandwidths"):
+        block_cv(p, h_grid=np.array(h_grid))
+    assert calls == []
+
+
 def test_default_h_grid_spans_rule_of_thumb():
     rng = np.random.default_rng(2)
     p = ProxySeries(delta=0.01, values=np.abs(rng.standard_normal(500)) + 0.05)

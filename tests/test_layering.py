@@ -9,9 +9,9 @@ sums go through ``jdsmooth.summation``, never ``math.fsum(arr.tolist())``.
 Kernel densities are evaluated by ``jdsmooth.kernels`` alone, so no other
 module calls ``lgamma`` or ``np.exp``.  The triples' weight and design
 points are read by ``proxy``, which builds them, and by ``locallinear``,
-whose ``LinearFitter`` owns them for every fit.  Only the engine reads a
-float's bits, bins terms with ``np.bincount`` or takes a float apart or
-steps between floats (``np.frexp``, ``np.ldexp``, ``np.spacing``,
+whose ``LinearFitter`` owns them for every fit.  Only the engine may read
+a float's bits, bin terms with ``np.bincount``, or take a float apart or
+step between floats (``np.frexp``, ``np.ldexp``, ``np.spacing``,
 ``np.nextafter``).  The package's export list ``__all__`` is exactly the
 public names its ``__init__`` imports.  Worker processes are started by
 ``jdsmooth.pool`` alone, which imports ``multiprocessing`` only inside the
@@ -155,15 +155,16 @@ def _binning_call(node) -> bool:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_bit_level_binning_stays_in_the_summation_module(path):
-    """Reading a double's bits (``.view(np.int64)``), binning terms
-    (``np.bincount``), and the exponents and gaps of the certified stage
-    (``np.frexp``, ``np.ldexp``, ``np.spacing``, ``np.nextafter``) are how
-    ``jdsmooth.summation`` keeps its sums exact; a copy elsewhere would sit
-    outside the bound that proves them."""
+    """The exponents and gaps of the certified stage (``np.frexp``,
+    ``np.ldexp``, ``np.spacing``, ``np.nextafter``) are how
+    ``jdsmooth.summation`` proves its sums exact, and reading a double's
+    bits (``.view(np.int64)``) or binning terms (``np.bincount``) would be
+    a second engine; either elsewhere would sit outside the bound that
+    proves the sums."""
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [f"line {node.lineno}" for node in ast.walk(tree) if _binning_call(node)]
     if path.name == "summation.py":
-        assert calls, "summation.py bins nothing"
+        assert calls, "summation.py takes no float apart"
     else:
         assert not calls, calls
 

@@ -9,6 +9,7 @@ through the engine.
 import itertools
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from jdsmooth import summation
 from jdsmooth.kernels import KernelFamily, KernelSpec, weight_values
 from jdsmooth.locallinear import _power_sums
-from jdsmooth.summation import CHUNK, ExactSums, exact_row_sums, exact_sum
+from jdsmooth.summation import CHUNK, exact_block_sums, exact_row_sums, exact_sum
 
 
 def fsum_outcome(terms):
@@ -57,18 +58,33 @@ def assert_rows_match(block):
 
 
 def assert_rows_match_in_widths(block, widths):
-    """The rows of a finite block, added through one ExactSums a few columns
-    at a time, in the given widths over and over."""
+    """The rows of a block, added through ``exact_block_sums`` in blocks of
+    the given widths, over and over."""
     block = np.asarray(block, dtype=float)
-    sums = ExactSums(*block.shape)
-    start = 0
+    blocks, start = [], 0
     for width in itertools.cycle(widths):
         if start >= block.shape[1]:
             break
-        sums.add(block[:, start : start + width])
+        blocks.append(block[:, start : start + width])
         start += width
-    for row, total in zip(block, sums.totals()):
+    for row, total in zip(block, exact_block_sums(*block.shape, lambda: blocks)):
         assert_same(total, fsum_outcome(row.tolist()))
+
+
+def certified(block, width=CHUNK):
+    """The certified stage's totals of a block's rows, fed ``width`` columns
+    at a time, and the mask of the rows it refused."""
+    block = np.asarray(block, dtype=float)
+    blocks = [block[:, s : s + width] for s in range(0, block.shape[1], width)]
+    return summation._certified(block.shape[0], blocks, np.empty(2 * block.size))
+
+
+def assert_certified_totals_match(block, width=CHUNK):
+    totals, refused = certified(block, width)
+    for row, total, no in zip(np.asarray(block), totals, refused.tolist()):
+        if not no:
+            assert_same(total, fsum_outcome(row.tolist()))
+    return refused
 
 
 # any finite double of magnitude up to 1e2, subnormals and signed zeros
@@ -80,9 +96,28 @@ TERMS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(arrays(float, st.tuples(st.integers(1, 11), st.integers(0, 200)), elements=TERMS))
-def test_row_sums_equal_fsum(block):
+@given(
+    arrays(float, st.tuples(st.integers(1, 11), st.integers(0, 200)), elements=TERMS),
+    st.integers(1, 64),
+)
+def test_row_sums_equal_fsum(block, width):
+    """Every row sum is math.fsum's, zero sign included, through
+    ``exact_row_sums`` and through ``exact_block_sums`` fed ``width``
+    columns at a time."""
     assert_rows_match(block)
+    assert_rows_match_in_widths(block, (width,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arrays(float, st.tuples(st.integers(1, 11), st.integers(0, 200)), elements=TERMS),
+    st.integers(1, 64),
+)
+def test_certified_totals_equal_fsum(block, width):
+    """Every total the first stage accepts is math.fsum's, zero sign
+    included, whether a row comes in one block or in many narrow ones."""
+    assert_certified_totals_match(block)
+    assert_certified_totals_match(block, width)
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,11 +176,10 @@ def test_crowded_windows_keep_a_rounding_tie_exact():
     whose lowest bit lies 26 + ``gap`` binades below that term's leading
     bit, zeros up to 2^13 - 1 terms and a tiny positive term.  The first
     two make an exact sum that sits on a tie at 53 bits, and the tiny term
-    breaks it upward.  A summation bin that held both and rounded would
-    round the tie to even, downward, and lose the tiny term's push.  The
-    pairs (copies, gap) load a bin 2, 3 and 4 binades wider than the
-    widest exact one for a row this long, over every placement in 18
-    consecutive binades.
+    breaks it upward.  A partial sum that held both and rounded would
+    round the tie to even, downward, and lose the tiny term's push.  Three
+    pairs (copies, gap) run over every placement in 18 consecutive
+    binades.
     """
     n = 2**13 - 1
     rows = []
@@ -162,10 +196,10 @@ def test_crowded_windows_keep_a_rounding_tie_exact():
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 17])
 def test_subnormal_rows_need_no_scaling(n):
     """Rows of subnormals alone, and of subnormals between small normals and
-    their negatives.  A subnormal shares the quanta of exponent field 1, so
-    it is split and binned like a normal term; the cancelling normals (fields
-    1 to 63) leave the exact total at the subnormals' scale, where a bin that
-    rounded would show in the result."""
+    their negatives: the cancelling normals (fields 1 to 63) leave the exact
+    total at the subnormals' scale, where a partial sum that rounded would
+    show in the result.  The rows are checked whole and one column at a
+    time."""
     rng = np.random.default_rng(n)
     subnormal = np.ldexp(rng.integers(1 - 2**52, 2**52, (4, n)).astype(float), -1074)
     normal = np.ldexp(rng.uniform(-2.0, 2.0, (2, n // 3)), rng.integers(-1022, -959, (2, n // 3)))
@@ -176,20 +210,17 @@ def test_subnormal_rows_need_no_scaling(n):
 
 
 def test_crowded_lo_window_keeps_a_rounding_tie_exact():
-    """Rows that fill one window's ``lo`` bins to their bound, on a tie.
+    """Many equal terms and one smaller term, just off a rounding tie.
 
-    A row has n = 2^13 - 1 terms, the widest row for windows of w = 14
-    fields: n - 2 copies of a term a whose low 27 fraction bits are all set,
-    at exponent field F; one term b at field F - w, so that a and b never
-    share a window; and a tiny term of a quarter of b's last bit.  b puts
+    A row has n = 2^13 - 1 terms: n - 2 copies of a term a whose low 27
+    fraction bits are all set, at exponent field F; one term b at field
+    F - w, w = 14; and a tiny term of a quarter of b's last bit.  b puts
     the exact sum of the first n - 1 terms one of b's last bits below (or
     above) a rounding tie at 53 bits, and the tiny term moves it a quarter
     of that toward the tie, so an error of one last bit of b in the wrong
-    direction crosses the tie instead of landing on it.  Windows one field
-    wider would put b in the a's window, whose ``lo`` bin would then round
-    by b's last bit.  F runs over w + 1 consecutive fields, every placement
-    of b in such a wider window.  Added one column at a time, every term
-    goes to the first bin copy.
+    direction crosses the tie instead of landing on it.  F runs over w + 1
+    consecutive fields.  The rows are checked whole and one column at a
+    time.
     """
     n = 2**13 - 1
     w = 27 - n.bit_length()
@@ -214,8 +245,9 @@ def test_crowded_lo_window_keeps_a_rounding_tie_exact():
 
 @pytest.mark.parametrize("widths", [(1,), (2,), (3,), (1, 3, 2), (5, CHUNK, 2, 1, 7)])
 def test_narrow_and_uneven_blocks(widths):
-    """Blocks 1 to 3 columns wide and widths that change between calls: the
-    bin copy of a column restarts at every ``add``."""
+    """Blocks 1 to 3 columns wide and widths that change from block to
+    block: each block takes its own sigma in the certified stage, and the
+    refused subnormal row is gathered across them for math.fsum."""
     rng = np.random.default_rng(len(widths) * 10 + widths[0])
     n = 2 * CHUNK + 5
     block = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-320, 2, (4, n))
@@ -226,10 +258,11 @@ def test_narrow_and_uneven_blocks(widths):
 
 
 def test_empty_block_leaves_the_sums_unchanged():
-    sums = ExactSums(2, 3)
-    sums.add(np.empty((2, 0)))
-    sums.add(np.ones((2, 3)))
-    assert sums.totals() == [3.0, 3.0]
+    """Empty blocks among the blocks, in both passes: the row of ones is
+    certified, the row of subnormals refused and gathered for math.fsum."""
+    block = np.array([[1.0] * 3, [5e-324] * 3])
+    blocks = [np.empty((2, 0)), block[:, :2], np.empty((2, 0)), block[:, 2:]]
+    assert exact_block_sums(2, 3, lambda: blocks) == [3.0, 1.5e-323]
 
 
 @pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
@@ -296,43 +329,6 @@ def test_power_sums_hand_non_finite_products_to_fsum():
         assert_same(got, fsum_outcome(row.tolist()))
 
 
-def test_sums_reject_more_terms_than_sized_for():
-    sums = ExactSums(2, 3)
-    sums.add(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        sums.add(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        sums.add(np.ones((3, 1)))
-
-
-def certified(block, width=CHUNK):
-    """The certified stage's totals of a block's rows, fed ``width`` columns
-    at a time, and the mask of the rows it refused."""
-    block = np.asarray(block, dtype=float)
-    blocks = [block[:, s : s + width] for s in range(0, block.shape[1], width)]
-    return summation._certified(block.shape[0], blocks, np.empty(2 * block.size))
-
-
-def assert_certified_totals_match(block, width=CHUNK):
-    totals, refused = certified(block, width)
-    for row, total, no in zip(np.asarray(block), totals, refused.tolist()):
-        if not no:
-            assert_same(total, fsum_outcome(row.tolist()))
-    return refused
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    arrays(float, st.tuples(st.integers(1, 11), st.integers(0, 200)), elements=TERMS),
-    st.integers(1, 64),
-)
-def test_certified_totals_equal_fsum(block, width):
-    """Every total the first stage accepts is math.fsum's, zero sign
-    included, whether a row comes in one block or in many narrow ones."""
-    assert_certified_totals_match(block)
-    assert_certified_totals_match(block, width)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(TERMS, max_size=100),
@@ -385,8 +381,8 @@ def _crowded_tie_blocks(monkeypatch):
 
 def test_crowded_tie_rows_are_refused_and_summed_exactly(monkeypatch):
     """The crowded-window rows sit on a tie that a term of 2^-300 breaks,
-    far below the stage's bound: it refuses every one, and the binning
-    engine sums them exactly through ``exact_row_sums`` and ``_power_sums``.
+    far below the stage's bound: it refuses every one, and math.fsum sums
+    them exactly through ``exact_row_sums`` and ``_power_sums``.
     The crowded-``lo`` rows sit 3/4 of a last bit of their small term off
     the tie, which the stage's bound resolves; whichever stage takes them,
     the totals are math.fsum's."""
@@ -405,18 +401,17 @@ def test_crowded_tie_rows_are_refused_and_summed_exactly(monkeypatch):
         assert design + rhs == [want] * 5
 
 
-def test_only_refused_rows_reach_the_binning_engine(monkeypatch):
-    """A batch the stage certifies whole makes no ``ExactSums``; one tie row
-    among certified rows sends that row alone."""
+def test_only_refused_rows_reach_fsum(monkeypatch):
+    """A batch the stage certifies whole makes no ``math.fsum`` call; one
+    tie row among certified rows sends that row alone."""
     made = []
 
-    class Recording(summation.ExactSums):
-        def __init__(self, rows, terms):
-            made.append(rows)
-            super().__init__(rows, terms)
+    def fsum(terms):
+        made.append(len(terms))
+        return math.fsum(terms)
 
     windows, _ = _crowded_tie_blocks(monkeypatch)
-    monkeypatch.setattr(summation, "ExactSums", Recording)
+    monkeypatch.setattr(summation, "math", types.SimpleNamespace(fsum=fsum))
     rng = np.random.default_rng(4)
     n = windows.shape[1]
     k = rng.uniform(0.0, 2.0, (3, n)) ** 20
@@ -426,4 +421,4 @@ def test_only_refused_rows_reach_the_binning_engine(monkeypatch):
     assert made == []
     block = np.vstack([k, windows[:1], t])
     assert exact_row_sums(block) == [math.fsum(row.tolist()) for row in block]
-    assert made == [1]
+    assert made == [n]
