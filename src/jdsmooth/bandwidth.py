@@ -63,13 +63,6 @@ class BandwidthChoice:
             raise ValueError("candidates and objectives must align")
 
 
-def _proxy_scale(p: ProxySeries) -> float:
-    s = float(np.std(p.values, ddof=1)) if len(p) > 1 else 0.0
-    if not (s > 0):
-        raise ValueError("proxy series has no spread; cannot scale a bandwidth")
-    return s
-
-
 def _rot_exponent(regime: RegimeKind) -> float:
     return -0.4 if regime is RegimeKind.INTERIOR else -0.2
 
@@ -85,7 +78,9 @@ def rule_of_thumb(
         raise ValueError(f"scale constant c must be positive, got {c!r}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be positive, got {T!r}")
-    s = _proxy_scale(p)
+    s = float(np.std(p.values, ddof=1)) if len(p) > 1 else 0.0
+    if not (s > 0):
+        raise ValueError("proxy series has no spread; cannot scale a bandwidth")
     h = c * s * T ** _rot_exponent(regime)
     return BandwidthChoice(h=h, method=BandwidthMethod.RULE_OF_THUMB, c=c)
 
@@ -132,14 +127,12 @@ def mse_grid_search(
     if c_grid.size == 0 or eval_grid.size == 0:
         raise ValueError("candidate and evaluation grids must be nonempty")
     triples = build_regression_triples(p)
-    s = _proxy_scale(p)
-    exponent = _rot_exponent(regime)
     true_vals = np.asarray(truth(eval_grid), dtype=float)
 
     objectives = np.full(c_grid.size, np.inf)
     failures = 0
     for j, c in enumerate(c_grid):
-        spec = KernelSpec(family, c * s * T**exponent)
+        spec = KernelSpec(family, rule_of_thumb(p, c, T, regime).h)
         curve = estimate_curve(triples, spec, eval_grid, target)
         failures += len(curve.failures)
         errs = np.delete((curve.values - true_vals) ** 2, list(curve.failures))
@@ -152,7 +145,7 @@ def mse_grid_search(
     best = int(np.argmin(objectives))
     c_best = float(c_grid[best])
     return BandwidthChoice(
-        h=c_best * s * T**exponent,
+        h=rule_of_thumb(p, c_best, T, regime).h,
         method=BandwidthMethod.MSE_GRID,
         candidates=c_grid,
         objectives=objectives,

@@ -11,24 +11,31 @@ Three experiments over replicated simulated paths:
   quantiles of the studentized errors and compare the recalibrated band
   lengths across kernel families.
 
-Replicate r draws its seed from the splittable hash of (base_seed, r) and
-results are reduced in replicate order, so reports are bit-identical no
-matter how many workers run the sweep.
+The experiments share one replicate loop, which simulates each path once
+and hands every (bandwidth, family) pair to the experiment's fit function;
+one pass then groups the records into cells by (bandwidth label, family,
+x), in the config's order.  No two cells share a key: families, points
+and bandwidth labels must not repeat.  Replicate r draws its seed from
+the splittable hash of (base_seed, r) and records are reduced in
+replicate order, so reports are bit-identical no matter how many workers
+run the sweep.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
 from ._version import VERSION
+from .bandwidth import rule_of_thumb
 from .inference import NUMERATOR_TARGET, band_companions, confidence_band
 from .kernels import DEFAULT_REGIME_THRESHOLD, KernelFamily, KernelSpec
 from .locallinear import Target, estimate_curve
@@ -36,7 +43,7 @@ from .locallinear import Target, estimate_curve
 # mc no longer fits points itself, but perfbench's tracing test still
 # rebinds mc.local_linear_fit, so the name stays in this namespace
 from .locallinear import local_linear_fit  # noqa: F401
-from .proxy import build_proxy, build_regression_triples
+from .proxy import ProxySeries, build_proxy, build_regression_triples
 from .simulate import ModelSpec, replicate_seed, simulate_path, true_moments
 
 # fewest replicates whose studentized errors give adjusted lengths
@@ -49,7 +56,8 @@ class BandwidthSetting:
     """A fixed bandwidth or a rule-of-thumb scale constant.
 
     Exactly one of ``fixed`` and ``rot_c`` must be set; the rule variant
-    resolves to c * std(proxy) * T^(-2/5) separately in each replicate.
+    resolves to ``rule_of_thumb``'s c * std(proxy) * T^(-2/5) separately
+    in each replicate.
     """
 
     fixed: float | None = None
@@ -69,10 +77,10 @@ class BandwidthSetting:
             return f"h={self.fixed:g}"
         return f"rot_c={self.rot_c:g}"
 
-    def resolve(self, proxy_std: float, T: float) -> float:
+    def resolve(self, p: ProxySeries, T: float) -> float:
         if self.fixed is not None:
             return float(self.fixed)
-        return float(self.rot_c) * proxy_std * T ** (-0.4)
+        return rule_of_thumb(p, self.rot_c, T).h
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,15 @@ class McConfig:
             raise ValueError("need at least one bandwidth setting")
         if not self.families:
             raise ValueError("need at least one kernel family")
+        if not all(math.isfinite(x) for x in self.eval_points):
+            raise ValueError(f"eval_points must be finite, got {self.eval_points!r}")
+        for name, values in (
+            ("families", self.families),
+            ("bandwidths", [b.label for b in self.bandwidths]),
+            ("eval_points", self.eval_points),
+        ):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat, got {values!r}")
         if self.target not in NUMERATOR_TARGET:
             raise ValueError("experiments cover drift and conditional variance")
         if not (0 < self.alpha < 1):
@@ -181,22 +198,37 @@ class McReport:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _map_replicates(cfg: McConfig, worker):
-    """Run worker(r) for each replicate, reducing in index order."""
+def _map_replicates(cfg: McConfig, fit) -> list[dict]:
+    """Every replicate's records, reduced in replicate order."""
     indices = range(cfg.replicates)
+    worker = functools.partial(_replicate, cfg, fit=fit)
     if cfg.workers == 1:
-        return [worker(r) for r in indices]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(worker, indices))
+        batches = map(worker, indices)
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            batches = list(pool.map(worker, indices))
+    return [rec for batch in batches for rec in batch]
 
 
-def _simulate_proxy(cfg: McConfig, r: int):
+def _replicate(cfg: McConfig, r: int, fit) -> list[dict]:
+    """Simulate replicate r once and fit it at every (bandwidth, family)."""
     seed = replicate_seed(cfg.base_seed, r)
     path = simulate_path(cfg.model, cfg.T, cfg.n, seed)
     p = build_proxy(path.y, path.delta)
     triples = build_regression_triples(p)
-    s = float(np.std(p.values, ddof=1))
-    return seed, p, triples, s
+    out = []
+    for setting in cfg.bandwidths:
+        h = setting.resolve(p, cfg.T)
+        for family in cfg.families:
+            rec = {
+                "r": r,
+                "seed": seed,
+                "family": family.value,
+                "bandwidth": setting.label,
+                "h": h,
+            }
+            out += fit(cfg, p, triples, KernelSpec(family, h), rec)
+    return out
 
 
 def _truth_value(cfg: McConfig, x: float) -> float:
@@ -204,35 +236,35 @@ def _truth_value(cfg: McConfig, x: float) -> float:
     return tm.mu if cfg.target is Target.DRIFT else tm.m
 
 
-def _mse_replicate(cfg: McConfig, r: int) -> list[dict]:
-    seed, p, triples, s = _simulate_proxy(cfg, r)
+def _cells(cfg: McConfig, records, points) -> dict:
+    """Records grouped in one pass by (bandwidth label, family, x in points),
+    in the config's order; records of keys it does not name are skipped."""
+    cells = {
+        (setting.label, family.value, x): []
+        for setting in cfg.bandwidths
+        for family in cfg.families
+        for x in points
+    }
+    for rec in records:
+        cell = cells.get((rec["bandwidth"], rec["family"], rec.get("x")))
+        if cell is not None:
+            cell.append(rec)
+    return cells
+
+
+def _mse_fit(cfg: McConfig, p, triples, spec: KernelSpec, rec: dict) -> list[dict]:
     if cfg.mse_trim is not None:
         lo, hi = np.percentile(p.values, list(cfg.mse_trim))
     else:
         lo, hi = float(np.min(p.values)), float(np.max(p.values))
     grid = np.linspace(lo, hi, cfg.mse_grid_size)
-    out = []
-    for setting in cfg.bandwidths:
-        h = setting.resolve(s, cfg.T)
-        for family in cfg.families:
-            curve = estimate_curve(triples, KernelSpec(family, h), grid, cfg.target)
-            rec = {
-                "r": r,
-                "seed": seed,
-                "family": family.value,
-                "bandwidth": setting.label,
-                "h": h,
-                "ok": False,
-                "mse": None,
-                "point_failures": len(curve.failures),
-            }
-            good = np.isfinite(curve.values)
-            if good.any():
-                truth = np.array([_truth_value(cfg, float(x)) for x in grid[good]])
-                rec["ok"] = True
-                rec["mse"] = float(np.mean((curve.values[good] - truth) ** 2))
-            out.append(rec)
-    return out
+    curve = estimate_curve(triples, spec, grid, cfg.target)
+    rec.update(ok=False, mse=None, point_failures=len(curve.failures))
+    good = np.isfinite(curve.values)
+    if good.any():
+        truth = np.array([_truth_value(cfg, float(x)) for x in grid[good]])
+        rec.update(ok=True, mse=float(np.mean((curve.values[good] - truth) ** 2)))
+    return [rec]
 
 
 def run_mse_experiment(cfg: McConfig) -> McReport:
@@ -243,157 +275,144 @@ def run_mse_experiment(cfg: McConfig) -> McReport:
     ``mse_trim``); grid points where the fit fails are dropped from that
     replicate's average and counted.
     """
-    per_rep = _map_replicates(cfg, lambda r: _mse_replicate(cfg, r))
-    records = [rec for batch in per_rep for rec in batch]
+    records = _map_replicates(cfg, _mse_fit)
     rows = []
-    for setting in cfg.bandwidths:
-        for family in cfg.families:
-            cell = [
-                rec
-                for rec in records
-                if rec["family"] == family.value and rec["bandwidth"] == setting.label
-            ]
-            good = [rec for rec in cell if rec["ok"]]
-            mses = np.array([rec["mse"] for rec in good])
-            rows.append(
-                {
-                    "family": family.value,
-                    "bandwidth": setting.label,
-                    "h_mean": float(np.mean([rec["h"] for rec in cell])),
-                    "mse_mean": float(np.mean(mses)) if mses.size else math.nan,
-                    "mse_median": float(np.median(mses)) if mses.size else math.nan,
-                    "mse_std": float(np.std(mses, ddof=1))
-                    if mses.size > 1
-                    else math.nan,
-                    "replicates_ok": len(good),
-                    "point_failures": int(sum(rec["point_failures"] for rec in cell)),
-                }
-            )
+    for (label, family, _), cell in _cells(cfg, records, (None,)).items():
+        good = [rec for rec in cell if rec["ok"]]
+        mses = np.array([rec["mse"] for rec in good])
+        rows.append(
+            {
+                "family": family,
+                "bandwidth": label,
+                "h_mean": float(np.mean([rec["h"] for rec in cell])),
+                "mse_mean": float(np.mean(mses)) if mses.size else math.nan,
+                "mse_median": float(np.median(mses)) if mses.size else math.nan,
+                "mse_std": float(np.std(mses, ddof=1))
+                if mses.size > 1
+                else math.nan,
+                "replicates_ok": len(good),
+                "point_failures": int(sum(rec["point_failures"] for rec in cell)),
+            }
+        )
     return McReport.of(cfg, "mse", rows, records)
 
 
-def _pointwise_replicate(cfg: McConfig, r: int) -> list[dict]:
-    seed, p, triples, s = _simulate_proxy(cfg, r)
+def _band_fit(cfg: McConfig, p, triples, spec: KernelSpec, rec: dict) -> list[dict]:
     grid = np.asarray(cfg.eval_points, dtype=float)
+    curve, companions = band_companions(p, triples, spec, grid, cfg.target)
+    band = confidence_band(
+        curve, companions, cfg.alpha, n=cfg.n, delta=p.delta, tau=cfg.tau
+    )
     out = []
-    for setting in cfg.bandwidths:
-        h = setting.resolve(s, cfg.T)
-        for family in cfg.families:
-            spec = KernelSpec(family, h)
-            curve, companions = band_companions(p, triples, spec, grid, cfg.target)
-            band = confidence_band(
-                curve, companions, cfg.alpha, n=cfg.n, delta=p.delta, tau=cfg.tau
+    for i, x in enumerate(grid.tolist()):
+        point = {
+            **rec,
+            "x": x,
+            "ok": False,
+            "estimate": None,
+            "bias": None,
+            "variance": None,
+            "rate": None,
+            "covered": None,
+            "length": None,
+            "reason": band.gaps.get(i, ""),
+        }
+        if i not in band.gaps:
+            lo, hi = float(band.lower[i]), float(band.upper[i])
+            truth = _truth_value(cfg, x)
+            point.update(
+                ok=True,
+                estimate=float(curve.values[i]),
+                bias=float(band.bias[i]),
+                variance=float(band.variance[i]),
+                rate=float(band.rate[i]),
+                covered=bool(lo <= truth <= hi),
+                length=hi - lo,
             )
-            for i, x in enumerate(grid.tolist()):
-                rec = {
-                    "r": r,
-                    "seed": seed,
-                    "family": family.value,
-                    "bandwidth": setting.label,
-                    "h": h,
-                    "x": x,
-                    "ok": False,
-                    "estimate": None,
-                    "bias": None,
-                    "variance": None,
-                    "rate": None,
-                    "covered": None,
-                    "length": None,
-                    "reason": band.gaps.get(i, ""),
-                }
-                if i not in band.gaps:
-                    lo, hi = float(band.lower[i]), float(band.upper[i])
-                    truth = _truth_value(cfg, x)
-                    rec.update(
-                        ok=True,
-                        estimate=float(curve.values[i]),
-                        bias=float(band.bias[i]),
-                        variance=float(band.variance[i]),
-                        rate=float(band.rate[i]),
-                        covered=bool(lo <= truth <= hi),
-                        length=hi - lo,
-                    )
-                out.append(rec)
+        out.append(point)
     return out
 
 
-def _pointwise_records(cfg: McConfig) -> list[dict]:
+def _attach_length_ratio(rows: list[dict], key: str) -> None:
+    """Set ratio columns: Gaussian mean length over Gamma mean length."""
+    means = {(r["bandwidth"], r["x"], r["family"]): r[f"{key}_mean"] for r in rows}
+    for row in rows:
+        denom = means.get((row["bandwidth"], row["x"], "gamma"))
+        numer = means.get((row["bandwidth"], row["x"], "gaussian"))
+        paired = numer is not None and denom and math.isfinite(denom) and denom > 0
+        row[f"{key}_ratio_sym_over_asym"] = numer / denom if paired else math.nan
+
+
+def _band_report(cfg: McConfig, experiment: str, records, row, key: str) -> McReport:
+    """One row per cell of the band records (swept here unless given): the
+    cell's labels, then ``row(cfg, cell, truth)``, then the ``key`` ratio."""
     if not cfg.eval_points:
         raise ValueError("this experiment needs at least one evaluation point")
-    per_rep = _map_replicates(cfg, lambda r: _pointwise_replicate(cfg, r))
-    return [rec for batch in per_rep for rec in batch]
+    if records is None:
+        records = _map_replicates(cfg, _band_fit)
+    points = [float(x) for x in cfg.eval_points]
+    rows = []
+    for (label, family, x), cell in _cells(cfg, records, points).items():
+        stats = row(cfg, cell, _truth_value(cfg, x))
+        rows.append({"family": family, "bandwidth": label, "x": x, **stats})
+    _attach_length_ratio(rows, key)
+    return McReport.of(cfg, experiment, rows, records)
 
 
-def _cells(cfg: McConfig):
-    for setting in cfg.bandwidths:
-        for family in cfg.families:
-            for x in cfg.eval_points:
-                yield setting, family, float(x)
-
-
-def _cell_records(records, setting, family, x):
-    return [
-        rec
-        for rec in records
-        if rec["family"] == family.value
-        and rec["bandwidth"] == setting.label
-        and rec["x"] == x
-    ]
-
-
-def _attach_length_ratio(cfg: McConfig, rows: list[dict], key: str) -> None:
-    """Set ratio columns: Gaussian mean length over Gamma mean length."""
-    for row in rows:
-        row[f"{key}_ratio_sym_over_asym"] = math.nan
-    for setting in cfg.bandwidths:
-        for x in cfg.eval_points:
-            pair = {
-                row["family"]: row
-                for row in rows
-                if row["bandwidth"] == setting.label and row["x"] == float(x)
-            }
-            if "gamma" in pair and "gaussian" in pair:
-                denom = pair["gamma"][f"{key}_mean"]
-                numer = pair["gaussian"][f"{key}_mean"]
-                if denom and math.isfinite(denom) and denom > 0:
-                    ratio = numer / denom
-                    pair["gamma"][f"{key}_ratio_sym_over_asym"] = ratio
-                    pair["gaussian"][f"{key}_ratio_sym_over_asym"] = ratio
+def _coverage_row(cfg: McConfig, cell: list[dict], truth: float) -> dict:
+    good = [rec for rec in cell if rec["ok"]]
+    est = np.array([rec["estimate"] for rec in good])
+    est_var = np.array([rec["variance"] / rec["rate"] ** 2 for rec in good])
+    lengths = np.array([rec["length"] for rec in good])
+    covered = np.array([rec["covered"] for rec in good], dtype=bool)
+    return {
+        "coverage_pct": 100.0 * float(np.mean(covered)) if good else math.nan,
+        "mean_bias": float(np.mean(est - truth)) if good else math.nan,
+        "var_estimates": float(np.var(est, ddof=1)) if len(good) > 1 else math.nan,
+        "est_variance_mean": float(np.mean(est_var)) if good else math.nan,
+        "est_variance_std": float(np.std(est_var, ddof=1))
+        if len(good) > 1
+        else math.nan,
+        "length_mean": float(np.mean(lengths)) if good else math.nan,
+        "replicates_ok": len(good),
+        "failures": len(cell) - len(good),
+    }
 
 
 def run_coverage_experiment(cfg: McConfig) -> McReport:
     """Empirical coverage and length of pointwise asymptotic bands."""
-    records = _pointwise_records(cfg)
-    rows = []
-    for setting, family, x in _cells(cfg):
-        cell = _cell_records(records, setting, family, x)
-        good = [rec for rec in cell if rec["ok"]]
-        truth = _truth_value(cfg, x)
-        est = np.array([rec["estimate"] for rec in good])
-        est_var = np.array([rec["variance"] / rec["rate"] ** 2 for rec in good])
-        lengths = np.array([rec["length"] for rec in good])
-        covered = np.array([rec["covered"] for rec in good], dtype=bool)
-        rows.append(
-            {
-                "family": family.value,
-                "bandwidth": setting.label,
-                "x": x,
-                "coverage_pct": 100.0 * float(np.mean(covered)) if good else math.nan,
-                "mean_bias": float(np.mean(est - truth)) if good else math.nan,
-                "var_estimates": float(np.var(est, ddof=1))
-                if len(good) > 1
-                else math.nan,
-                "est_variance_mean": float(np.mean(est_var)) if good else math.nan,
-                "est_variance_std": float(np.std(est_var, ddof=1))
-                if len(good) > 1
-                else math.nan,
-                "length_mean": float(np.mean(lengths)) if good else math.nan,
-                "replicates_ok": len(good),
-                "failures": len(cell) - len(good),
-            }
+    return _band_report(cfg, "coverage", None, _coverage_row, "length")
+
+
+def _adjusted_row(cfg: McConfig, cell: list[dict], truth: float) -> dict:
+    good = [rec for rec in cell if rec["ok"] and rec["variance"] > 0]
+    row = {
+        "adjusted_length_mean": math.nan,
+        "achieved_coverage_pct": math.nan,
+        "q_low": math.nan,
+        "q_high": math.nan,
+        "replicates_ok": len(good),
+        "failures": len(cell) - len(good),
+    }
+    if len(good) >= MIN_ADJUSTED_REPLICATES:
+        z = np.array(
+            [
+                (rec["estimate"] - rec["bias"] - truth)
+                * rec["rate"]
+                / math.sqrt(rec["variance"])
+                for rec in good
+            ]
         )
-    _attach_length_ratio(cfg, rows, "length")
-    return McReport.of(cfg, "coverage", rows, records)
+        q_low, q_high = np.quantile(z, [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0])
+        se = np.array([math.sqrt(rec["variance"]) / rec["rate"] for rec in good])
+        row.update(
+            adjusted_length_mean=float(np.mean((q_high - q_low) * se)),
+            achieved_coverage_pct=100.0
+            * float(np.mean((z >= q_low) & (z <= q_high))),
+            q_low=float(q_low),
+            q_high=float(q_high),
+        )
+    return row
 
 
 def run_adjusted_length_experiment(
@@ -411,47 +430,9 @@ def run_adjusted_length_experiment(
         raise ValueError(
             f"adjusted lengths need at least {MIN_ADJUSTED_REPLICATES} replicates"
         )
-    if records is None:
-        records = _pointwise_records(cfg)
-    rows = []
-    for setting, family, x in _cells(cfg):
-        cell = _cell_records(records, setting, family, x)
-        good = [rec for rec in cell if rec["ok"] and rec["variance"] > 0]
-        truth = _truth_value(cfg, x)
-        row = {
-            "family": family.value,
-            "bandwidth": setting.label,
-            "x": x,
-            "adjusted_length_mean": math.nan,
-            "achieved_coverage_pct": math.nan,
-            "q_low": math.nan,
-            "q_high": math.nan,
-            "replicates_ok": len(good),
-            "failures": len(cell) - len(good),
-        }
-        if len(good) >= MIN_ADJUSTED_REPLICATES:
-            z = np.array(
-                [
-                    (rec["estimate"] - rec["bias"] - truth)
-                    * rec["rate"]
-                    / math.sqrt(rec["variance"])
-                    for rec in good
-                ]
-            )
-            q_low, q_high = np.quantile(z, [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0])
-            se = np.array(
-                [math.sqrt(rec["variance"]) / rec["rate"] for rec in good]
-            )
-            row.update(
-                adjusted_length_mean=float(np.mean((q_high - q_low) * se)),
-                achieved_coverage_pct=100.0
-                * float(np.mean((z >= q_low) & (z <= q_high))),
-                q_low=float(q_low),
-                q_high=float(q_high),
-            )
-        rows.append(row)
-    _attach_length_ratio(cfg, rows, "adjusted_length")
-    return McReport.of(cfg, "adjusted_length", rows, records)
+    return _band_report(
+        cfg, "adjusted_length", records, _adjusted_row, "adjusted_length"
+    )
 
 
 def qq_data(values, center: float | None = None, scale: float | None = None):

@@ -589,6 +589,16 @@ class TestMcTable:
         assert "--replicates" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_repeated_eval_points_exit_2(self, tmp_path, capsys):
+        # each row would count the point's records twice
+        rc = main([
+            "mc-table", "--experiment", "coverage", "--replicates", "3",
+            "--eval-points", "0.1,0.1", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "eval_points" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flags", [
         pytest.param(["--mse-grid-size", "0"], id="grid_size_0"),
         pytest.param(["--mse-grid-size", "-3"], id="grid_size_negative"),

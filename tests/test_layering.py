@@ -15,7 +15,9 @@ step between floats (``np.frexp``, ``np.ldexp``, ``np.spacing``,
 ``np.nextafter``).  The package's export list ``__all__`` is exactly the
 public names its ``__init__`` imports.  Worker processes are started by
 ``jdsmooth.pool`` alone, which imports ``multiprocessing`` only inside the
-call that starts them.
+call that starts them.  The rule-of-thumb rates T^(-2/5) and T^(-1/5) are
+taken by ``bandwidth.rule_of_thumb`` alone, so no ``**`` has the constant
+exponent 0.4 or 0.2, of either sign.
 """
 
 import ast
@@ -167,6 +169,34 @@ def test_bit_level_binning_stays_in_the_summation_module(path):
         assert calls, "summation.py takes no float apart"
     else:
         assert not calls, calls
+
+
+def _rule_of_thumb_power(node) -> bool:
+    """x ** c or x **= c with c the constant 0.4 or 0.2, of either sign."""
+    if isinstance(node, ast.BinOp):
+        exponent = node.right
+    elif isinstance(node, ast.AugAssign):
+        exponent = node.value
+    else:
+        return False
+    if not isinstance(node.op, ast.Pow):
+        return False
+    signed = isinstance(exponent, ast.UnaryOp)
+    if signed and isinstance(exponent.op, (ast.USub, ast.UAdd)):
+        exponent = exponent.operand
+    return isinstance(exponent, ast.Constant) and exponent.value in (0.4, 0.2)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_rule_of_thumb_rates_stay_in_rule_of_thumb(path):
+    """c * S * T^(-2/5) is computed by ``bandwidth.rule_of_thumb``, whose
+    ``_rot_exponent`` names the rates; a hand-written ``T ** (-0.4)``
+    elsewhere is a second copy of the rule."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    powers = [
+        f"line {node.lineno}" for node in ast.walk(tree) if _rule_of_thumb_power(node)
+    ]
+    assert not powers, powers
 
 
 def test_exports_are_the_public_names_init_imports():

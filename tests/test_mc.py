@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from jdsmooth import mc
 from jdsmooth.kernels import KernelFamily
 from jdsmooth.locallinear import Target
 from jdsmooth.mc import (
@@ -161,6 +162,68 @@ def test_config_rejects_a_bad_regime_threshold(tau):
 def test_config_rejects_a_bad_mse_grid(overrides):
     with pytest.raises(ValueError, match="mse_"):
         small_config(**overrides)
+
+
+@pytest.mark.parametrize("overrides, name", [
+    pytest.param(
+        {"families": (KernelFamily.GAMMA, KernelFamily.GAUSSIAN, KernelFamily.GAMMA)},
+        "families", id="repeated_family",
+    ),
+    pytest.param({"eval_points": (0.1, 0.1)}, "eval_points", id="repeated_point"),
+    pytest.param({"eval_points": (0.0, -0.0)}, "eval_points", id="signed_zeros"),
+    pytest.param(
+        {"bandwidths": (BandwidthSetting(fixed=0.05000001),
+                        BandwidthSetting(fixed=0.05000002))},
+        "bandwidths", id="equal_labels",
+    ),
+    pytest.param(
+        {"bandwidths": (BandwidthSetting(rot_c=2.8), BandwidthSetting(rot_c=2.8))},
+        "bandwidths", id="repeated_rot_c",
+    ),
+    pytest.param({"eval_points": (0.1, float("nan"))}, "eval_points", id="nan_point"),
+    pytest.param({"eval_points": (float("-inf"),)}, "eval_points", id="inf_point"),
+])
+def test_config_rejects_cells_that_would_share_records(overrides, name):
+    """A repeated family, point or bandwidth label would put the same
+    records in two cells, each row counting them; a non-finite point
+    would fail only after every replicate was simulated."""
+    with pytest.raises(ValueError, match=name):
+        small_config(**overrides)
+
+
+def test_every_record_lands_in_exactly_one_cell():
+    """Two settings x two families x three points, one below 0: one row
+    per cell in (bandwidth, family[, x]) order, each cell holding one
+    record per replicate, and records of keys the config does not name
+    left out."""
+    settings = (BandwidthSetting(fixed=0.05), BandwidthSetting(rot_c=2.8))
+    cfg = small_config(
+        replicates=40, bandwidths=settings, eval_points=(-0.05, 0.1, 0.2),
+        mse_grid_size=5,
+    )
+    cov = run_coverage_experiment(cfg)
+    adjusted = run_adjusted_length_experiment(cfg, records=cov.records)
+    mse = run_mse_experiment(cfg)
+    labels = [s.label for s in settings]
+    families = ["gamma", "gaussian"]
+    for report, points in ((cov, cfg.eval_points), (adjusted, cfg.eval_points),
+                           (mse, (None,))):
+        keys = [(b, f, x) for b in labels for f in families for x in points]
+        assert [(r["bandwidth"], r["family"], r.get("x")) for r in report.rows] == keys
+        cells = mc._cells(cfg, report.records, points)
+        assert list(cells) == keys
+        assert all(len(cell) == cfg.replicates for cell in cells.values())
+        assert sorted(id(rec) for cell in cells.values() for rec in cell) == sorted(
+            id(rec) for rec in report.records
+        )
+        if points != (None,):
+            for row in report.rows:
+                assert row["replicates_ok"] + row["failures"] == cfg.replicates
+    gamma_below = [r for r in cov.rows if r["family"] == "gamma" and r["x"] < 0]
+    assert [r["failures"] for r in gamma_below] == [cfg.replicates] * 2
+    stray = dict(cov.records[0], bandwidth="h=9")
+    cells = mc._cells(cfg, [*cov.records, stray], cfg.eval_points)
+    assert all(rec is not stray for cell in cells.values() for rec in cell)
 
 
 def test_bandwidth_setting_rejects_a_bool():

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from jdsmooth import summation
 from jdsmooth.kernels import KernelFamily, KernelSpec, weight_values
@@ -94,12 +93,60 @@ TERMS = st.one_of(
     st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 7)),
 )
 
+# terms a block's selector bytes pick outright: signed zeros, the smallest
+# subnormals, the ends of the range and small integers
+PICKED = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e2, -1e2, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
+)
+
+
+def decode_terms(selector, seed):
+    """A block of terms from both ``TERMS`` families, one per selector byte.
+
+    A selector below 24 picks from ``PICKED``; above that, an even one
+    takes a value in [-100, 100) and an odd one ldexp(m, e) with m in
+    [-1, 1) and e in [-1074, 7], both from a generator seeded with seed.
+    """
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform(-1e2, 1e2, selector.shape)
+    m = rng.uniform(-1.0, 1.0, selector.shape)
+    block = np.where(
+        selector % 2 == 0, uniform, np.ldexp(m, rng.integers(-1074, 8, selector.shape))
+    )
+    picked = selector < 2 * PICKED.size
+    block[picked] = PICKED[selector[picked] // 2]
+    return block
+
+
+@st.composite
+def term_blocks(draw):
+    """A (1-11, 0-200) block from one ``st.binary`` of selector bytes and a
+    seed, decoded in numpy.  Drawing the terms one by one from ``TERMS`` is
+    many times slower, and hypothesis's 8 KiB choice buffer stops such
+    blocks near 600 terms."""
+    rows, cols = draw(st.integers(1, 11)), draw(st.integers(0, 200))
+    raw = draw(st.binary(min_size=rows * cols, max_size=rows * cols))
+    selector = np.frombuffer(raw, np.uint8).reshape(rows, cols)
+    return decode_terms(selector, draw(st.integers(0, 2**32 - 1)))
+
+
+def test_decoded_terms_cover_both_families_and_the_picked_terms():
+    selector = np.tile(np.arange(256, dtype=np.uint8), (40, 1))
+    block = decode_terms(selector, 0)
+    picked = selector < 2 * PICKED.size
+    want = PICKED[selector[picked] // 2]
+    assert np.array_equal(block[picked], want)
+    assert np.array_equal(np.signbit(block[picked]), np.signbit(want))
+    uniform = block[~picked & (selector % 2 == 0)]
+    assert np.all(np.abs(uniform) <= 1e2) and uniform.min() < -90 and uniform.max() > 90
+    binades = block[~picked & (selector % 2 == 1)]
+    _, exponents = np.frexp(binades)
+    assert exponents.min() < -1000 and exponents.max() == 7
+    assert np.count_nonzero((binades != 0) & (np.abs(binades) < 2.0**-1022)) > 100
+
 
 @settings(max_examples=200, deadline=None)
-@given(
-    arrays(float, st.tuples(st.integers(1, 11), st.integers(0, 200)), elements=TERMS),
-    st.integers(1, 64),
-)
+@given(term_blocks(), st.integers(1, 64))
 def test_row_sums_equal_fsum(block, width):
     """Every row sum is math.fsum's, zero sign included, through
     ``exact_row_sums`` and through ``exact_block_sums`` fed ``width``
@@ -109,10 +156,7 @@ def test_row_sums_equal_fsum(block, width):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    arrays(float, st.tuples(st.integers(1, 11), st.integers(0, 200)), elements=TERMS),
-    st.integers(1, 64),
-)
+@given(term_blocks(), st.integers(1, 64))
 def test_certified_totals_equal_fsum(block, width):
     """Every total the first stage accepts is math.fsum's, zero sign
     included, whether a row comes in one block or in many narrow ones."""
