@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import pool
-from .errors import SparseRegionError
+from .errors import POSITIVE, SparseRegionError, at_least, checked
 from .inference import asymptotic_moments
 from .kernels import KernelFamily, KernelSpec, PointRegime, RegimeKind
 from .locallinear import LinearFitter, Target, estimate_curve
@@ -57,8 +57,7 @@ class BandwidthChoice:
     failures: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"selected bandwidth must be positive, got {self.h!r}")
+        object.__setattr__(self, "h", checked("selected bandwidth", self.h, POSITIVE))
         if self.candidates.size != self.objectives.size:
             raise ValueError("candidates and objectives must align")
 
@@ -74,10 +73,8 @@ def rule_of_thumb(
     regime: RegimeKind = RegimeKind.INTERIOR,
 ) -> BandwidthChoice:
     """h = c * std(proxy) * T^(-2/5), or T^(-1/5) for boundary targets."""
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"scale constant c must be positive, got {c!r}")
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon T must be positive, got {T!r}")
+    c = checked("scale constant c", c, POSITIVE)
+    T = checked("horizon T", T, POSITIVE)
     s = float(np.std(p.values, ddof=1)) if len(p) > 1 else 0.0
     if not (s > 0):
         raise ValueError("proxy series has no spread; cannot scale a bandwidth")
@@ -85,22 +82,12 @@ def rule_of_thumb(
     return BandwidthChoice(h=h, method=BandwidthMethod.RULE_OF_THUMB, c=c)
 
 
-def default_h_grid(
-    p: ProxySeries,
-    count: int = _GRID_COUNT,
-    span: tuple[float, float] = _GRID_SPAN,
-    T: float | None = None,
-) -> np.ndarray:
-    """Log-spaced candidate bandwidths around the rule-of-thumb value.
-
-    T defaults to the observation span delta * n of the proxy itself.
-    """
-    if count < 2:
-        raise ValueError("need at least two candidates")
-    if T is None:
-        T = p.delta * len(p)
-    rot = rule_of_thumb(p, c=_DEFAULT_GRID_C, T=T).h
-    return np.geomspace(span[0] * rot, span[1] * rot, count)
+def default_h_grid(p: ProxySeries, count: int = _GRID_COUNT) -> np.ndarray:
+    """Log-spaced candidate bandwidths around the rule-of-thumb value at
+    the observation span delta * n of the proxy."""
+    count = checked("count", count, at_least(2), integer=True)
+    rot = rule_of_thumb(p, c=_DEFAULT_GRID_C, T=p.delta * len(p)).h
+    return np.geomspace(_GRID_SPAN[0] * rot, _GRID_SPAN[1] * rot, count)
 
 
 def mse_grid_search(
@@ -218,9 +205,7 @@ def block_cv(
     n = len(p)
     if k is None:
         k = int(round(n**0.25))
-    k = int(k)
-    if k < 1:
-        raise ValueError("block half-width k must be at least 1")
+    k = checked("block half-width k", k, at_least(1), integer=True)
     if n < 4 * k + 4:
         raise ValueError(
             f"series of length {n} is too short for block width k={k}"
@@ -290,11 +275,11 @@ def asymptotic_h_opt(
     """
     if not (math.isfinite(curvature) and curvature != 0.0):
         raise ValueError("plug-in bandwidth needs nonzero curvature")
-    if not (m_hat > 0):
-        raise ValueError(f"variance numerator must be positive, got {m_hat!r}")
+    n = checked("n", n, POSITIVE)
+    delta = checked("delta", delta, POSITIVE)
     mom = asymptotic_moments(
         x, 1.0, n, delta, Target.DRIFT, curvature, m_hat, p_hat, regime
     )
-    exponent = 0.4 if regime.kind is RegimeKind.INTERIOR else 0.2
+    exponent = -_rot_exponent(regime.kind)
     h = (mom.variance * 4.0 / (2.0 * mom.bias) ** 2 / (n * delta)) ** exponent
     return BandwidthChoice(h=float(h), method=BandwidthMethod.ASYMPTOTIC_PLUGIN)

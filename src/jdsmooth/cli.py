@@ -34,6 +34,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
@@ -43,7 +44,18 @@ import numpy as np
 
 from ._version import VERSION
 from .bandwidth import asymptotic_h_opt, block_cv, rule_of_thumb
-from .errors import ConfigError, DataError, JdsmoothError
+from .errors import (
+    FINITE,
+    NONNEGATIVE,
+    OPEN_UNIT,
+    POSITIVE,
+    ConfigError,
+    DataError,
+    JdsmoothError,
+    at_least,
+    checked,
+    is_number,
+)
 from .inference import NUMERATOR_TARGET, band_companions, bs_jump_test, confidence_band
 from .kernels import (
     DEFAULT_REGIME_THRESHOLD,
@@ -271,13 +283,9 @@ def _model_from(o) -> ModelSpec:
 
 def _cmd_simulate(o, cfg: dict) -> int:
     out = _out_dir(o)
-    model = _model_from(o)
-    try:
-        path = simulate_path(model, o.T, o.n * o.substep, o.seed)
-        if o.substep > 1:
-            path = path.thin(o.substep)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    path = simulate_path(_model_from(o), o.T, o.n * o.substep, o.seed)
+    if o.substep > 1:
+        path = path.thin(o.substep)
 
     t = path.t
     path_csv = out / "path.csv"
@@ -529,11 +537,6 @@ def _flag(key: str) -> str:
     return f"--{key.replace('_', '-')}"
 
 
-def _is_number(v, cast=float) -> bool:
-    """A JSON number, an integer when cast is int; a bool is neither."""
-    return not isinstance(v, bool) and isinstance(v, int if cast is int else (int, float))
-
-
 def _text(v) -> str:
     if not isinstance(v, str):
         raise ValueError("a string")
@@ -553,7 +556,7 @@ def _floats(v) -> tuple[float, ...]:
             values = tuple(float(s) for s in v.split(",") if s.strip())
         except ValueError:
             raise ValueError("comma-separated numbers") from None
-    elif isinstance(v, list) and all(_is_number(e) for e in v):
+    elif isinstance(v, list) and all(is_number(e) for e in v):
         values = tuple(float(e) for e in v)
     else:
         raise ValueError("a list of numbers or a comma-separated string")
@@ -600,20 +603,14 @@ class _Opt:
         raise ConfigError(f"{self.key} ({_flag(self.key)}) must be {need}, got {v!r}")
 
 
-_FINITE = ("finite", math.isfinite)
-_POSITIVE = ("positive and finite", lambda v: math.isfinite(v) and v > 0)
-
-
-def _num(key, default=None, cast=float, rule=_FINITE, help=None) -> _Opt:
-    """A number option; ``rule`` is (what errors say it needs, its test)."""
-    need, ok = rule
+def _num(key, default=None, cast=float, rule=FINITE, help=None) -> _Opt:
+    """A number option, checked by ``errors.checked`` against ``rule``."""
 
     def parse(v):
-        if not _is_number(v, cast):
-            raise ValueError("an integer" if cast is int else "a number")
-        if not ok(v):
-            raise ValueError(need)
-        return cast(v)
+        try:
+            return checked(f"{key} ({_flag(key)})", v, rule, integer=cast is int)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     return _Opt(key, default, parse, kind=cast, help=help)
 
@@ -635,7 +632,7 @@ _PROXY_MODE = _Opt(
 )
 _IO = (
     _Opt("input", help="input CSV file with a header row"),
-    _num("delta", rule=_POSITIVE, help="sampling interval (required; never inferred)"),
+    _num("delta", rule=POSITIVE, help="sampling interval (required; never inferred)"),
     _PROXY_MODE,
     _Opt("value_column",
          help="value column name (default: second column, or the only one)"),
@@ -643,8 +640,8 @@ _IO = (
          help="time column name, or 'none' (default: first column when several)"),
 )
 _MODEL = tuple(_num(key, default) for key, default in asdict(baseline_model()).items())
-_T = _num("T", 10.0, help="time horizon")
-_N = _num("n", 1000, int, help="number of observation steps")
+_T = _num("T", 10.0, rule=POSITIVE, help="time horizon")
+_N = _num("n", 1000, int, at_least(1), help="number of observation steps")
 _FAMILY = _Opt("family", "both", choices={
     "gamma": (KernelFamily.GAMMA,),
     "gaussian": (KernelFamily.GAUSSIAN,),
@@ -654,7 +651,7 @@ _FAMILY = _Opt("family", "both", choices={
 _TARGET = _Opt("target", "drift", choices={
     name: t for name, t in _TARGETS.items() if t in NUMERATOR_TARGET
 })
-_BANDWIDTH = _num("bandwidth", rule=_POSITIVE, help="fixed bandwidth h")
+_BANDWIDTH = _num("bandwidth", rule=POSITIVE, help="fixed bandwidth h")
 _ROT_C = _num(
     "rot_c", help=f"rule-of-thumb scale constant (default {_DEFAULT_C} if no bandwidth)"
 )
@@ -662,17 +659,17 @@ _GRID = (
     _Opt("grid", parse=_floats, help="explicit evaluation points, comma separated"),
     _num("grid_min"),
     _num("grid_max"),
-    _num("grid_count", 50, int, ("at least 2", lambda c: c >= 2)),
+    _num("grid_count", 50, int, at_least(2)),
 )
-_ALPHA = _num("alpha", 0.05, rule=("in (0, 1)", lambda a: 0.0 < a < 1.0))
-_TAU = _num("tau", DEFAULT_REGIME_THRESHOLD, rule=_POSITIVE,
+_ALPHA = _num("alpha", 0.05, rule=OPEN_UNIT)
+_TAU = _num("tau", DEFAULT_REGIME_THRESHOLD, rule=POSITIVE,
             help="interior/boundary threshold on x/h")
 
 # subcommand -> (function, help, options)
 _COMMANDS = {
     "simulate": (_cmd_simulate, "simulate a path and write CSV artifacts", _options(
-        _T, _N, _num("seed", 0, int),
-        _num("substep", 1, int, ("at least 1", lambda s: s >= 1),
+        _T, _N, _num("seed", 0, int, at_least(0)),
+        _num("substep", 1, int, at_least(1),
              help="internal Euler substeps per observation (default 1)"),
         *_MODEL,
     )),
@@ -688,9 +685,8 @@ _COMMANDS = {
         _Opt("regime", "interior", choices={r.value: r for r in RegimeKind}),
         _Opt("h_grid", parse=_floats, help="candidate bandwidths, comma separated"),
         _num("k", cast=int, help="cross-validation block half-width"),
-        _num("x", rule=("nonnegative and finite", lambda x: math.isfinite(x) and x >= 0),
-             help="evaluation point for the plug-in method"),
-        _num("pilot_h", rule=_POSITIVE),
+        _num("x", rule=NONNEGATIVE, help="evaluation point for the plug-in method"),
+        _num("pilot_h", rule=POSITIVE),
         _num("pilot_c"),
         _TARGET,
         _TAU,
@@ -711,7 +707,7 @@ _COMMANDS = {
              choices={e: e for e in ("mse", "coverage", "adjusted-length")}),
         _T, _N,
         _num("replicates", 100, int),
-        _num("base_seed", 0, int),
+        _num("base_seed", 0, int, at_least(0)),
         _num("workers", 1, int),
         _FAMILY,
         _TARGET,
@@ -748,6 +744,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -0.1,0.1`` as ``--flag=-0.1,0.1``: argparse takes a token
+    that starts with "-" for an option unless it is a plain negative number,
+    so the spaced form of a list such as ``--grid -0.1,0.1`` would fail."""
+    glued = []
+    for token in argv:
+        flag = glued[-1] if glued else ""
+        if flag.startswith("--") and "=" not in flag and _NEGATIVE_VALUE.match(token):
+            glued[-1] += "=" + token
+        else:
+            glued.append(token)
+    return glued
+
+
 def _merge_config(command: str, provided: dict) -> tuple[dict, argparse.Namespace]:
     """Defaults, beneath the ``--config`` file, beneath the flags given.
 
@@ -777,8 +790,9 @@ def _merge_config(command: str, provided: dict) -> tuple[dict, argparse.Namespac
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     provided = vars(args)

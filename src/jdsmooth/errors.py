@@ -1,4 +1,4 @@
-"""Exception types and process exit codes shared across the package.
+"""Exception types, process exit codes and the rule for numeric arguments.
 
 A grid function (``estimate_curve``, ``band_companions``,
 ``confidence_band``) never raises because a point failed, even if every
@@ -9,7 +9,17 @@ function (``local_linear_fit``, ``estimate_second_derivative``,
 The classes below cover failures that depend on the data rather than on
 the call signature, so callers can distinguish "your input is unusable"
 from "the estimator has nothing to work with here".
+
+Every scalar argument of the package (a bandwidth, horizon, interval,
+threshold, count or seed) and every number option of the command line
+is checked by ``checked``: a number is a Python or numpy int or float,
+never a bool, a string or an array, and a count must be an integer,
+which is never truncated.  A value that breaks its rule raises
+``ValueError("{name} must be {need}, got {v!r}")``.
 """
+
+import math
+import numbers
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,3 +59,38 @@ class DegenerateDesignError(JdsmoothError):
 
 class NotIdentifiableError(JdsmoothError):
     """Jump components cannot be recovered from the supplied moments."""
+
+
+# a rule is (what error messages say it needs, its test on the converted value)
+FINITE = ("finite", math.isfinite)
+POSITIVE = ("positive and finite", lambda v: math.isfinite(v) and v > 0)
+NONNEGATIVE = ("nonnegative and finite", lambda v: math.isfinite(v) and v >= 0)
+OPEN_UNIT = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
+
+
+def at_least(k: int) -> tuple:
+    """The rule v >= k, for counts."""
+    return (f"at least {k}", lambda v: v >= k)
+
+
+def is_number(v, integer: bool = False) -> bool:
+    """A real number (an integer when ``integer`` is set) that is not a bool."""
+    kind = numbers.Integral if integer else numbers.Real
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def checked(name: str, v, rule=FINITE, integer: bool = False):
+    """``float(v)``, or ``int(v)`` when ``integer`` is set, if v is such a
+    number and meets ``rule``; otherwise ValueError naming ``name``."""
+    need, ok = rule
+    if is_number(v, integer):
+        try:
+            x = int(v) if integer else float(v)
+            if ok(x):
+                return x
+        except OverflowError:  # an integer beyond the float range
+            pass
+    else:
+        kind = "an integer" if integer else "a number"
+        need = kind if rule is FINITE else f"{kind} that is {need}"
+    raise ValueError(f"{name} must be {need}, got {v!r}")

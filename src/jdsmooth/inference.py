@@ -36,7 +36,15 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DataError, NotIdentifiableError
+from .errors import (
+    NONNEGATIVE,
+    OPEN_UNIT,
+    POSITIVE,
+    DataError,
+    NotIdentifiableError,
+    at_least,
+    checked,
+)
 from .kernels import (
     DEFAULT_REGIME_THRESHOLD,
     KernelFamily,
@@ -83,26 +91,21 @@ def asymptotic_moments(
 
     The variance numerator is M_hat for the drift target and c4_hat for
     the conditional-variance target (see ``band_companions``).  curvature
-    is the estimated second derivative of the target function.
+    is the estimated second derivative of the target function; n may be
+    any positive number (an effective sample size).
     """
-    if not (n > 0 and delta > 0 and h > 0):
-        raise ValueError("need positive n, delta and h")
-    if not (p_hat > 0 and math.isfinite(p_hat)):
-        raise ValueError(f"density estimate must be positive, got {p_hat!r}")
+    x = checked("evaluation point x", x)
+    h = checked("bandwidth h", h, POSITIVE)
+    n = checked("n", n, POSITIVE)
+    delta = checked("delta", delta, POSITIVE)
+    p_hat = checked("density estimate", p_hat, POSITIVE)
+    curvature = checked("curvature estimate", curvature)
     if target is Target.DRIFT:
-        if not (numerator > 0):
-            raise ValueError(
-                f"drift bands need a positive conditional variance, got {numerator!r}"
-            )
+        numerator = checked("conditional variance", numerator, POSITIVE)
     elif target is Target.COND_VARIANCE:
-        if not (numerator >= 0):
-            raise ValueError(
-                f"variance bands need a nonnegative fourth moment, got {numerator!r}"
-            )
+        numerator = checked("fourth moment", numerator, NONNEGATIVE)
     else:
         raise ValueError(f"no limit theory wired for target {target!r}")
-    if not math.isfinite(curvature):
-        raise ValueError("curvature estimate must be finite")
 
     nd = n * delta
     if family is KernelFamily.GAUSSIAN:
@@ -234,12 +237,9 @@ def confidence_band(
     interior band is the wider one and no switch to the boundary band
     could ever widen it.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    if not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    alpha = checked("alpha", alpha, OPEN_UNIT)
+    n = checked("n", n, at_least(1), integer=True)
+    delta = checked("delta", delta, POSITIVE)
     if curve.target not in NUMERATOR_TARGET:
         raise ValueError(f"no limit theory wired for target {curve.target!r}")
     grid = curve.grid
@@ -362,9 +362,7 @@ def identify_jump_components(m2: float, m4: float, m6: float) -> JumpComponents:
     flagged instead of clipped; combinations that break it (no fourth
     moment mass, zero sixth moment) are not identifiable.
     """
-    for name, v in (("m2", m2), ("m4", m4), ("m6", m6)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise ValueError(f"{name} must be a finite number, got {v!r}")
+    m2, m4, m6 = checked("m2", m2), checked("m4", m4), checked("m6", m6)
     if m4 <= 0:
         raise NotIdentifiableError(
             f"fourth moment must be positive to identify jumps, got {m4!r}"
@@ -404,7 +402,7 @@ class JumpTestResult:
         return abs(self.statistic) > _BS_CRITICAL
 
 
-def bs_jump_test(data, delta: float | None = None) -> JumpTestResult:
+def bs_jump_test(data) -> JumpTestResult:
     """Bipower-ratio test for jumps in a return series.
 
     ``data`` is either a return array used as-is, or a ProxySeries whose
@@ -414,8 +412,7 @@ def bs_jump_test(data, delta: float | None = None) -> JumpTestResult:
     jumps; |statistic| > 1.96 rejects at the 5 percent level.
     """
     if isinstance(data, ProxySeries):
-        d = data.delta if delta is None else float(delta)
-        r = data.values * d
+        r = data.values * data.delta
     else:
         r = np.asarray(data, dtype=float)
     if r.ndim != 1:

@@ -24,6 +24,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import NONNEGATIVE, POSITIVE, checked
+
 DEFAULT_REGIME_THRESHOLD = 20.0
 
 
@@ -40,10 +42,8 @@ class KernelSpec:
     bandwidth: float
 
     def __post_init__(self):
-        b = self.bandwidth
-        number = isinstance(b, (int, float)) and not isinstance(b, bool)
-        if not (number and math.isfinite(b) and b > 0):
-            raise ValueError(f"bandwidth must be a positive finite number, got {b!r}")
+        h = checked("bandwidth", self.bandwidth, POSITIVE)
+        object.__setattr__(self, "bandwidth", h)
 
 
 class RegimeKind(Enum):
@@ -65,13 +65,6 @@ class PointRegime:
         if self.kind is RegimeKind.BOUNDARY:
             if self.kappa is None or self.kappa < 0:
                 raise ValueError("boundary regime requires kappa >= 0")
-
-
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
 
 
 class KernelPlan:
@@ -113,7 +106,7 @@ class KernelPlan:
 
     def weights(self, h: float, xs) -> np.ndarray:
         """Kernel weights at bandwidth h, shape (len(xs), u.size)."""
-        h = _check_positive("bandwidth h", h)
+        h = checked("bandwidth h", h, POSITIVE)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         finite = np.isfinite(xs)
         if not finite.all():
@@ -188,10 +181,8 @@ def weight_values(spec: KernelSpec, u, x: float) -> np.ndarray:
 
 def gamma_kernel_moments(x: float, h: float) -> tuple[float, float]:
     """Mean and variance of the Gamma(x/h + 1, h) kernel: (x + h, x h + h^2)."""
-    h = _check_positive("bandwidth h", h)
-    x = float(x)
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"design point x must be nonnegative, got {x!r}")
+    h = checked("bandwidth h", h, POSITIVE)
+    x = checked("design point x", x, NONNEGATIVE)
     return x + h, x * h + h * h
 
 
@@ -202,9 +193,7 @@ def boundary_variance_constant(kappa: float) -> float:
     points x = kappa h.  Strictly decreasing in kappa and asymptotically
     1 / (2 sqrt(pi kappa)), which matches the interior variance formula.
     """
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa >= 0):
-        raise ValueError(f"kappa must be nonnegative, got {kappa!r}")
+    kappa = checked("kappa", kappa, NONNEGATIVE)
     log_c = (
         math.lgamma(2.0 * kappa + 1.0)
         - (2.0 * kappa + 1.0) * math.log(2.0)
@@ -217,11 +206,9 @@ def classify_point(
     x: float, h: float, tau: float = DEFAULT_REGIME_THRESHOLD
 ) -> PointRegime:
     """Classify x as interior (x/h >= tau) or boundary (kappa = x/h)."""
-    h = _check_positive("bandwidth h", h)
-    tau = _check_positive("tau", tau)
-    x = float(x)
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"evaluation point x must be nonnegative, got {x!r}")
+    h = checked("bandwidth h", h, POSITIVE)
+    tau = checked("tau", tau, POSITIVE)
+    x = checked("evaluation point x", x, NONNEGATIVE)
     ratio = x / h
     if ratio >= tau:
         return PointRegime(RegimeKind.INTERIOR)

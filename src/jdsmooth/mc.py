@@ -36,6 +36,7 @@ import numpy as np
 
 from ._version import VERSION
 from .bandwidth import rule_of_thumb
+from .errors import OPEN_UNIT, POSITIVE, at_least, checked
 from .inference import NUMERATOR_TARGET, band_companions, confidence_band
 from .kernels import DEFAULT_REGIME_THRESHOLD, KernelFamily, KernelSpec
 from .locallinear import Target, estimate_curve
@@ -66,10 +67,9 @@ class BandwidthSetting:
     def __post_init__(self):
         if (self.fixed is None) == (self.rot_c is None):
             raise ValueError("set exactly one of fixed= or rot_c=")
-        v = self.fixed if self.fixed is not None else self.rot_c
-        number = isinstance(v, (int, float)) and not isinstance(v, bool)
-        if not (number and math.isfinite(v) and v > 0):
-            raise ValueError(f"bandwidth setting must be positive, got {v!r}")
+        name = "fixed" if self.fixed is not None else "rot_c"
+        v = checked(f"bandwidth setting {name}", getattr(self, name), POSITIVE)
+        object.__setattr__(self, name, v)
 
     @property
     def label(self) -> str:
@@ -79,7 +79,7 @@ class BandwidthSetting:
 
     def resolve(self, p: ProxySeries, T: float) -> float:
         if self.fixed is not None:
-            return float(self.fixed)
+            return self.fixed
         return rule_of_thumb(p, self.rot_c, T).h
 
 
@@ -103,12 +103,18 @@ class McConfig:
     mse_trim: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-        if self.n < 4:
-            raise ValueError("need at least four observations per path")
-        if not (self.T > 0):
-            raise ValueError("horizon T must be positive")
+        for name, rule, integer in (
+            ("T", POSITIVE, False),
+            ("n", at_least(4), True),
+            ("replicates", at_least(1), True),
+            ("base_seed", at_least(0), True),
+            ("alpha", OPEN_UNIT, False),
+            ("tau", POSITIVE, False),
+            ("workers", at_least(1), True),
+            ("mse_grid_size", at_least(1), True),
+        ):
+            v = checked(name, getattr(self, name), rule, integer)
+            object.__setattr__(self, name, v)
         if not self.bandwidths:
             raise ValueError("need at least one bandwidth setting")
         if not self.families:
@@ -124,14 +130,6 @@ class McConfig:
                 raise ValueError(f"{name} must not repeat, got {values!r}")
         if self.target not in NUMERATOR_TARGET:
             raise ValueError("experiments cover drift and conditional variance")
-        if not (0 < self.alpha < 1):
-            raise ValueError("alpha must be in (0, 1)")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.mse_grid_size < 1:
-            raise ValueError("mse_grid_size must be at least 1")
         trim = self.mse_trim
         if trim is not None and not (len(trim) == 2 and 0 <= trim[0] < trim[1] <= 100):
             raise ValueError(

@@ -17,13 +17,12 @@ applies to the k-th power of an increment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DataError
+from .errors import POSITIVE, DataError, checked
 
 # response scale factors (k + 1) / 2 for the powers k = 2, 4, 6 of a proxy
 # increment.  A jump Z at a uniform position in either interval behind
@@ -54,13 +53,6 @@ def _as_clean_array(values, what: str) -> np.ndarray:
     return arr
 
 
-def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    return delta
-
-
 @dataclass(frozen=True)
 class ProxySeries:
     """Proxy values for the latent state at sampling interval delta."""
@@ -69,7 +61,7 @@ class ProxySeries:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", _check_delta(self.delta))
+        object.__setattr__(self, "delta", checked("delta", self.delta, POSITIVE))
         arr = _as_clean_array(self.values, "proxy values")
         if arr.size < 1:
             raise DataError("proxy series is empty")
@@ -130,7 +122,7 @@ class RegressionTriples:
 
 def build_proxy(y, delta: float) -> ProxySeries:
     """Difference-quotient proxy (Y_i - Y_{i-1}) / delta of an observed series."""
-    delta = _check_delta(delta)
+    delta = checked("delta", delta, POSITIVE)
     arr = _as_clean_array(y, "observed series")
     if arr.size < 2:
         raise DataError("need at least two observations to build a proxy")
@@ -139,7 +131,7 @@ def build_proxy(y, delta: float) -> ProxySeries:
 
 def build_log_proxy(prices, delta: float) -> ProxySeries:
     """Proxy from price levels: (log Y_i - log Y_{i-1}) / delta."""
-    delta = _check_delta(delta)
+    delta = checked("delta", delta, POSITIVE)
     arr = _as_clean_array(prices, "price series")
     if arr.size < 2:
         raise DataError("need at least two prices to build a proxy")
@@ -197,7 +189,7 @@ def build_direct_triples(x, delta: float) -> RegressionTriples:
     powers of the increment over delta, without the proxy correction
     factors.
     """
-    delta = _check_delta(delta)
+    delta = checked("delta", delta, POSITIVE)
     arr = _as_clean_array(x, "state series")
     if arr.size < 2:
         raise ValueError("need at least two state values to form triples")

@@ -21,10 +21,12 @@ then advances
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import FINITE, NONNEGATIVE, POSITIVE, at_least, checked
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,36 +35,18 @@ class ModelSpec:
 
     drift_intercept: float
     drift_slope: float
-    diffusion_const: float
+    diffusion_const: float = field(metadata={"rule": NONNEGATIVE})
     diffusion_quad: float
-    jump_total: float
-    jump_size_std: float
+    jump_total: float = field(metadata={"rule": NONNEGATIVE})
+    jump_size_std: float = field(metadata={"rule": NONNEGATIVE})
     jump_size_mean: float = 0.0
     x0: float = 0.1
     y0: float = 100.0
 
     def __post_init__(self):
-        for name in (
-            "drift_intercept",
-            "drift_slope",
-            "diffusion_const",
-            "diffusion_quad",
-            "jump_total",
-            "jump_size_std",
-            "jump_size_mean",
-            "x0",
-            "y0",
-        ):
-            v = getattr(self, name)
-            number = isinstance(v, (int, float)) and not isinstance(v, bool)
-            if not (number and math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if self.jump_total < 0:
-            raise ValueError("jump_total must be nonnegative")
-        if self.jump_size_std < 0:
-            raise ValueError("jump_size_std must be nonnegative")
-        if self.diffusion_const < 0:
-            raise ValueError("diffusion_const must be nonnegative")
+        for f in fields(self):
+            v = checked(f.name, getattr(self, f.name), f.metadata.get("rule", FINITE))
+            object.__setattr__(self, f.name, v)
 
     def mu(self, x):
         return self.drift_intercept + self.drift_slope * np.asarray(x, dtype=float)
@@ -99,8 +83,7 @@ def true_moments(model: ModelSpec, x: float, T: float) -> TrueMoments:
     per-unit intensity lambda = jump_total / T, so the horizon the jump
     budget is spread over must be supplied.
     """
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon T must be positive, got {T!r}")
+    T = checked("horizon T", T, POSITIVE)
     lam = model.jump_total / T
     mz, sz = model.jump_size_mean, model.jump_size_std
     ez2 = mz * mz + sz * sz
@@ -136,9 +119,7 @@ class SamplePath:
         integrated series carries genuine integration error, which is how
         the proxy behaves on real data.
         """
-        step = int(step)
-        if step < 1:
-            raise ValueError("step must be a positive integer")
+        step = checked("step", step, at_least(1), integer=True)
         if self.n_steps % step != 0:
             raise ValueError(
                 f"step {step} does not divide the path length {self.n_steps}"
@@ -159,25 +140,23 @@ def replicate_seed(base_seed: int, index: int) -> int:
     Uses the splittable seed-sequence hash, so replicate streams are
     independent and reproducible no matter how work is scheduled.
     """
-    if index < 0:
-        raise ValueError("replicate index must be nonnegative")
-    ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(int(index),))
+    base_seed = checked("base_seed", base_seed, at_least(0), integer=True)
+    index = checked("replicate index", index, at_least(0), integer=True)
+    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def simulate_path(model: ModelSpec, T: float, n: int, seed: int) -> SamplePath:
     """Simulate n Euler steps over [0, T] from X_0 = x0, Y_0 = y0."""
-    if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon T must be positive, got {T!r}")
-    n = int(n)
-    if n < 1:
-        raise ValueError("need at least one step")
-    delta = float(T) / n
-    rng = np.random.default_rng(int(seed))
+    T = checked("horizon T", T, POSITIVE)
+    n = checked("n", n, at_least(1), integer=True)
+    seed = checked("seed", seed, at_least(0), integer=True)
+    delta = T / n
+    rng = np.random.default_rng(seed)
 
     count = int(rng.poisson(model.jump_total)) if model.jump_total > 0 else 0
     if count > 0:
-        times = rng.uniform(0.0, float(T), count)
+        times = rng.uniform(0.0, T, count)
         sizes = rng.normal(model.jump_size_mean, model.jump_size_std, count)
         order = np.argsort(times, kind="stable")
         times, sizes = times[order], sizes[order]
@@ -214,5 +193,5 @@ def simulate_path(model: ModelSpec, T: float, n: int, seed: int) -> SamplePath:
         y=np.array(y, dtype=float),
         jump_times=times,
         jump_sizes=sizes,
-        seed=int(seed),
+        seed=seed,
     )

@@ -299,17 +299,49 @@ class TestEstimate:
             ["mc-table", "--experiment", "coverage", "--eval-points", "nan"],
             "--eval-points", id="eval_points_nan",
         ),
+        # a negative seed is a configuration error naming key and flag, not a
+        # numerical failure from the seed sequence
+        pytest.param(["simulate", "--seed", "-1"], "seed (--seed)", id="seed_negative"),
+        pytest.param(
+            ["mc-table", "--base-seed", "-1"], "base_seed (--base-seed)",
+            id="base_seed_negative",
+        ),
     ])
     def test_out_of_range_or_non_finite_value_exits_2(
         self, sim_dir, tmp_path, capsys, argv, flag
     ):
-        series = [] if argv[0] == "mc-table" else [
+        series = [] if argv[0] in ("mc-table", "simulate") else [
             "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
         ]
         rc = main([*argv, *series, "--out", str(tmp_path)])
         assert rc == 2
         assert flag in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        pytest.param(["estimate"], "--grid", "-0.1,0.1", id="estimate_grid"),
+        pytest.param(
+            ["mc-table", "--experiment", "coverage", "--T", "5", "--n", "300",
+             "--replicates", "2"],
+            "--eval-points", "-0.05,0.1", id="mc_eval_points",
+        ),
+    ])
+    def test_list_value_with_a_leading_minus_parses_in_either_form(
+        self, sim_dir, tmp_path, argv, flag, value
+    ):
+        # argparse alone takes "-0.1,0.1" after a space for an option
+        series = [] if argv[0] == "mc-table" else [
+            "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+        ]
+        # both runs write to one directory, which the artifact headers echo
+        out = tmp_path / "out"
+        assert main([*argv, *series, flag, value, "--out", str(out)]) == 0
+        spaced = out.rename(tmp_path / "spaced")
+        assert main([*argv, *series, f"{flag}={value}", "--out", str(out)]) == 0
+        names = sorted(f.name for f in spaced.iterdir())
+        assert names and names == sorted(f.name for f in out.iterdir())
+        for name in names:
+            assert (spaced / name).read_bytes() == (out / name).read_bytes()
 
     def test_missing_delta_exits_2(self, sim_dir, capsys):
         rc = main(["estimate", "--input", str(sim_dir / "path.csv")])

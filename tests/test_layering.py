@@ -17,7 +17,9 @@ public names its ``__init__`` imports.  Worker processes are started by
 ``jdsmooth.pool`` alone, which imports ``multiprocessing`` only inside the
 call that starts them.  The rule-of-thumb rates T^(-2/5) and T^(-1/5) are
 taken by ``bandwidth.rule_of_thumb`` alone, so no ``**`` has the constant
-exponent 0.4 or 0.2, of either sign.
+exponent 0.4 or 0.2, of either sign.  Whether a value is a number is
+decided by ``jdsmooth.errors`` alone, so no other module holds an
+``isinstance`` check against both ``int`` and ``float``.
 """
 
 import ast
@@ -197,6 +199,36 @@ def test_rule_of_thumb_rates_stay_in_rule_of_thumb(path):
         f"line {node.lineno}" for node in ast.walk(tree) if _rule_of_thumb_power(node)
     ]
     assert not powers, powers
+
+
+def _int_and_float_isinstance(node) -> bool:
+    """isinstance(v, C) where C names both int and float, also inside a
+    conditional expression such as ``int if integer else (int, float)``."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+    ):
+        return False
+    names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+    return {"int", "float"} <= names
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "errors.py"], ids=lambda p: p.name
+)
+def test_number_checks_go_through_errors(path):
+    """A scalar argument is checked by ``errors.checked`` (or
+    ``errors.is_number``); a hand-written ``isinstance(v, (int, float))``
+    is a second copy of the rule, which differs on bools, numpy scalars
+    or strings."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    checks = [
+        f"line {node.lineno}" for node in ast.walk(tree)
+        if _int_and_float_isinstance(node)
+    ]
+    assert not checks, checks
 
 
 def test_exports_are_the_public_names_init_imports():
