@@ -74,7 +74,6 @@ from .mc import (
 from .proxy import (
     ProxySeries,
     RegressionTriples,
-    build_direct_triples,
     build_log_proxy,
     build_proxy,
     build_regression_triples,
@@ -118,7 +117,6 @@ __all__ = [
     "block_cv",
     "boundary_variance_constant",
     "bs_jump_test",
-    "build_direct_triples",
     "build_log_proxy",
     "build_proxy",
     "build_regression_triples",

@@ -37,7 +37,7 @@ import math
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,13 @@ from .errors import (
     checked,
     is_number,
 )
-from .inference import NUMERATOR_TARGET, band_companions, bs_jump_test, confidence_band
+from .inference import (
+    BS_CRITICAL,
+    NUMERATOR_TARGET,
+    band_companions,
+    bs_jump_test,
+    confidence_band,
+)
 from .kernels import (
     DEFAULT_REGIME_THRESHOLD,
     KernelFamily,
@@ -275,10 +281,7 @@ def _resolve_grid(o, p: ProxySeries) -> np.ndarray:
 
 
 def _model_from(o) -> ModelSpec:
-    try:
-        return ModelSpec(**{m.key: getattr(o, m.key) for m in _MODEL})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ModelSpec(**{m.key: getattr(o, m.key) for m in _MODEL})
 
 
 def _cmd_simulate(o, cfg: dict) -> int:
@@ -452,15 +455,15 @@ def _cmd_jumptest(o, cfg: dict) -> int:
         res = bs_jump_test(p)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    if res.statistic < -1.96:
+    if not res.reject:
+        decision = "no jumps detected"
+    elif res.statistic < 0:
         decision = "jumps detected"
-    elif res.statistic > 1.96:
+    else:
         # bipower exceeds realized variance: adjacent returns are too alike
         # for the i.i.d. null, the signature of an integrated (smooth)
         # observable rather than of jumps
         decision = "returns smoother than the null; no jump evidence"
-    else:
-        decision = "no jumps detected"
     payload = {
         "version": VERSION,
         "command": "jumptest",
@@ -470,7 +473,7 @@ def _cmd_jumptest(o, cfg: dict) -> int:
         "bipower_variation": res.bipower_variation,
         "quadpower": res.quadpower,
         "n": res.n,
-        "critical_value": 1.96,
+        "critical_value": BS_CRITICAL,
         "reject": res.reject,
         "decision": decision,
     }
@@ -639,7 +642,10 @@ _IO = (
     _Opt("time_column",
          help="time column name, or 'none' (default: first column when several)"),
 )
-_MODEL = tuple(_num(key, default) for key, default in asdict(baseline_model()).items())
+_MODEL = tuple(
+    _num(f.name, default, rule=f.metadata.get("rule", FINITE))
+    for f, default in zip(fields(ModelSpec), astuple(baseline_model()))
+)
 _T = _num("T", 10.0, rule=POSITIVE, help="time horizon")
 _N = _num("n", 1000, int, at_least(1), help="number of observation steps")
 _FAMILY = _Opt("family", "both", choices={
@@ -705,10 +711,12 @@ _COMMANDS = {
     "mc-table": (_cmd_mc_table, "Monte Carlo experiment tables", _options(
         _Opt("experiment", "mse",
              choices={e: e for e in ("mse", "coverage", "adjusted-length")}),
-        _T, _N,
-        _num("replicates", 100, int),
+        _T,
+        # McConfig's rules: a path needs four observations
+        _num("n", 1000, int, at_least(4), help=_N.help),
+        _num("replicates", 100, int, at_least(1)),
         _num("base_seed", 0, int, at_least(0)),
-        _num("workers", 1, int),
+        _num("workers", 1, int, at_least(1)),
         _FAMILY,
         _TARGET,
         _Opt("fixed_h", parse=_floats, help="fixed bandwidths, comma separated"),
@@ -716,7 +724,7 @@ _COMMANDS = {
         _Opt("eval_points", parse=_floats, help="evaluation points, comma separated"),
         _ALPHA,
         _TAU,
-        _num("mse_grid_size", 50, int),
+        _num("mse_grid_size", 50, int, at_least(1)),
         _Opt("mse_trim", parse=_trim,
              help="percentile pair like 5,95; default none (full range)"),
         *_MODEL,

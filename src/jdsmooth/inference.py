@@ -60,8 +60,7 @@ from .summation import exact_sum
 
 _SQRT_PI2 = 2.0 * math.sqrt(math.pi)
 _BS_THETA = math.pi**2 / 4.0 + math.pi - 5.0
-_BS_CRITICAL = 1.96
-_KNIFE_EDGE_RTOL = 1e-9
+BS_CRITICAL = 1.96
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,9 +118,8 @@ def asymptotic_moments(
         variance = numerator / (_SQRT_PI2 * math.sqrt(x) * p_hat)
         rate = math.sqrt(nd * math.sqrt(h))
     else:
-        kappa = float(regime.kappa)
-        bias = h * h * (2.0 + kappa) / 2.0 * curvature
-        variance = boundary_variance_constant(kappa) * numerator / p_hat
+        bias = h * h * (2.0 + regime.kappa) / 2.0 * curvature
+        variance = boundary_variance_constant(regime.kappa) * numerator / p_hat
         rate = math.sqrt(nd * h)
     return AsymptoticMoments(
         bias=float(bias),
@@ -208,7 +206,6 @@ class ConfidenceBand:
     regimes: list[PointRegime]
     clipped: np.ndarray
     gaps: dict[int, str] = field(default_factory=dict)
-    diagnostics: dict[int, dict] = field(default_factory=dict)
 
 
 def confidence_band(
@@ -229,13 +226,11 @@ def confidence_band(
     estimate is unusable become gaps, even when every point is one; only
     arguments raise ValueError: alpha outside (0, 1), n below 1, delta not
     positive and finite, a target not in ``NUMERATOR_TARGET``, companion
-    arrays that do not match the grid.  At the regime
-    knife-edge x = tau h the interior and the boundary half-widths are both
-    recorded in diagnostics, and the band keeps the point's own regime:
-    the squared boundary/interior half-width ratio C(kappa) 2 sqrt(pi
-    kappa) is below 1 for every kappa in [1e-6, 1e4], so at x = tau h the
-    interior band is the wider one and no switch to the boundary band
-    could ever widen it.
+    arrays that do not match the grid.  Each point's band uses its own
+    regime, also at the regime knife-edge x = tau h: the squared
+    boundary/interior half-width ratio C(kappa) 2 sqrt(pi kappa) is below
+    1 for every kappa in [1e-6, 1e4], so at x = tau h the interior band is
+    the wider one and no switch to the boundary band could ever widen it.
     """
     alpha = checked("alpha", alpha, OPEN_UNIT)
     n = checked("n", n, at_least(1), integer=True)
@@ -264,7 +259,6 @@ def confidence_band(
     clipped = np.zeros(m, dtype=bool)
     regimes: list[PointRegime] = []
     gaps: dict[int, str] = {}
-    diagnostics: dict[int, dict] = {}
 
     for i in range(m):
         x = float(grid[i])
@@ -294,26 +288,11 @@ def confidence_band(
         if not bias_correct:
             curv = 0.0
 
-        knife_edge = (
-            family is KernelFamily.GAMMA
-            and abs(x / h - tau) <= _KNIFE_EDGE_RTOL * tau
-        )
         # nothing left for asymptotic_moments to reject: a Gamma point is
         # interior only at x / h >= tau > 0, and below 0 its curve failed
         mom = asymptotic_moments(
             x, h, n, delta, curve.target, curv, numer, dens, regime, family
         )
-        if knife_edge:
-            widths = {}
-            for key, side in (
-                ("interior_halfwidth", PointRegime(RegimeKind.INTERIOR)),
-                ("boundary_halfwidth", PointRegime(RegimeKind.BOUNDARY, x / h)),
-            ):
-                alt = asymptotic_moments(
-                    x, h, n, delta, curve.target, curv, numer, dens, side, family
-                )
-                widths[key] = z * math.sqrt(alt.variance) / alt.rate
-            diagnostics[i] = widths
 
         # without bias correction curv is 0, so mom.bias is 0
         c = float(curve.values[i]) - mom.bias
@@ -341,7 +320,6 @@ def confidence_band(
         regimes=regimes,
         clipped=clipped,
         gaps=gaps,
-        diagnostics=diagnostics,
     )
 
 
@@ -399,7 +377,7 @@ class JumpTestResult:
 
     @property
     def reject(self) -> bool:
-        return abs(self.statistic) > _BS_CRITICAL
+        return abs(self.statistic) > BS_CRITICAL
 
 
 def bs_jump_test(data) -> JumpTestResult:
@@ -409,7 +387,7 @@ def bs_jump_test(data) -> JumpTestResult:
     returns are reconstructed as value * delta (undoing the difference
     quotient, which recovers log-price increments for price data).  The
     statistic is scale invariant and diverges to minus infinity under
-    jumps; |statistic| > 1.96 rejects at the 5 percent level.
+    jumps; |statistic| > BS_CRITICAL = 1.96 rejects at the 5 percent level.
     """
     if isinstance(data, ProxySeries):
         r = data.values * data.delta

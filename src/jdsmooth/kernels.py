@@ -63,8 +63,14 @@ class PointRegime:
 
     def __post_init__(self):
         if self.kind is RegimeKind.BOUNDARY:
-            if self.kappa is None or self.kappa < 0:
-                raise ValueError("boundary regime requires kappa >= 0")
+            kappa = checked("kappa", self.kappa, NONNEGATIVE)
+            object.__setattr__(self, "kappa", kappa)
+
+
+def outside_support(x) -> ValueError:
+    """The error for a Gamma kernel evaluation point x below the support."""
+    msg = "Gamma kernel evaluation point must be nonnegative, got"
+    return ValueError(f"{msg} {float(x)!r}")
 
 
 class KernelPlan:
@@ -119,9 +125,7 @@ class KernelPlan:
         xs = xs.tolist()
         for x in xs:
             if not x >= 0:
-                raise ValueError(
-                    f"Gamma kernel evaluation point must be nonnegative, got {x!r}"
-                )
+                raise outside_support(x)
         if h != self._bandwidth:
             self._bandwidth, self._u_over_h = h, self._u / h
         shapes = [x / h for x in xs]

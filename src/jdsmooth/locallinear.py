@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDesignError, SparseRegionError
-from .kernels import KernelFamily, KernelPlan, KernelSpec
+from .kernels import KernelFamily, KernelPlan, KernelSpec, outside_support
 from .proxy import ProxySeries, RegressionTriples, Target
 from .summation import CHUNK, exact_block_sums, exact_sum
 
@@ -47,11 +47,6 @@ _PILOT_FACTOR = 2.0
 # 1000-point series at 5 product rows per point (one line), 5 at 7 (two
 # lines, a band's), 3 at 11 (a cubic)
 _BATCH_TERMS = 40 * CHUNK
-
-
-def _outside_support(x) -> ValueError:
-    msg = "Gamma kernel evaluation point must be nonnegative, got"
-    return ValueError(f"{msg} {float(x)!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +90,7 @@ class LocalFits:
         """The error fit i failed with, or None where it succeeded."""
         x = float(self.x[i])
         if self.outside[i]:
-            return _outside_support(x)
+            return outside_support(x)
         if self.sparse[i]:
             return SparseRegionError(x)
         if self.degenerate[i]:
@@ -273,7 +268,7 @@ class LinearFitter:
         """
         xs, outside = self._points(xs)
         values = np.full(xs.size, np.nan)
-        errors = [_outside_support(x) if o else None for x, o in zip(xs, outside)]
+        errors = [outside_support(x) if o else None for x, o in zip(xs, outside)]
         pilot = _PILOT_FACTOR * h
         ys = self.triples.response(target)[None]
         for idx, k, dx, live, scale, work in self._batches(pilot, xs, outside, 11):

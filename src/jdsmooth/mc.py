@@ -439,14 +439,17 @@ def qq_data(values, center: float | None = None, scale: float | None = None):
     Returns (theoretical, empirical) arrays where theoretical[i] is the
     standard normal quantile at (i + 0.5)/len and empirical is the sorted,
     standardized input.  Standardization uses the sample mean and standard
-    deviation unless explicit center/scale are given.
+    deviation unless explicit center/scale are given; an explicit center
+    must be finite and an explicit scale positive and finite.
     """
     v = np.asarray(values, dtype=float)
     v = v[np.isfinite(v)]
     if v.size < _MIN_QQ_VALUES:
         raise ValueError(f"need at least {_MIN_QQ_VALUES} values, got {v.size}")
-    mu = float(np.mean(v)) if center is None else float(center)
-    sd = float(np.std(v, ddof=1)) if scale is None else float(scale)
+    mu = float(np.mean(v)) if center is None else checked("center", center)
+    sd = (
+        float(np.std(v, ddof=1)) if scale is None else checked("scale", scale, POSITIVE)
+    )
     if not (sd > 0):
         raise ValueError("values have no spread; cannot standardize")
     emp = np.sort((v - mu) / sd)

@@ -30,7 +30,6 @@ from .errors import POSITIVE, DataError, checked
 # is 2 lambda delta E[Z^k] / (k + 1) to first order (for k = 2 the Brownian
 # part is damped by the same 2/3)
 _PROXY_FACTORS = (1.5, 2.5, 3.5)
-_DIRECT_FACTORS = (1.0, 1.0, 1.0)
 
 
 class Target(Enum):
@@ -77,7 +76,7 @@ class RegressionTriples:
     """Aligned arrays (weight point, design point, responses) for smoothing.
 
     For proxy values Xt_1..Xt_n the usable indices are i = 2..n-1, giving
-    n - 2 triples.  ``source_offset`` records the proxy index of the first
+    n - 2 triples.  ``source_offset`` = 2 is the proxy index of the first
     design point (used by leave-out schemes to map observation indices to
     triple indices).  The arrays are read-only copies of those passed in.
     """
@@ -144,60 +143,20 @@ def build_log_proxy(prices, delta: float) -> ProxySeries:
     return ProxySeries(delta=delta, values=np.diff(np.log(arr)) / delta)
 
 
-def _triples_from_arrays(
-    weight: np.ndarray,
-    design: np.ndarray,
-    diffs: np.ndarray,
-    delta: float,
-    factors: tuple[float, float, float],
-    source_offset: int,
-) -> RegressionTriples:
-    f2, f4, f6 = factors
-    drift = diffs / delta
-    sq = diffs * diffs
-    return RegressionTriples(
-        delta=delta,
-        weight_points=weight,
-        design_points=design,
-        drift=drift,
-        cond_var=f2 * sq / delta,
-        moment4=f4 * sq * sq / delta,
-        moment6=f6 * sq * sq * sq / delta,
-        source_offset=source_offset,
-    )
-
-
 def build_regression_triples(p: ProxySeries) -> RegressionTriples:
     """Staggered triples (Xt_{i-1}, Xt_i, Xt_{i+1} - Xt_i) from a proxy series."""
     v = p.values
     if v.size < 3:
         raise ValueError("need at least three proxy values to form triples")
-    return _triples_from_arrays(
-        weight=v[:-2],
-        design=v[1:-1],
-        diffs=v[2:] - v[1:-1],
+    f2, f4, f6 = _PROXY_FACTORS
+    diffs = v[2:] - v[1:-1]
+    sq = diffs * diffs
+    return RegressionTriples(
         delta=p.delta,
-        factors=_PROXY_FACTORS,
-        source_offset=2,
-    )
-
-
-def build_direct_triples(x, delta: float) -> RegressionTriples:
-    """Triples from directly observed state values (simulation diagnostics).
-
-    Weight and design point coincide at X_{i-1} and the responses are plain
-    powers of the increment over delta, without the proxy correction
-    factors.
-    """
-    delta = checked("delta", delta, POSITIVE)
-    arr = _as_clean_array(x, "state series")
-    if arr.size < 2:
-        raise ValueError("need at least two state values to form triples")
-    return _triples_from_arrays(
-        weight=arr[:-1],
-        design=arr[:-1],
-        diffs=np.diff(arr),
-        delta=delta,
-        factors=_DIRECT_FACTORS,
-        source_offset=1,
+        weight_points=v[:-2],
+        design_points=v[1:-1],
+        drift=diffs / p.delta,
+        cond_var=f2 * sq / p.delta,
+        moment4=f4 * sq * sq / p.delta,
+        moment6=f6 * sq * sq * sq / p.delta,
     )

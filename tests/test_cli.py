@@ -306,6 +306,26 @@ class TestEstimate:
             ["mc-table", "--base-seed", "-1"], "base_seed (--base-seed)",
             id="base_seed_negative",
         ),
+        # model and McConfig rules are the options' own rules
+        pytest.param(
+            ["simulate", "--jump-total", "-1"], "jump_total (--jump-total)",
+            id="jump_total_negative",
+        ),
+        pytest.param(
+            ["mc-table", "--diffusion-const", "-1"],
+            "diffusion_const (--diffusion-const)", id="diffusion_const_negative",
+        ),
+        pytest.param(["mc-table", "--n", "3"], "n (--n)", id="mc_n_3"),
+        pytest.param(
+            ["mc-table", "--replicates", "0"], "replicates (--replicates)",
+            id="replicates_0",
+        ),
+        pytest.param(["mc-table", "--workers", "0"], "workers (--workers)",
+                     id="workers_0"),
+        pytest.param(
+            ["mc-table", "--mse-grid-size", "0"], "mse_grid_size (--mse-grid-size)",
+            id="mse_grid_size_0",
+        ),
     ])
     def test_out_of_range_or_non_finite_value_exits_2(
         self, sim_dir, tmp_path, capsys, argv, flag

@@ -37,7 +37,7 @@ from jdsmooth.kernels import (
     classify_point,
 )
 from jdsmooth.locallinear import CurveEstimate, Target
-from jdsmooth.mc import BandwidthSetting, McConfig
+from jdsmooth.mc import BandwidthSetting, McConfig, qq_data
 from jdsmooth.proxy import ProxySeries, build_proxy
 from jdsmooth.simulate import (
     baseline_model,
@@ -98,6 +98,18 @@ def _mc(**overrides):
     pytest.param(lambda: _mc(mse_grid_size=5.5), "mse_grid_size", id="mc_grid_size"),
     # used to fail only inside the first replicate
     pytest.param(lambda: _mc(T=math.inf), "T", id="mc_T_inf"),
+    # float() took a numeric string and a bool: center 0, scale 1
+    pytest.param(lambda: qq_data(np.arange(50.0), center="0"), "center",
+                 id="qq_center_string"),
+    pytest.param(lambda: qq_data(np.arange(50.0), scale=True), "scale",
+                 id="qq_scale_bool"),
+    pytest.param(lambda: qq_data(np.arange(50.0), scale=0.0), "scale",
+                 id="qq_scale_zero"),
+    # a bool kappa used to be stored as given
+    pytest.param(lambda: PointRegime(RegimeKind.BOUNDARY, kappa=True), "kappa",
+                 id="regime_kappa_bool"),
+    pytest.param(lambda: PointRegime(RegimeKind.BOUNDARY, kappa=-1.0), "kappa",
+                 id="regime_kappa_negative"),
 ])
 def test_bad_scalar_raises_naming_its_argument(call, name):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
@@ -139,6 +151,8 @@ CALLS = {
     ),
     "confidence_band": _band,
     "jump_components": lambda f, i: identify_jump_components(f(0.5), f(0.25), f(0.125)),
+    "point_regime": lambda f, i: PointRegime(RegimeKind.BOUNDARY, f(0.5)),
+    "qq_data": lambda f, i: qq_data(np.arange(50.0), center=f(24.5), scale=f(2.0)),
     "bandwidth_setting": lambda f, i: BandwidthSetting(fixed=f(0.25)).label,
     "mc_config": lambda f, i: _mc(
         T=f(10.0), n=i(300), replicates=i(2), base_seed=i(1), tau=f(20.0),
@@ -163,6 +177,11 @@ def test_numpy_scalars_give_the_python_scalar_result(name):
     np.testing.assert_equal(
         _fields(call(np.float32, np.int64)), _fields(call(float, int))
     )
+
+
+def test_boundary_kappa_is_stored_as_a_float():
+    assert type(PointRegime(RegimeKind.BOUNDARY, np.float32(0.5)).kappa) is float
+    assert type(PointRegime(RegimeKind.BOUNDARY, 2).kappa) is float
 
 
 @pytest.mark.parametrize("value, integer, real", [

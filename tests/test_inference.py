@@ -186,7 +186,8 @@ def test_confidence_band_rejects_bad_arguments(curve, kwargs):
         confidence_band(curve, comp, **args)
 
 
-def test_confidence_band_knife_edge_uses_larger_variance():
+@pytest.mark.parametrize("target", [Target.DRIFT, Target.COND_VARIANCE])
+def test_confidence_band_knife_edge_uses_larger_variance(target):
     h = 0.05
     tau = 20.0
     x = tau * h
@@ -195,7 +196,7 @@ def test_confidence_band_knife_edge_uses_larger_variance():
         values=np.array([1.0]),
         slopes=np.array([0.0]),
         kernel=KernelSpec(KernelFamily.GAMMA, h),
-        target=Target.DRIFT,
+        target=target,
     )
     comp = BandCompanions(
         variance_numerator=np.array([0.12]),
@@ -203,13 +204,12 @@ def test_confidence_band_knife_edge_uses_larger_variance():
         curvature=np.array([0.0]),
     )
     band = confidence_band(curve, comp, alpha=0.05, n=1000, delta=0.01)
-    assert 0 in band.diagnostics
     mom_i = asymptotic_moments(
-        x, h, 1000, 0.01, Target.DRIFT, 0.0, 0.12, 2.0,
+        x, h, 1000, 0.01, target, 0.0, 0.12, 2.0,
         PointRegime(RegimeKind.INTERIOR),
     )
     mom_b = asymptotic_moments(
-        x, h, 1000, 0.01, Target.DRIFT, 0.0, 0.12, 2.0,
+        x, h, 1000, 0.01, target, 0.0, 0.12, 2.0,
         PointRegime(RegimeKind.BOUNDARY, x / h),
     )
     widest = max(

@@ -19,7 +19,8 @@ call that starts them.  The rule-of-thumb rates T^(-2/5) and T^(-1/5) are
 taken by ``bandwidth.rule_of_thumb`` alone, so no ``**`` has the constant
 exponent 0.4 or 0.2, of either sign.  Whether a value is a number is
 decided by ``jdsmooth.errors`` alone, so no other module holds an
-``isinstance`` check against both ``int`` and ``float``.
+``isinstance`` check against both ``int`` and ``float``.  The error for a
+point below the Gamma support is written once, in ``kernels``.
 """
 
 import ast
@@ -229,6 +230,19 @@ def test_number_checks_go_through_errors(path):
         if _int_and_float_isinstance(node)
     ]
     assert not checks, checks
+
+
+_OUTSIDE_SUPPORT = "Gamma kernel evaluation point must be nonnegative"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_gamma_support_error_is_written_once(path):
+    """``kernels.outside_support`` builds the message that the fits, their
+    failure records and the kernel plan all raise; a copy elsewhere could
+    drift from it, and a point's flag text would then depend on which
+    path found it."""
+    count = path.read_text().count(_OUTSIDE_SUPPORT)
+    assert count == (1 if path.name == "kernels.py" else 0), count
 
 
 def test_exports_are_the_public_names_init_imports():

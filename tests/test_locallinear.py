@@ -30,7 +30,7 @@ from jdsmooth.locallinear import (
     estimate_second_derivative,
     local_linear_fit,
 )
-from jdsmooth.proxy import ProxySeries, RegressionTriples, build_direct_triples
+from jdsmooth.proxy import ProxySeries, RegressionTriples
 from jdsmooth.summation import CHUNK
 
 
@@ -304,17 +304,6 @@ def test_degenerate_design_raises():
     )
     with pytest.raises(DegenerateDesignError):
         local_linear_fit(t, Target.DRIFT, KernelSpec(KernelFamily.GAUSSIAN, 0.3), 0.5)
-
-
-def test_direct_triples_share_properties():
-    rng = np.random.default_rng(31)
-    x_path = np.abs(np.cumsum(rng.standard_normal(200)) * 0.05) + 0.05
-    t = build_direct_triples(x_path, 0.01)
-    spec = KernelSpec(KernelFamily.GAMMA, 0.2)
-    fit = local_linear_fit(t, Target.DRIFT, spec, 0.5)
-    a, b = wls_oracle(t.weight_points, t.design_points, t.drift, spec, 0.5)
-    assert fit.intercept == pytest.approx(a, rel=1e-9)
-    assert fit.slope == pytest.approx(b, rel=1e-9)
 
 
 def test_density_single_observation():

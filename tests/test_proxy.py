@@ -16,7 +16,6 @@ from jdsmooth.locallinear import Target
 from jdsmooth.proxy import (
     ProxySeries,
     RegressionTriples,
-    build_direct_triples,
     build_log_proxy,
     build_proxy,
     build_regression_triples,
@@ -93,21 +92,6 @@ def test_regression_triples_need_three_values():
         ProxySeries(delta=1.0, values=np.array([1.0, 2.0, 3.0]))
     )
     assert len(t.design_points) == 1
-
-
-def test_direct_triples_unstaggered():
-    x = np.array([0.0, 1.0, 3.0, 6.0])
-    delta = 0.5
-    t = build_direct_triples(x, delta)
-    # weight and design coincide for directly observed state
-    np.testing.assert_allclose(t.weight_points, x[:-1])
-    np.testing.assert_allclose(t.design_points, x[:-1])
-    diffs = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(t.response(Target.DRIFT), diffs / delta)
-    # direct observation carries no smoothing correction factors
-    np.testing.assert_allclose(t.response(Target.COND_VARIANCE), diffs**2 / delta)
-    np.testing.assert_allclose(t.response(Target.FOURTH_MOMENT), diffs**4 / delta)
-    np.testing.assert_allclose(t.response(Target.SIXTH_MOMENT), diffs**6 / delta)
 
 
 def test_proxy_series_validation():
