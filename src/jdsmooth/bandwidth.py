@@ -25,7 +25,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import pool
-from .errors import POSITIVE, SparseRegionError, at_least, checked
+from .errors import (
+    POSITIVE, DataError, SparseRegionError, at_least, checked, checked_list,
+)
 from .inference import asymptotic_moments
 from .kernels import KernelFamily, KernelSpec, PointRegime, RegimeKind
 from .locallinear import LinearFitter, Target, estimate_curve
@@ -77,7 +79,7 @@ def rule_of_thumb(
     T = checked("horizon T", T, POSITIVE)
     s = float(np.std(p.values, ddof=1)) if len(p) > 1 else 0.0
     if not (s > 0):
-        raise ValueError("proxy series has no spread; cannot scale a bandwidth")
+        raise DataError("proxy series has no spread; cannot scale a bandwidth")
     h = c * s * T ** _rot_exponent(regime)
     return BandwidthChoice(h=h, method=BandwidthMethod.RULE_OF_THUMB, c=c)
 
@@ -207,14 +209,12 @@ def block_cv(
         k = int(round(n**0.25))
     k = checked("block half-width k", k, at_least(1), integer=True)
     if n < 4 * k + 4:
-        raise ValueError(
-            f"series of length {n} is too short for block width k={k}"
-        )
+        raise DataError(f"series of length {n} is too short for block width k={k}")
     if h_grid is None:
         h_grid = default_h_grid(p)
-    h_grid = np.sort(np.asarray(h_grid, dtype=float))
-    if h_grid.size == 0 or not np.all(np.isfinite(h_grid) & (h_grid > 0)):
-        raise ValueError("h_grid must contain positive bandwidths")
+    h_grid = np.sort(np.array(checked_list("h_grid", h_grid, POSITIVE)))
+    if h_grid.size == 0:
+        raise ValueError("h_grid must not be empty")
 
     triples = build_regression_triples(p)
     off = triples.source_offset

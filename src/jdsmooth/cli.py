@@ -8,12 +8,13 @@ levels of the integrated series, prices to be logged, or per-interval
 returns; exactly one of those proxy modes applies per run.
 
 Each option is declared once, in the ``_COMMANDS`` table: its ``--config``
-key and flag, default, choices and the rule its value must meet.  The
-argument parser and the config merge both come from that table, so a
-value given as a flag and one read from a ``--config`` file pass the same
-parser and the same checks before any command runs; a bad value is a
-configuration error naming both the key and the flag.  Commands read
-typed values (a ``Target``, a tuple of kernel families, float tuples).
+key and flag, default, choices and check; the model's and mc-table's
+options take their checks from ``ModelSpec``'s and ``McConfig``'s fields.
+argparse only collects text, which becomes what a ``--config`` file would
+hold (a number where it reads as one); ``_Opt.value`` checks flag and
+file values alike before any command runs, and a bad one is a
+configuration error, ``key (--flag) must be ..., got ...``.  Commands
+read typed values (a ``Target``, a tuple of kernel families, float tuples).
 
 Every artifact is plain CSV or JSON carrying comment/header lines with
 the package version, the fully merged configuration as given, and the
@@ -22,7 +23,8 @@ written in shortest round-trip form, which makes simulate followed by
 estimate on the written file bit-identical to the in-memory pipeline.
 Failures at individual grid points become per-point flags inside the
 output, even where one kernel family fails at every point; only
-configuration and data problems abort a run.
+configuration and data problems abort a run; a data error (a proxy
+without spread, too few returns, too short a series) names no flag.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -32,12 +34,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +57,7 @@ from .errors import (
     JdsmoothError,
     at_least,
     checked,
-    is_number,
+    checked_list,
 )
 from .inference import (
     BS_CRITICAL,
@@ -110,20 +113,14 @@ def _config_echo(cfg: dict) -> str:
     return json.dumps(cfg, sort_keys=True, default=str)
 
 
-def _write_header(fh, command: str, cfg: dict, seed) -> None:
-    fh.write(f"# jdsmooth {VERSION}\n")
-    fh.write(f"# command: {command}\n")
-    fh.write(f"# config: {_config_echo(cfg)}\n")
-    fh.write(f"# seed: {seed if seed is not None else 'none'}\n")
-
-
 def _write_table(path: Path, command: str, cfg: dict, seed, columns, rows) -> None:
     with path.open("w", newline="") as fh:
-        _write_header(fh, command, cfg, seed)
+        fh.write(f"# jdsmooth {VERSION}\n# command: {command}\n")
+        fh.write(f"# config: {_config_echo(cfg)}\n")
+        fh.write(f"# seed: {seed if seed is not None else 'none'}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _out_dir(o) -> Path:
@@ -134,6 +131,17 @@ def _out_dir(o) -> Path:
 
 # ---------------------------------------------------------------------------
 # input handling
+
+
+def _number(text: str, cast=float):
+    """``cast(text)``, else ``float(text)``, else the text itself, which a
+    number check then rejects as it rejects a string in a config file."""
+    for c in (cast, float):
+        try:
+            return c(text)
+        except ValueError:
+            pass
+    return text
 
 
 def ingest_series(
@@ -168,12 +176,9 @@ def ingest_series(
         raise DataError(f"{path.name} has no data rows")
 
     def _column(name: str, role: str) -> int:
-        try:
-            return header.index(name)
-        except ValueError:
-            raise DataError(
-                f"{role} column {name!r} not found in header {header}"
-            ) from None
+        if name not in header:
+            raise DataError(f"{role} column {name!r} not found in header {header}")
+        return header.index(name)
 
     if value_column is not None:
         vi = _column(value_column, "value")
@@ -190,17 +195,11 @@ def ingest_series(
     times: list[str] = []
     lines: list[int] = []
     bad: list[int] = []
+    width = 1 + max(vi, 0 if ti is None else ti)
     for j, (line, row) in enumerate(data):
         lines.append(line)
-        if len(row) <= vi or (ti is not None and len(row) <= ti):
-            bad.append(line)
-            continue
-        try:
-            v = float(row[vi])
-        except ValueError:
-            bad.append(line)
-            continue
-        if not math.isfinite(v):
+        v = _number(row[vi]) if len(row) >= width else None
+        if not (isinstance(v, float) and math.isfinite(v)):
             bad.append(line)
             continue
         values[j] = v
@@ -251,19 +250,15 @@ def _resolve_h(
 ) -> float:
     """A fixed bandwidth, or the rule of thumb at scale constant c.
 
-    Errors name the flags of the two keys, so the plug-in pilot's
-    ``pilot_h``/``pilot_c`` report as --pilot-h/--pilot-c.
+    Giving both is an error naming the flags of the two keys, so the
+    plug-in pilot's ``pilot_h``/``pilot_c`` report as --pilot-h/--pilot-c.
     """
     fixed, c = getattr(o, fixed_key), getattr(o, c_key)
-    c_flag = _flag(c_key)
     if fixed is not None and c is not None:
-        raise ConfigError(f"give either {_flag(fixed_key)} or {c_flag}, not both")
+        raise ConfigError(f"give either {_flag(fixed_key)} or {_flag(c_key)}, not both")
     if fixed is not None:
         return fixed
-    try:
-        return rule_of_thumb(p, c=_DEFAULT_C if c is None else c, T=p.delta * len(p)).h
-    except ValueError as exc:
-        raise ConfigError(f"{c_flag}: {exc}") from None
+    return rule_of_thumb(p, c=_DEFAULT_C if c is None else c, T=p.delta * len(p)).h
 
 
 def _resolve_grid(o, p: ProxySeries) -> np.ndarray:
@@ -290,22 +285,14 @@ def _cmd_simulate(o, cfg: dict) -> int:
     if o.substep > 1:
         path = path.thin(o.substep)
 
-    t = path.t
-    path_csv = out / "path.csv"
-    _write_table(
-        path_csv, "simulate", cfg, o.seed, ("t", "y"),
-        zip(t, path.y),
-    )
-    _write_table(
-        out / "state.csv", "simulate", cfg, o.seed, ("t", "x"),
-        zip(t, path.x),
-    )
-    _write_table(
-        out / "jumps.csv", "simulate", cfg, o.seed, ("time", "size"),
-        zip(path.jump_times, path.jump_sizes),
-    )
+    for name, columns, rows in (
+        ("path.csv", ("t", "y"), zip(path.t, path.y)),
+        ("state.csv", ("t", "x"), zip(path.t, path.x)),
+        ("jumps.csv", ("time", "size"), zip(path.jump_times, path.jump_sizes)),
+    ):
+        _write_table(out / name, "simulate", cfg, o.seed, columns, rows)
     print(
-        f"wrote {path_csv} ({path.y.size} observations, delta={path.delta!r}),"
+        f"wrote {out / 'path.csv'} ({path.y.size} observations, delta={path.delta!r}),"
         f" state.csv, jumps.csv ({path.jump_times.size} jumps)"
     )
     return 0
@@ -404,17 +391,10 @@ def _cmd_bandwidth(o, cfg: dict) -> int:
     p = _load_series(o)
     if o.method == "rule-of-thumb":
         span = p.delta * len(p) if o.horizon is None else o.horizon
-        try:
-            choice = rule_of_thumb(
-                p, c=_DEFAULT_C if o.c is None else o.c, T=span, regime=o.regime
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        c = _DEFAULT_C if o.c is None else o.c
+        choice = rule_of_thumb(p, c=c, T=span, regime=o.regime)
     elif o.method == "block-cv":
-        try:
-            choice = block_cv(p, h_grid=o.h_grid or None, k=o.k, family=o.family)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        choice = block_cv(p, h_grid=o.h_grid or None, k=o.k, family=o.family)
     else:
         if o.x is None:
             raise ConfigError("plugin selection needs an evaluation point --x")
@@ -450,11 +430,7 @@ def _cmd_bandwidth(o, cfg: dict) -> int:
 
 def _cmd_jumptest(o, cfg: dict) -> int:
     out = _out_dir(o)
-    p = _load_series(o)
-    try:
-        res = bs_jump_test(p)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    res = bs_jump_test(_load_series(o))
     if not res.reject:
         decision = "no jumps detected"
     elif res.statistic < 0:
@@ -496,26 +472,16 @@ def _cmd_mc_table(o, cfg: dict) -> int:
             f"replicates (--replicates) must be at least {MIN_ADJUSTED_REPLICATES}"
             f" for the adjusted-length experiment, got {o.replicates}"
         )
+    settings = tuple(BandwidthSetting(fixed=h) for h in o.fixed_h or ())
+    settings += tuple(BandwidthSetting(rot_c=c) for c in o.rot_c or ())
+    # an McConfig option not given leaves the field's default
+    given = {m.key: getattr(o, m.key) for m in _MC if getattr(o, m.key) is not None}
     try:
-        settings = tuple(BandwidthSetting(fixed=h) for h in o.fixed_h or ())
-        settings += tuple(BandwidthSetting(rot_c=c) for c in o.rot_c or ())
         mc_cfg = McConfig(
-            model=_model_from(o),
-            T=o.T,
-            n=o.n,
-            replicates=o.replicates,
-            base_seed=o.base_seed,
-            families=o.family,
-            bandwidths=settings or McConfig.bandwidths,
-            eval_points=o.eval_points or (),
-            target=o.target,
-            alpha=o.alpha,
-            tau=o.tau,
-            workers=o.workers,
-            mse_grid_size=o.mse_grid_size,
-            mse_trim=o.mse_trim,
+            model=_model_from(o), families=o.family, target=o.target,
+            bandwidths=settings or McConfig.bandwidths, **given,
         )
-    except ValueError as exc:
+    except ValueError as exc:  # the checks between McConfig's fields
         raise ConfigError(str(exc)) from None
 
     runner = {
@@ -540,52 +506,48 @@ def _flag(key: str) -> str:
     return f"--{key.replace('_', '-')}"
 
 
-def _text(v) -> str:
-    if not isinstance(v, str):
-        raise ValueError("a string")
-    return v
+def _instance(kind: type, need: str):
+    """The check that a value is a ``kind``: text, or an on/off switch."""
+
+    def check(name: str, v):
+        if not isinstance(v, kind):
+            raise ValueError(f"{name} must be {need}, got {v!r}")
+        return v
+
+    return check
 
 
-def _switch(v) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError("true or false")
-    return v
+def _listed(check):
+    """``check(name, values)`` over a JSON list or comma-separated text,
+    each piece read by ``_number``; "" and "none" leave the option unset."""
 
+    def parse(name: str, v):
+        if v in ("", "none"):
+            return None
+        if isinstance(v, str):
+            v = [_number(s) for s in v.split(",") if s.strip()]
+        if not isinstance(v, list):
+            raise ValueError(f"{name} must be a list of numbers, got {v!r}")
+        return check(name, v)
 
-def _floats(v) -> tuple[float, ...]:
-    """A comma-separated string or a list of numbers, all finite."""
-    if isinstance(v, str):
-        try:
-            values = tuple(float(s) for s in v.split(",") if s.strip())
-        except ValueError:
-            raise ValueError("comma-separated numbers") from None
-    elif isinstance(v, list) and all(is_number(e) for e in v):
-        values = tuple(float(e) for e in v)
-    else:
-        raise ValueError("a list of numbers or a comma-separated string")
-    if not all(math.isfinite(e) for e in values):
-        raise ValueError("finite numbers")
-    return values
-
-
-def _trim(v) -> tuple[float, ...] | None:
-    return None if v in ("", "none") else _floats(v)
+    return parse
 
 
 @dataclass(frozen=True)
 class _Opt:
     """One option: the ``--config`` key ``key`` and its flag ``--key``.
 
-    ``kind`` turns flag text into the value a JSON config file would hold
-    (float, int or str; None marks an on/off flag).  ``value`` checks that
-    value, from a flag and from a file alike: a name among ``choices``
-    maps to what commands read, any other value goes through ``parse``.
-    An option without a default reads None when not given.
+    ``kind`` is the type flag text is read as (float, int or str; None
+    marks an on/off flag).  ``value`` checks the value, from a flag and
+    from a file alike: a name among ``choices`` maps to what commands
+    read, any other value goes through ``parse(name, v)``, which raises
+    ``ValueError`` naming ``name``.  An option without a default reads
+    None when not given.
     """
 
     key: str
     default: object = None
-    parse: Callable[[object], object] = _text
+    parse: Callable[[str, object], object] = _instance(str, "a string")
     choices: dict | None = None
     kind: type | None = str
     help: str | None = None
@@ -593,29 +555,28 @@ class _Opt:
     def value(self, v):
         if v is None and self.default is None:
             return None
-        try:
-            if self.choices is None:
-                return self.parse(v)
+        name = f"{self.key} ({_flag(self.key)})"
+        if self.choices is not None:
             if isinstance(v, str) and v in self.choices:
                 return self.choices[v]
-            need = "one of " + ", ".join(self.choices)
+            need = ", ".join(self.choices)
+            raise ConfigError(f"{name} must be one of {need}, got {v!r}")
+        try:
+            return self.parse(name, v)
         except ValueError as exc:
-            need = str(exc)
-        except OverflowError:  # an integer beyond the float range
-            need = "finite"
-        raise ConfigError(f"{self.key} ({_flag(self.key)}) must be {need}, got {v!r}")
+            raise ConfigError(str(exc)) from None
 
 
 def _num(key, default=None, cast=float, rule=FINITE, help=None) -> _Opt:
     """A number option, checked by ``errors.checked`` against ``rule``."""
+    check = functools.partial(checked, rule=rule, integer=cast is int)
+    return _Opt(key, default, check, kind=cast, help=help)
 
-    def parse(v):
-        try:
-            return checked(f"{key} ({_flag(key)})", v, rule, integer=cast is int)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
-    return _Opt(key, default, parse, kind=cast, help=help)
+def _list(key, rule=FINITE, distinct=False, help=None) -> _Opt:
+    """A list option, checked by ``errors.checked_list``."""
+    check = functools.partial(checked_list, rule=rule, distinct=distinct)
+    return _Opt(key, parse=_listed(check), help=help)
 
 
 def _options(*opts: _Opt) -> dict[str, _Opt]:
@@ -642,12 +603,34 @@ _IO = (
     _Opt("time_column",
          help="time column name, or 'none' (default: first column when several)"),
 )
-_MODEL = tuple(
-    _num(f.name, default, rule=f.metadata.get("rule", FINITE))
-    for f, default in zip(fields(ModelSpec), astuple(baseline_model()))
-)
 _T = _num("T", 10.0, rule=POSITIVE, help="time horizon")
 _N = _num("n", 1000, int, at_least(1), help="number of observation steps")
+
+
+def _field_options(cls, defaults: dict, helps: dict) -> tuple[_Opt, ...]:
+    """An option per field of dataclass ``cls`` that declares a ``check``
+    (``errors.check_fields``), checked by it: flag text is read as the
+    field's type, a tuple field as a list, which is unset by default."""
+    opts = []
+    for f in fields(cls):
+        if "check" in f.metadata:
+            check, kind = f.metadata["check"], {"int": int, "float": float}.get(f.type)
+            default = defaults.get(f.name, f.default) if kind else None
+            parse = check if kind else _listed(check)
+            opts.append(_Opt(f.name, default, parse, kind=kind or str,
+                             help=helps.get(f.name)))
+    return tuple(opts)
+
+
+_MODEL = _field_options(ModelSpec, asdict(baseline_model()), {})
+_MC = _field_options(
+    McConfig, {"T": _T.default, "n": _N.default, "replicates": 100}, {
+        "T": _T.help,
+        "n": _N.help,
+        "eval_points": "evaluation points, comma separated",
+        "mse_trim": "percentile pair like 5,95; default none (full range)",
+    },
+)
 _FAMILY = _Opt("family", "both", choices={
     "gamma": (KernelFamily.GAMMA,),
     "gaussian": (KernelFamily.GAUSSIAN,),
@@ -659,10 +642,11 @@ _TARGET = _Opt("target", "drift", choices={
 })
 _BANDWIDTH = _num("bandwidth", rule=POSITIVE, help="fixed bandwidth h")
 _ROT_C = _num(
-    "rot_c", help=f"rule-of-thumb scale constant (default {_DEFAULT_C} if no bandwidth)"
+    "rot_c", rule=POSITIVE,
+    help=f"rule-of-thumb scale constant (default {_DEFAULT_C} if no bandwidth)",
 )
 _GRID = (
-    _Opt("grid", parse=_floats, help="explicit evaluation points, comma separated"),
+    _list("grid", help="explicit evaluation points, comma separated"),
     _num("grid_min"),
     _num("grid_max"),
     _num("grid_count", 50, int, at_least(2)),
@@ -686,14 +670,15 @@ _COMMANDS = {
         *_IO,
         _Opt("method", "block-cv",
              choices={m: m for m in ("rule-of-thumb", "block-cv", "plugin")}),
-        _num("c", help="rule-of-thumb scale constant"),
-        _num("horizon", help="time span T for the rule of thumb (default delta*n)"),
+        _num("c", rule=POSITIVE, help="rule-of-thumb scale constant"),
+        _num("horizon", rule=POSITIVE,
+             help="time span T for the rule of thumb (default delta*n)"),
         _Opt("regime", "interior", choices={r.value: r for r in RegimeKind}),
-        _Opt("h_grid", parse=_floats, help="candidate bandwidths, comma separated"),
-        _num("k", cast=int, help="cross-validation block half-width"),
+        _list("h_grid", POSITIVE, help="candidate bandwidths, comma separated"),
+        _num("k", cast=int, rule=at_least(1), help="cross-validation block half-width"),
         _num("x", rule=NONNEGATIVE, help="evaluation point for the plug-in method"),
         _num("pilot_h", rule=POSITIVE),
-        _num("pilot_c"),
+        _num("pilot_c", rule=POSITIVE),
         _TARGET,
         _TAU,
         # block CV selects for one kernel family
@@ -702,7 +687,7 @@ _COMMANDS = {
     )),
     "ci": (_cmd_ci, "pointwise asymptotic confidence bands", _options(
         *_IO, _TARGET, _FAMILY, _BANDWIDTH, _ROT_C, _ALPHA, _TAU,
-        _Opt("bias_correct", True, _switch, kind=None),
+        _Opt("bias_correct", True, _instance(bool, "true or false"), kind=None),
         *_GRID,
     )),
     "jumptest": (_cmd_jumptest, "bipower-ratio jump test on a return series", _options(
@@ -711,22 +696,11 @@ _COMMANDS = {
     "mc-table": (_cmd_mc_table, "Monte Carlo experiment tables", _options(
         _Opt("experiment", "mse",
              choices={e: e for e in ("mse", "coverage", "adjusted-length")}),
-        _T,
-        # McConfig's rules: a path needs four observations
-        _num("n", 1000, int, at_least(4), help=_N.help),
-        _num("replicates", 100, int, at_least(1)),
-        _num("base_seed", 0, int, at_least(0)),
-        _num("workers", 1, int, at_least(1)),
         _FAMILY,
         _TARGET,
-        _Opt("fixed_h", parse=_floats, help="fixed bandwidths, comma separated"),
-        _Opt("rot_c", parse=_floats, help="rule-of-thumb constants, comma separated"),
-        _Opt("eval_points", parse=_floats, help="evaluation points, comma separated"),
-        _ALPHA,
-        _TAU,
-        _num("mse_grid_size", 50, int, at_least(1)),
-        _Opt("mse_trim", parse=_trim,
-             help="percentile pair like 5,95; default none (full range)"),
+        _list("fixed_h", POSITIVE, True, help="fixed bandwidths, comma separated"),
+        _list("rot_c", POSITIVE, True, help="rule-of-thumb constants, comma separated"),
+        *_MC,
         *_MODEL,
     )),
 }
@@ -747,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
                 sp.add_argument(_flag(o.key), dest=o.key, help=o.help,
                                 action=argparse.BooleanOptionalAction)
             else:
-                sp.add_argument(_flag(o.key), dest=o.key, help=o.help,
-                                type=o.kind, choices=o.choices)
+                shown = "{" + ",".join(o.choices) + "}" if o.choices else None
+                sp.add_argument(_flag(o.key), dest=o.key, help=o.help, metavar=shown)
     return parser
 
 
@@ -791,7 +765,10 @@ def _merge_config(command: str, provided: dict) -> tuple[dict, argparse.Namespac
             if key not in options:
                 raise ConfigError(f"unknown config key {key!r}")
         cfg.update(loaded)
-    cfg.update({k: v for k, v in provided.items() if v is not None})
+    for key, text in provided.items():
+        if text is not None:
+            kind = options[key].kind
+            cfg[key] = _number(text, kind) if kind in (int, float) else text
     checked = {key: o.value(cfg.get(key)) for key, o in options.items()}
     return cfg, argparse.Namespace(**checked)
 

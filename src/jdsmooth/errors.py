@@ -1,4 +1,4 @@
-"""Exception types, process exit codes and the rule for numeric arguments.
+"""Exception types, process exit codes and the rules for numeric arguments.
 
 A grid function (``estimate_curve``, ``band_companions``,
 ``confidence_band``) never raises because a point failed, even if every
@@ -8,16 +8,22 @@ function (``local_linear_fit``, ``estimate_second_derivative``,
 (negative bandwidth, non-finite evaluation point) raises ``ValueError``.
 The classes below cover failures that depend on the data rather than on
 the call signature, so callers can distinguish "your input is unusable"
-from "the estimator has nothing to work with here".
+from "the estimator has nothing to work with here"; a proxy without
+spread, too few returns or too short a series is a ``DataError``.
 
 Every scalar argument of the package (a bandwidth, horizon, interval,
 threshold, count or seed) and every number option of the command line
 is checked by ``checked``: a number is a Python or numpy int or float,
 never a bool, a string or an array, and a count must be an integer,
 which is never truncated.  A value that breaks its rule raises
-``ValueError("{name} must be {need}, got {v!r}")``.
+``ValueError("{name} must be {need}, got {v!r}")``; ``checked_list``
+applies it to each number of a list.  A dataclass field declares its
+``check(name, value)`` in its metadata, which ``check_fields`` applies
+and from which the command line builds its options.
 """
 
+import dataclasses
+import functools
 import math
 import numbers
 
@@ -94,3 +100,25 @@ def checked(name: str, v, rule=FINITE, integer: bool = False):
         kind = "an integer" if integer else "a number"
         need = kind if rule is FINITE else f"{kind} that is {need}"
     raise ValueError(f"{name} must be {need}, got {v!r}")
+
+
+def checked_list(name: str, values, rule=FINITE, distinct: bool = False) -> tuple:
+    """``values`` as a tuple of ``checked`` floats, with ``distinct`` no two equal."""
+    out = tuple(checked(name, v, rule) for v in values)
+    if distinct and len(set(out)) < len(out):
+        raise ValueError(f"{name} must be distinct, got {out!r}")
+    return out
+
+
+def checked_field(rule=FINITE, integer: bool = False, **kw):
+    """A dataclass field (``kw`` as for ``field``) checked against ``rule``."""
+    check = functools.partial(checked, rule=rule, integer=integer)
+    return dataclasses.field(metadata={"check": check}, **kw)
+
+
+def check_fields(obj) -> None:
+    """Store the checked value of each field of ``obj`` that has a check."""
+    for f in dataclasses.fields(obj):
+        if "check" in f.metadata:
+            v = f.metadata["check"](f.name, getattr(obj, f.name))
+            object.__setattr__(obj, f.name, v)

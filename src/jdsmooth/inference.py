@@ -397,7 +397,7 @@ def bs_jump_test(data) -> JumpTestResult:
         raise ValueError("returns must be one-dimensional")
     n = int(r.size)
     if n < 10:
-        raise ValueError(f"need at least 10 returns, got {n}")
+        raise DataError(f"need at least 10 returns, got {n}")
     if not np.all(np.isfinite(r)):
         raise DataError("returns contain non-finite values")
 

@@ -28,7 +28,7 @@ import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from statistics import NormalDist
 
@@ -36,7 +36,9 @@ import numpy as np
 
 from ._version import VERSION
 from .bandwidth import rule_of_thumb
-from .errors import OPEN_UNIT, POSITIVE, at_least, checked
+from .errors import (
+    OPEN_UNIT, POSITIVE, at_least, check_fields, checked, checked_field, checked_list,
+)
 from .inference import NUMERATOR_TARGET, band_companions, confidence_band
 from .kernels import DEFAULT_REGIME_THRESHOLD, KernelFamily, KernelSpec
 from .locallinear import Target, estimate_curve
@@ -83,79 +85,68 @@ class BandwidthSetting:
         return rule_of_thumb(p, self.rot_c, T).h
 
 
+def _percentile_pair(name: str, v):
+    """None, or two percentiles 0 <= lo < hi <= 100 as floats."""
+    pair = v if v is None else checked_list(name, v)
+    if pair is not None and not (len(pair) == 2 and 0 <= pair[0] < pair[1] <= 100):
+        need = "two percentiles 0 <= lo < hi <= 100"
+        raise ValueError(f"{name} must be {need}, got {pair!r}")
+    return pair
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """Configuration of one Monte Carlo experiment cell."""
+    """Configuration of one Monte Carlo experiment cell; each field's own
+    check is in its metadata, and ``__post_init__`` checks across fields."""
 
     model: ModelSpec
-    T: float
-    n: int
-    replicates: int
-    base_seed: int = 0
+    T: float = checked_field(POSITIVE)
+    n: int = checked_field(at_least(4), integer=True)
+    replicates: int = checked_field(at_least(1), integer=True)
+    base_seed: int = checked_field(at_least(0), integer=True, default=0)
     families: tuple[KernelFamily, ...] = (KernelFamily.GAMMA, KernelFamily.GAUSSIAN)
     bandwidths: tuple[BandwidthSetting, ...] = (BandwidthSetting(rot_c=2.8),)
-    eval_points: tuple[float, ...] = ()
+    eval_points: tuple[float, ...] = field(
+        default=(), metadata={"check": functools.partial(checked_list, distinct=True)}
+    )
     target: Target = Target.DRIFT
-    alpha: float = 0.05
-    tau: float = DEFAULT_REGIME_THRESHOLD
-    workers: int = 1
-    mse_grid_size: int = 50
-    mse_trim: tuple[float, float] | None = None
+    alpha: float = checked_field(OPEN_UNIT, default=0.05)
+    tau: float = checked_field(POSITIVE, default=DEFAULT_REGIME_THRESHOLD)
+    workers: int = checked_field(at_least(1), integer=True, default=1)
+    mse_grid_size: int = checked_field(at_least(1), integer=True, default=50)
+    mse_trim: tuple[float, float] | None = field(
+        default=None, metadata={"check": _percentile_pair}
+    )
 
     def __post_init__(self):
-        for name, rule, integer in (
-            ("T", POSITIVE, False),
-            ("n", at_least(4), True),
-            ("replicates", at_least(1), True),
-            ("base_seed", at_least(0), True),
-            ("alpha", OPEN_UNIT, False),
-            ("tau", POSITIVE, False),
-            ("workers", at_least(1), True),
-            ("mse_grid_size", at_least(1), True),
-        ):
-            v = checked(name, getattr(self, name), rule, integer)
-            object.__setattr__(self, name, v)
+        check_fields(self)
         if not self.bandwidths:
             raise ValueError("need at least one bandwidth setting")
         if not self.families:
             raise ValueError("need at least one kernel family")
-        if not all(math.isfinite(x) for x in self.eval_points):
-            raise ValueError(f"eval_points must be finite, got {self.eval_points!r}")
         for name, values in (
             ("families", self.families),
             ("bandwidths", [b.label for b in self.bandwidths]),
-            ("eval_points", self.eval_points),
         ):
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat, got {values!r}")
         if self.target not in NUMERATOR_TARGET:
             raise ValueError("experiments cover drift and conditional variance")
-        trim = self.mse_trim
-        if trim is not None and not (len(trim) == 2 and 0 <= trim[0] < trim[1] <= 100):
-            raise ValueError(
-                f"mse_trim must be two percentiles 0 <= lo < hi <= 100, got {trim!r}"
-            )
 
     def to_dict(self) -> dict:
         # workers is an execution detail, not part of the experiment's
         # identity; keeping it out of the echo keeps reports bit-identical
         # across thread counts
-        d = {
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
+        return {
+            **d,
             "model": asdict(self.model),
-            "T": self.T,
-            "n": self.n,
-            "replicates": self.replicates,
-            "base_seed": self.base_seed,
             "families": [f.value for f in self.families],
             "bandwidths": [b.label for b in self.bandwidths],
             "eval_points": list(self.eval_points),
             "target": self.target.value,
-            "alpha": self.alpha,
-            "tau": self.tau,
-            "mse_grid_size": self.mse_grid_size,
             "mse_trim": list(self.mse_trim) if self.mse_trim else None,
         }
-        return d
 
 
 @dataclass(frozen=True)

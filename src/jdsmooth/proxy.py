@@ -76,19 +76,19 @@ class RegressionTriples:
     """Aligned arrays (weight point, design point, responses) for smoothing.
 
     For proxy values Xt_1..Xt_n the usable indices are i = 2..n-1, giving
-    n - 2 triples.  ``source_offset`` = 2 is the proxy index of the first
-    design point (used by leave-out schemes to map observation indices to
-    triple indices).  The arrays are read-only copies of those passed in.
+    n - 2 triples.  The arrays are read-only copies of those passed in.
     """
 
-    delta: float
     weight_points: np.ndarray
     design_points: np.ndarray
     drift: np.ndarray
     cond_var: np.ndarray
     moment4: np.ndarray
     moment6: np.ndarray
-    source_offset: int = 2
+
+    # the proxy index of the first design point, which leave-out schemes
+    # use to map observation indices to triple indices
+    source_offset = 2
 
     def __post_init__(self):
         names = (
@@ -152,7 +152,6 @@ def build_regression_triples(p: ProxySeries) -> RegressionTriples:
     diffs = v[2:] - v[1:-1]
     sq = diffs * diffs
     return RegressionTriples(
-        delta=p.delta,
         weight_points=v[:-2],
         design_points=v[1:-1],
         drift=diffs / p.delta,

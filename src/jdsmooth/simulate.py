@@ -21,32 +21,32 @@ then advances
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FINITE, NONNEGATIVE, POSITIVE, at_least, checked
+from .errors import (
+    NONNEGATIVE, POSITIVE, at_least, check_fields, checked, checked_field,
+)
 
 
 @dataclass(frozen=True, slots=True)
 class ModelSpec:
     """Coefficients of the simulated jump-diffusion."""
 
-    drift_intercept: float
-    drift_slope: float
-    diffusion_const: float = field(metadata={"rule": NONNEGATIVE})
-    diffusion_quad: float
-    jump_total: float = field(metadata={"rule": NONNEGATIVE})
-    jump_size_std: float = field(metadata={"rule": NONNEGATIVE})
-    jump_size_mean: float = 0.0
-    x0: float = 0.1
-    y0: float = 100.0
+    drift_intercept: float = checked_field()
+    drift_slope: float = checked_field()
+    diffusion_const: float = checked_field(NONNEGATIVE)
+    diffusion_quad: float = checked_field()
+    jump_total: float = checked_field(NONNEGATIVE)
+    jump_size_std: float = checked_field(NONNEGATIVE)
+    jump_size_mean: float = checked_field(default=0.0)
+    x0: float = checked_field(default=0.1)
+    y0: float = checked_field(default=100.0)
 
     def __post_init__(self):
-        for f in fields(self):
-            v = checked(f.name, getattr(self, f.name), f.metadata.get("rule", FINITE))
-            object.__setattr__(self, f.name, v)
+        check_fields(self)
 
     def mu(self, x):
         return self.drift_intercept + self.drift_slope * np.asarray(x, dtype=float)

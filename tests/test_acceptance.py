@@ -139,7 +139,7 @@ def test_local_linear_exactness_on_random_instances():
         family = KernelFamily.GAMMA if trial % 2 else KernelFamily.GAUSSIAN
         spec = KernelSpec(family, h)
         t = RegressionTriples(
-            delta=0.1, weight_points=w, design_points=d, drift=resp,
+            weight_points=w, design_points=d, drift=resp,
             cond_var=np.abs(resp), moment4=resp**2, moment6=resp**4,
         )
 
@@ -151,7 +151,7 @@ def test_local_linear_exactness_on_random_instances():
         alpha = float(rng.uniform(0.5, 5.0)) * (1 if trial % 4 < 2 else -1)
         beta = float(rng.uniform(0.5, 5.0)) * (1 if trial % 8 < 4 else -1)
         t_affine = RegressionTriples(
-            delta=0.1, weight_points=w, design_points=d,
+            weight_points=w, design_points=d,
             drift=alpha + beta * (d - x), cond_var=resp,
             moment4=resp, moment6=resp,
         )

@@ -23,7 +23,7 @@ from jdsmooth.bandwidth import (
     mse_grid_search,
     rule_of_thumb,
 )
-from jdsmooth.errors import DegenerateDesignError, SparseRegionError
+from jdsmooth.errors import DataError, DegenerateDesignError, SparseRegionError
 from jdsmooth.kernels import (
     KernelFamily,
     KernelSpec,
@@ -56,7 +56,7 @@ def test_rule_of_thumb_interior_and_boundary():
 
 def test_rule_of_thumb_rejects_constant_series():
     p = ProxySeries(delta=0.1, values=np.ones(10))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="no spread"):
         rule_of_thumb(p, c=2.0, T=10.0)
 
 
@@ -136,14 +136,12 @@ def test_block_cv_matches_brute_force_leave_block_out(family, k):
         for i in range(k + 1, n - k + 1):
             keep = (proxy_idx < i - k) | (proxy_idx > i + k)
             rest = RegressionTriples(
-                delta=t.delta,
                 weight_points=t.weight_points[keep],
                 design_points=t.design_points[keep],
                 drift=t.drift[keep],
                 cond_var=t.cond_var[keep],
                 moment4=t.moment4[keep],
                 moment6=t.moment6[keep],
-                source_offset=t.source_offset,
             )
             x = float(p.values[i - 1])
             y_i = float(t.drift[i - t.source_offset])
@@ -177,14 +175,12 @@ def brute_force_block_cv(p, h_grid, k, family):
         for i in range(k + 1, n - k + 1):
             keep = (proxy_idx < i - k) | (proxy_idx > i + k)
             rest = RegressionTriples(
-                delta=t.delta,
                 weight_points=t.weight_points[keep],
                 design_points=t.design_points[keep],
                 drift=t.drift[keep],
                 cond_var=t.cond_var[keep],
                 moment4=t.moment4[keep],
                 moment6=t.moment6[keep],
-                source_offset=t.source_offset,
             )
             x = float(p.values[i - 1])
             if family is KernelFamily.GAMMA and x < 0:
@@ -281,7 +277,7 @@ def test_block_cv_selects_argmin_of_score_curve():
 
 def test_block_cv_rejects_short_series():
     p = ProxySeries(delta=0.1, values=np.abs(np.random.default_rng(3).standard_normal(12)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="too short"):
         block_cv(p, h_grid=np.array([0.3]), k=4)
 
 
@@ -293,7 +289,7 @@ def test_block_cv_rejects_non_finite_candidates_before_scoring(monkeypatch, h_gr
     monkeypatch.setattr(pool, "map_in_order", lambda *args: calls.append(args))
     rng = np.random.default_rng(3)
     p = ProxySeries(delta=0.01, values=0.5 * rng.standard_normal(200) + 0.6)
-    with pytest.raises(ValueError, match="h_grid must contain positive bandwidths"):
+    with pytest.raises(ValueError, match="^h_grid must be positive and finite, got"):
         block_cv(p, h_grid=np.array(h_grid))
     assert calls == []
 

@@ -18,7 +18,14 @@ import pytest
 
 import jdsmooth
 from jdsmooth import __version__
-from jdsmooth.cli import _merge_config, build_parser, ingest_series, main
+from jdsmooth.cli import (
+    _COMMANDS,
+    _flag,
+    _merge_config,
+    build_parser,
+    ingest_series,
+    main,
+)
 from jdsmooth.errors import ConfigError, DataError
 from jdsmooth.kernels import KernelFamily, KernelSpec
 from jdsmooth.locallinear import estimate_drift_curve
@@ -326,6 +333,20 @@ class TestEstimate:
             ["mc-table", "--mse-grid-size", "0"], "mse_grid_size (--mse-grid-size)",
             id="mse_grid_size_0",
         ),
+        # McConfig's and BandwidthSetting's rules, checked as options
+        pytest.param(
+            ["mc-table", "--experiment", "coverage", "--eval-points", "0.1,0.1"],
+            "eval_points (--eval-points)", id="eval_points_repeated",
+        ),
+        pytest.param(["mc-table", "--fixed-h", "-1"], "fixed_h (--fixed-h)",
+                     id="fixed_h_negative"),
+        pytest.param(["mc-table", "--fixed-h", "0.1,0.1"], "fixed_h (--fixed-h)",
+                     id="fixed_h_repeated"),
+        pytest.param(["mc-table", "--rot-c", "0"], "rot_c (--rot-c)", id="mc_rot_c_0"),
+        pytest.param(["mc-table", "--mse-trim", "5"], "mse_trim (--mse-trim)",
+                     id="mse_trim_one_value"),
+        pytest.param(["mc-table", "--mse-trim", "95,5"], "mse_trim (--mse-trim)",
+                     id="mse_trim_reversed"),
     ])
     def test_out_of_range_or_non_finite_value_exits_2(
         self, sim_dir, tmp_path, capsys, argv, flag
@@ -390,7 +411,7 @@ class TestEstimate:
             "--out", str(tmp_path), "--rot-c", "0", "--grid", "0.1",
         ])
         assert rc == 2
-        assert "scale constant c" in capsys.readouterr().err
+        assert "rot_c (--rot-c)" in capsys.readouterr().err
 
 
 class TestBandwidthCommand:
@@ -426,7 +447,7 @@ class TestBandwidthCommand:
             "--out", str(tmp_path), "--method", "rule-of-thumb", "--c", "0",
         ])
         assert rc == 2
-        assert "scale constant c" in capsys.readouterr().err
+        assert "c (--c)" in capsys.readouterr().err
         assert not (tmp_path / "bandwidth.csv").exists()
 
     def test_plugin_needs_x(self, sim_dir, tmp_path, capsys):
@@ -598,6 +619,49 @@ class TestJumptest:
         assert "jumps detected" in capsys.readouterr().out
 
 
+class TestDataErrors:
+    """A failure that depends on the data exits 3 and blames no flag."""
+
+    def write(self, tmp_path, values, name="series.csv"):
+        f = tmp_path / name
+        f.write_text("y\n" + "\n".join(repr(float(v)) for v in values) + "\n")
+        return f
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["estimate"], id="estimate"),
+        pytest.param(["ci"], id="ci"),
+        pytest.param(["bandwidth", "--method", "rule-of-thumb"], id="rule_of_thumb"),
+        pytest.param(["bandwidth", "--method", "block-cv"], id="block_cv"),
+        pytest.param(["bandwidth", "--method", "plugin", "--x", "0.1"], id="plugin"),
+    ])
+    def test_series_without_spread_exits_3(self, tmp_path, capsys, argv):
+        # a linear series: every proxy value is the same
+        f = self.write(tmp_path, range(120))
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", str(f), "--delta", "0.01", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "no spread" in err and "--" not in err
+        assert not any(out.iterdir())
+
+    def test_jumptest_on_five_prices_exits_3(self, tmp_path, capsys):
+        f = self.write(tmp_path, [100.0, 101.0, 100.5, 102.0, 101.5])
+        rc = main(["jumptest", "--input", str(f), "--delta", "0.01",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "at least 10 returns" in err and "--" not in err
+
+    def test_block_wider_than_the_series_allows_exits_3(self, tmp_path, capsys):
+        y = np.cumsum(np.random.default_rng(5).standard_normal(120))
+        f = self.write(tmp_path, y)
+        rc = main(["bandwidth", "--input", str(f), "--delta", "0.01", "--method",
+                   "block-cv", "--k", "40", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "too short for block width k=40" in err and "--" not in err
+
+
 class TestMcTable:
     def test_artifacts_identical_across_worker_counts(self, tmp_path):
         args = [
@@ -669,6 +733,30 @@ class TestMcTable:
 
 COMMANDS = ("simulate", "estimate", "bandwidth", "ci", "jumptest", "mc-table")
 
+# a bad value: its flag text, and what a config file holds for it
+BAD_VALUES = {
+    "n": ("2.5", 2.5),
+    "seed": ("1e3", 1e3),
+    "alpha": ("abc", "abc"),
+    "family": ("foo", "foo"),
+    "target": ("m4", "m4"),
+    "k": ("0", 0),
+    "h_grid": ("-1,0.1", [-1.0, 0.1]),
+    "c": ("-1", -1.0),
+    "horizon": ("-1", -1.0),
+}
+
+
+def _bad_value_cases():
+    """(command, key) for every option of BAD_VALUES a command has, where the
+    bad text is not one of its choices (m4 is a target of estimate)."""
+    return [
+        pytest.param(command, key, id=f"{command}-{key}")
+        for command, (_, _, options) in _COMMANDS.items()
+        for key, (text, _) in BAD_VALUES.items()
+        if key in options and text not in (options[key].choices or ())
+    ]
+
 
 class TestOptionTable:
     @pytest.mark.parametrize("argv, key, value", [
@@ -706,6 +794,36 @@ class TestOptionTable:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", _bad_value_cases())
+    def test_flag_value_fails_like_the_same_config_value(
+        self, sim_dir, tmp_path, capsys, command, key
+    ):
+        """argparse only collects text: the option's own check rejects a
+        flag with the line it prints for the same value in a config file."""
+        text, value = BAD_VALUES[key]
+        series = ["--input", str(sim_dir / "path.csv"), "--delta", "0.0025"]
+        rest = [*series, "--out", str(tmp_path / "out")]
+        if "input" not in _COMMANDS[command][2]:
+            rest = rest[4:]
+        assert main([command, _flag(key), text, *rest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ({_flag(key)}) must be ")
+        assert len(err.splitlines()) == 1
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(conf), *rest]) == 2
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_each_choice(self, capsys, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        shown = " ".join(capsys.readouterr().out.split())
+        for o in _COMMANDS[command][2].values():
+            if o.choices:
+                assert f"{_flag(o.key)} {{{','.join(o.choices)}}}" in shown
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_config_keys_are_the_parser_dests(self, tmp_path, command):

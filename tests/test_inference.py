@@ -490,7 +490,7 @@ def test_bs_jump_test_proxy_input_uses_level_times_delta():
 
 
 def test_bs_jump_test_rejects_degenerate_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="at least 10 returns"):
         bs_jump_test(np.ones(5))
     with pytest.raises(DataError):
         bs_jump_test(np.zeros(50))

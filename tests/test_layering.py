@@ -20,7 +20,10 @@ taken by ``bandwidth.rule_of_thumb`` alone, so no ``**`` has the constant
 exponent 0.4 or 0.2, of either sign.  Whether a value is a number is
 decided by ``jdsmooth.errors`` alone, so no other module holds an
 ``isinstance`` check against both ``int`` and ``float``.  The error for a
-point below the Gamma support is written once, in ``kernels``.
+point below the Gamma support is written once, in ``kernels``.  The
+command line leaves every option value to its option table: argparse
+gets no ``type=`` or ``choices=``, and no library ``ValueError`` is
+re-wrapped outside the option check and the one ``McConfig`` boundary.
 """
 
 import ast
@@ -318,3 +321,50 @@ def test_import_loads_no_multiprocessing():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+CLI = next(p for p in SOURCES if p.name == "cli.py")
+
+
+def test_argparse_collects_only_text():
+    """Every option value is read and checked by ``_Opt.value``, so a
+    flag typo fails with the line a config file's typo prints."""
+    tree = ast.parse(CLI.read_text(), filename=str(CLI))
+    typed = [
+        f"line {node.lineno}: {kw.arg}="
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        for kw in node.keywords
+        if kw.arg in ("type", "choices")
+    ]
+    assert not typed, typed
+
+
+def _value_error_handlers(node, function=None):
+    """(innermost function, whether it raises) of each ``except`` clause
+    that catches ValueError."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    found = []
+    if isinstance(node, ast.ExceptHandler) and node.type is not None:
+        caught = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+        if "ValueError" in caught:
+            body = [n for s in node.body for n in ast.walk(s)]
+            found.append((function, any(isinstance(n, ast.Raise) for n in body)))
+    for child in ast.iter_child_nodes(node):
+        found += _value_error_handlers(child, function)
+    return found
+
+
+def test_cli_rewraps_no_library_error():
+    """A ValueError becomes a package error in two places only:
+    ``_Opt.value``, where an option's check fails (exit 2), and
+    ``_cmd_mc_table``, where McConfig's checks across fields fail (exit 2).
+    ``main`` reports any other as a numerical failure (exit 4); a library
+    failure that depends on the data raises ``DataError`` itself, and the
+    remaining clauses (text that is not a number) raise nothing."""
+    handlers = _value_error_handlers(ast.parse(CLI.read_text(), filename=str(CLI)))
+    assert sorted(f for f, raises in handlers if raises) == ["_cmd_mc_table", "value"]
+    assert ("main", False) in handlers

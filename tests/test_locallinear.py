@@ -48,7 +48,6 @@ def make_triples(rng, n=60, spread=1.0, center=0.5):
     d = w + 0.05 * rng.standard_normal(n)
     resp = rng.standard_normal(n)
     return RegressionTriples(
-        delta=0.1,
         weight_points=w,
         design_points=d,
         drift=resp,
@@ -87,7 +86,6 @@ def test_fit_does_not_depend_on_the_order_of_the_triples(family):
     t = make_triples(np.random.default_rng(21), n=3 * CHUNK + 5)
     order = np.random.default_rng(22).permutation(len(t.drift))
     shuffled = RegressionTriples(
-        delta=t.delta,
         weight_points=t.weight_points[order],
         design_points=t.design_points[order],
         drift=t.drift[order],
@@ -154,7 +152,6 @@ def test_affine_reproduction(alpha, beta, x, h):
     d = w + 0.02 * rng.standard_normal(50)
     resp = alpha + beta * (d - x)
     t = RegressionTriples(
-        delta=0.1,
         weight_points=w,
         design_points=d,
         drift=resp,
@@ -173,7 +170,6 @@ def test_scale_equivariance_power_of_two_exact():
     spec = KernelSpec(KernelFamily.GAMMA, 0.3)
     base = local_linear_fit(t, Target.DRIFT, spec, 0.5)
     scaled = RegressionTriples(
-        delta=t.delta,
         weight_points=t.weight_points,
         design_points=t.design_points,
         drift=4.0 * t.drift,
@@ -242,7 +238,6 @@ def test_scale_equivariance_general():
     base = local_linear_fit(t, Target.DRIFT, spec, 0.5)
     s = 3.7
     scaled = RegressionTriples(
-        delta=t.delta,
         weight_points=t.weight_points,
         design_points=t.design_points,
         drift=s * t.drift,
@@ -265,7 +260,6 @@ def test_negative_weight_points_ignored_by_gamma():
     d = np.concatenate([t.design_points, [0.5, 0.6]])
     resp = np.concatenate([t.drift, [1e6, -1e6]])
     t2 = RegressionTriples(
-        delta=t.delta,
         weight_points=w,
         design_points=d,
         drift=resp,
@@ -280,7 +274,6 @@ def test_negative_weight_points_ignored_by_gamma():
 
 def test_sparse_region_raises():
     t = RegressionTriples(
-        delta=0.1,
         weight_points=np.array([100.0, 101.0, 102.0]),
         design_points=np.array([100.0, 101.0, 102.0]),
         drift=np.array([1.0, 2.0, 3.0]),
@@ -294,7 +287,6 @@ def test_sparse_region_raises():
 
 def test_degenerate_design_raises():
     t = RegressionTriples(
-        delta=0.1,
         weight_points=np.full(5, 0.5),
         design_points=np.full(5, 0.5),
         drift=np.arange(5.0),
@@ -332,7 +324,6 @@ def test_second_derivative_recovers_cubic():
     c = [0.4, -1.2, 2.5, 0.7]
     resp = c[0] + c[1] * (d - x) + c[2] * (d - x) ** 2 + c[3] * (d - x) ** 3
     t = RegressionTriples(
-        delta=0.1,
         weight_points=w,
         design_points=d,
         drift=resp,
@@ -349,7 +340,6 @@ def test_second_derivative_recovers_cubic():
 
 def test_second_derivative_degenerate():
     t = RegressionTriples(
-        delta=0.1,
         weight_points=np.full(6, 0.5),
         design_points=np.full(6, 0.5),
         drift=np.arange(6.0),
@@ -412,7 +402,7 @@ def batch_test_triples():
     d = np.concatenate([w[:990] + 0.01 * rng.standard_normal(990), np.full(10, 3.0)])
     resp = rng.standard_normal(1000)
     return RegressionTriples(
-        delta=0.1, weight_points=w, design_points=d, drift=resp,
+        weight_points=w, design_points=d, drift=resp,
         cond_var=resp**2, moment4=resp**4, moment6=np.abs(resp) ** 6,
     )
 
@@ -502,7 +492,7 @@ def cubic_test_triples():
     )
     resp = rng.standard_normal(1000)
     return RegressionTriples(
-        delta=0.1, weight_points=w, design_points=d, drift=resp,
+        weight_points=w, design_points=d, drift=resp,
         cond_var=resp**2, moment4=resp**4, moment6=np.abs(resp) ** 6,
     )
 

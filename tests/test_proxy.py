@@ -71,7 +71,6 @@ def test_regression_triples_staggering():
 def test_regression_triples_are_read_only_copies():
     drift = np.array([1.0, 2.0])
     t = RegressionTriples(
-        delta=1.0,
         weight_points=np.array([0.5, 1.5]),
         design_points=np.array([1.0, 2.0]),
         drift=drift,
