@@ -726,13 +726,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _glue_negative_values(argv: list[str]) -> list[str]:
     """``--flag -0.1,0.1`` as ``--flag=-0.1,0.1``: argparse takes a token
     that starts with "-" for an option unless it is a plain negative number,
-    so the spaced form of a list such as ``--grid -0.1,0.1`` would fail."""
+    so the spaced form of a list such as ``--grid -0.1,0.1``, or of
+    ``--c -inf``, would fail before the option's check."""
     glued = []
     for token in argv:
         flag = glued[-1] if glued else ""

@@ -63,6 +63,22 @@ _BS_THETA = math.pi**2 / 4.0 + math.pi - 5.0
 BS_CRITICAL = 1.96
 
 
+# target of a band -> target whose local linear estimate is the band's
+# variance numerator; the keys are the targets with band limit theory
+NUMERATOR_TARGET = {
+    Target.DRIFT: Target.COND_VARIANCE,
+    Target.COND_VARIANCE: Target.FOURTH_MOMENT,
+}
+
+
+def _numerator_target(target: Target) -> Target:
+    """The target whose estimate is the band's variance numerator, or the
+    ValueError for a target without limit theory."""
+    if target not in NUMERATOR_TARGET:
+        raise ValueError(f"no limit theory wired for target {target!r}")
+    return NUMERATOR_TARGET[target]
+
+
 @dataclass(frozen=True, slots=True)
 class AsymptoticMoments:
     """Bias, limit variance, and convergence rate of one pointwise estimate."""
@@ -99,12 +115,10 @@ def asymptotic_moments(
     delta = checked("delta", delta, POSITIVE)
     p_hat = checked("density estimate", p_hat, POSITIVE)
     curvature = checked("curvature estimate", curvature)
-    if target is Target.DRIFT:
+    if _numerator_target(target) is Target.COND_VARIANCE:
         numerator = checked("conditional variance", numerator, POSITIVE)
-    elif target is Target.COND_VARIANCE:
-        numerator = checked("fourth moment", numerator, NONNEGATIVE)
     else:
-        raise ValueError(f"no limit theory wired for target {target!r}")
+        numerator = checked("fourth moment", numerator, NONNEGATIVE)
 
     nd = n * delta
     if family is KernelFamily.GAUSSIAN:
@@ -128,14 +142,6 @@ def asymptotic_moments(
         regime=regime,
         family=family,
     )
-
-
-# target of a band -> target whose local linear estimate is the band's
-# variance numerator; the keys are the targets with band limit theory
-NUMERATOR_TARGET = {
-    Target.DRIFT: Target.COND_VARIANCE,
-    Target.COND_VARIANCE: Target.FOURTH_MOMENT,
-}
 
 
 @dataclass(frozen=True)
@@ -171,9 +177,7 @@ def band_companions(
     a degenerate design) holds NaN there, which ``confidence_band`` turns
     into a gap.
     """
-    if target not in NUMERATOR_TARGET:
-        raise ValueError(f"no limit theory wired for target {target!r}")
-    companion = NUMERATOR_TARGET[target]
+    companion = _numerator_target(target)
     fitter = LinearFitter(kernel.family, triples)
     fits = fitter.fits(kernel.bandwidth, grid, [target, companion])
     numerator = np.where(fits.ok, fits.intercept[1], np.nan)
@@ -235,8 +239,7 @@ def confidence_band(
     alpha = checked("alpha", alpha, OPEN_UNIT)
     n = checked("n", n, at_least(1), integer=True)
     delta = checked("delta", delta, POSITIVE)
-    if curve.target not in NUMERATOR_TARGET:
-        raise ValueError(f"no limit theory wired for target {curve.target!r}")
+    _numerator_target(curve.target)
     grid = curve.grid
     m = grid.size
     comp_arrays = (

@@ -76,11 +76,11 @@ def outside_support(x) -> ValueError:
 class KernelPlan:
     """Kernel weights of one array of data points u at many evaluation points.
 
-    The plan checks u once.  For the Gamma family it keeps the support
-    (u >= 0) and its log u, and u / h for the last bandwidth it was asked
-    for, so a block of evaluation points costs one fused expression and
-    one ``exp``.  ``weights`` returns one row per evaluation point in the
-    operation order of the scalar formulas,
+    The plan checks u once and holds only what depends on u: for the Gamma
+    family the support (u >= 0) and its log u, so a block of evaluation
+    points costs one fused expression and one ``exp``.  ``weights``
+    returns one row per evaluation point in the operation order of the
+    scalar formulas,
 
         Gamma:    exp(((shape log u - u/h) - (shape + 1) log h)
                       - lgamma(shape + 1)),   shape = x/h,
@@ -100,8 +100,6 @@ class KernelPlan:
         self.family = family
         self.size = uu.size
         self._u = uu
-        self._bandwidth = None
-        self._u_over_h = None
         if family is KernelFamily.GAMMA:
             support = uu >= 0
             # None: every point is in the support and rows need no scatter
@@ -126,16 +124,19 @@ class KernelPlan:
         for x in xs:
             if not x >= 0:
                 raise outside_support(x)
-        if h != self._bandwidth:
-            self._bandwidth, self._u_over_h = h, self._u / h
         shapes = [x / h for x in xs]
         log_h = math.log(h)
+        # computed before ``dens`` and kept to the end of the call: as a
+        # temporary freed right after ``dens`` is allocated, it made block
+        # CV's fork workers refault heap pages in every batch (about five
+        # times the minor faults per op)
+        u_over_h = self._u / h
         with np.errstate(invalid="ignore", under="ignore"):
             dens = np.multiply.outer(shapes, self._log_u)
             for row, shape in zip(dens, shapes):
                 if shape == 0.0:
                     row[:] = 0.0
-            dens -= self._u_over_h
+            dens -= u_over_h
             dens -= np.array([(s + 1.0) * log_h for s in shapes])[:, None]
             dens -= np.array([math.lgamma(s + 1.0) for s in shapes])[:, None]
             np.exp(dens, out=dens)

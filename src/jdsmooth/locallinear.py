@@ -145,7 +145,7 @@ def _power_products(
 
 
 def _power_sums(
-    k: np.ndarray, t: np.ndarray, ys: np.ndarray, degree: int, work=None
+    k: np.ndarray, t: np.ndarray, ys: np.ndarray, degree: int
 ) -> tuple[list, list]:
     """Kernel-weighted power sums of a local polynomial fit of this degree.
 
@@ -154,26 +154,24 @@ def _power_sums(
     [sum k t^j for j = 0..2 degree] and [sum k y t^j for j = 0..degree]
     for each y of ys in turn, summed exactly: one float per sum for a row,
     a list of r floats for a block.  The products are built CHUNK columns
-    at a time into one work array (``work``, when given: 3 min(n, CHUNK)
-    entries or more per product row, the products and the engine's two
-    per term), so memory does not grow with the sample; only rows the
-    certified stage refuses go to ``math.fsum`` at their full width.
+    at a time into one buffer of min(n, CHUNK) doubles per product row, so
+    memory does not grow with the sample; only rows the certified stage
+    refuses go to ``math.fsum`` at their full width.
     """
     n = k.shape[-1]
     shape = (2 * degree + 1 + len(ys) * (degree + 1),) + k.shape[:-1]
     rows = math.prod(shape)
-    size = rows * min(n, CHUNK)
-    work = np.empty(3 * size) if work is None else work
+    products = np.empty(rows * min(n, CHUNK))
 
     def blocks():
         for start in range(0, n, CHUNK):
             cols = slice(start, start + CHUNK)
             width = min(CHUNK, n - start)
-            part = work[: rows * width].reshape(shape + (width,))
+            part = products[: rows * width].reshape(shape + (width,))
             _power_products(part, k[..., cols], t[..., cols], ys[:, cols], degree)
             yield part.reshape(rows, width)
 
-    totals = np.reshape(exact_block_sums(rows, n, blocks, work[size:]), shape).tolist()
+    totals = np.reshape(exact_block_sums(rows, n, blocks), shape).tolist()
     return totals[: 2 * degree + 1], totals[2 * degree + 1 :]
 
 
@@ -205,14 +203,12 @@ class LinearFitter:
         return xs, (self.plan.family is KernelFamily.GAMMA) & (xs < 0)
 
     def _batches(self, h, xs, outside, rows: int, held=None):
-        """(indices, weights, d - x, live, half-range, work array) for the
-        points of xs not outside, _BATCH_TERMS terms a batch at ``rows``
-        product rows per point."""
+        """(indices, weights, d - x, live, half-range) for the points of xs
+        not outside, _BATCH_TERMS terms a batch at ``rows`` product rows per
+        point."""
         fitted = np.flatnonzero(~outside)
         d, n = self.triples.design_points, len(self.triples)
         batch = max(_BATCH_TERMS // (rows * max(n, 1)), 1)
-        # the engine's work array, allocated once per call
-        work = np.empty(3 * rows * min(batch, fitted.size) * min(n, CHUNK))
         for start in range(0, fitted.size, batch):
             idx = fitted[start : start + batch]
             k = self.plan.weights(h, xs[idx])
@@ -223,7 +219,7 @@ class LinearFitter:
             # live: a weight above the mass floor; scale: max |dx| where k > 0
             live = np.maximum.reduce(k, axis=-1, initial=0.0) > _MASS_FLOOR
             scale = np.where(k > 0.0, np.abs(dx), 0.0).max(axis=-1, initial=0.0)
-            yield idx, k, dx, live, scale, work
+            yield idx, k, dx, live, scale
 
     def fits(self, h: float, xs, targets, held=None) -> LocalFits:
         """Local linear fits of each target of ``targets`` at bandwidth h
@@ -239,12 +235,12 @@ class LinearFitter:
             outside, *np.zeros((2, r), bool),
         )
         rows = 3 + 2 * m
-        for idx, k, dx, live, scale, work in self._batches(h, xs, outside, rows, held):
+        for idx, k, dx, live, scale in self._batches(h, xs, outside, rows, held):
             if not live.all():
                 # rows without kernel mass are summed as zeros, which no
                 # term can turn into an exception, and then flagged sparse
                 k = np.where(live[:, None], k, 0.0)
-            design, rhs = _power_sums(k, dx, ys, 1, work)
+            design, rhs = _power_sums(k, dx, ys, 1)
             s0, s1, s2 = np.array(design)
             t0, t1 = np.array(rhs).reshape(m, 2, -1).transpose(1, 0, 2)
             with np.errstate(all="ignore"):
@@ -271,11 +267,11 @@ class LinearFitter:
         errors = [outside_support(x) if o else None for x, o in zip(xs, outside)]
         pilot = _PILOT_FACTOR * h
         ys = self.triples.response(target)[None]
-        for idx, k, dx, live, scale, work in self._batches(pilot, xs, outside, 11):
+        for idx, k, dx, live, scale in self._batches(pilot, xs, outside, 11):
             # a row without mass or spread is summed with t = 0 and fails
             spread = live & (scale > 0.0)
             t = dx / np.where(spread, scale, np.inf)[:, None]
-            design, rhs = _power_sums(k, t, ys, 3, work)
+            design, rhs = _power_sums(k, t, ys, 3)
             # Hankel index: entry (a, b) of the moment matrix is sum k t^(a + b)
             moment = np.array(design).T[:, np.add.outer(range(4), range(4))]
             sv = np.linalg.svd(moment, compute_uv=False)

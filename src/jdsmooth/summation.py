@@ -51,8 +51,8 @@ import math
 
 import numpy as np
 
-# columns summed per pass: bounds the work arrays of ``exact_row_sums`` and
-# of callers that build their terms one block at a time
+# columns summed per pass: bounds the blocks callers build and the certified
+# stage's scratch, two doubles per term of a block
 CHUNK = 1024
 
 _LIMIT = 2.0**500
@@ -110,22 +110,17 @@ def _certified(rows: int, blocks, work: np.ndarray) -> tuple[list, np.ndarray]:
     return (total + 0.0).tolist(), refused | ~certified
 
 
-def exact_block_sums(
-    rows: int, terms: int, blocks, work: np.ndarray | None = None
-) -> list[float]:
+def exact_block_sums(rows: int, terms: int, blocks) -> list[float]:
     """Each row's ``math.fsum`` over the columns of the blocks ``blocks()``
     yields.
 
     ``blocks`` is a function returning an iterable of arrays of shape
     (rows, m), at most CHUNK columns each and ``terms`` in all.  It is
-    called once for the certified stage and, only if that refuses a row,
-    once more to gather the refused rows for ``math.fsum``.  ``work``, if
-    given, is a float array of at least 2 rows min(terms, CHUNK) entries
-    that may be overwritten.
+    called once for the certified stage, whose scratch of 2 rows
+    min(terms, CHUNK) doubles is allocated here, and, only if that refuses
+    a row, once more to gather the refused rows for ``math.fsum``.
     """
-    if work is None:
-        work = np.empty(2 * rows * min(terms, CHUNK))
-    totals, refused = _certified(rows, blocks(), work)
+    totals, refused = _certified(rows, blocks(), np.empty(2 * rows * min(terms, CHUNK)))
     if refused.any():
         redo = np.flatnonzero(refused)
         gathered = np.empty((redo.size, terms))

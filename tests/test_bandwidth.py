@@ -222,9 +222,10 @@ def test_block_cv_batches_match_brute_force_leave_block_out(family):
 
 
 def test_block_cv_memory_does_not_grow_with_candidates_or_folds():
-    """Peak new allocation of one call stays under one bound: the fold
-    batch's work array plus the series, whatever the grid or the number of
-    folds (measured 1.6-2.0 MB at n = 600 and 1200)."""
+    """Peak new allocation of one call stays under one bound: one fold
+    batch's weights, products and summation scratch plus the series,
+    whatever the grid or the number of folds (measured 1.1-1.3 MB at
+    n = 600 and 2400 on one CPU)."""
     bound = 2_500_000
     rng = np.random.default_rng(5)
     for n, count, k in [(600, 2, None), (600, 12, None), (600, 2, 20), (2400, 2, None)]:

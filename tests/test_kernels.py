@@ -248,10 +248,13 @@ def test_kernel_plan_rows_equal_the_scalar_kernels(h):
     assert np.any(underflowed)
     if h == 5e-4:
         assert np.all(rows[-1] == 0.0)
-    # the plan keeps u / h for one bandwidth at a time
+    # one plan serves every bandwidth and keeps nothing from a call
+    state = dict(vars(plan))
     wider = plan.weights(2.0 * h, xs)
     assert np.array_equal(wider, KernelPlan(KernelFamily.GAMMA, u).weights(2.0 * h, xs))
     assert np.array_equal(plan.weights(h, xs), rows)
+    assert vars(plan).keys() == state.keys()
+    assert all(vars(plan)[name] is value for name, value in state.items())
 
     gplan = KernelPlan(KernelFamily.GAUSSIAN, u)
     grows = gplan.weights(h, xs)

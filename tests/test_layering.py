@@ -20,13 +20,16 @@ taken by ``bandwidth.rule_of_thumb`` alone, so no ``**`` has the constant
 exponent 0.4 or 0.2, of either sign.  Whether a value is a number is
 decided by ``jdsmooth.errors`` alone, so no other module holds an
 ``isinstance`` check against both ``int`` and ``float``.  The error for a
-point below the Gamma support is written once, in ``kernels``.  The
-command line leaves every option value to its option table: argparse
-gets no ``type=`` or ``choices=``, and no library ``ValueError`` is
-re-wrapped outside the option check and the one ``McConfig`` boundary.
+point below the Gamma support is written once, in ``kernels``, and the
+error for a target without band limit theory once, in ``inference``.  No
+module lends ``jdsmooth.summation`` a scratch buffer.  The command line
+leaves every option value to its option table: argparse gets no
+``type=`` or ``choices=``, and no library ``ValueError`` is re-wrapped
+outside the option check and the one ``McConfig`` boundary.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -35,6 +38,7 @@ from pathlib import Path
 import pytest
 
 import jdsmooth
+from jdsmooth import locallinear, summation
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "jdsmooth").glob("*.py"))
 
@@ -246,6 +250,63 @@ def test_gamma_support_error_is_written_once(path):
     path found it."""
     count = path.read_text().count(_OUTSIDE_SUPPORT)
     assert count == (1 if path.name == "kernels.py" else 0), count
+
+
+_NO_LIMIT_THEORY = "no limit theory wired for target"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_limit_theory_target_error_is_written_once(path):
+    """``inference._numerator_target`` raises the error for a target
+    without band limit theory; ``asymptotic_moments``, ``band_companions``
+    and ``confidence_band`` all look their target up through it."""
+    count = path.read_text().count(_NO_LIMIT_THEORY)
+    assert count == (1 if path.name == "inference.py" else 0), count
+
+
+def _summation_calls(tree):
+    """(line, function name, argument count) of each call of a function
+    imported from ``.summation``."""
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        and node.module == "summation"
+        for alias in node.names
+    }
+    return [
+        (node.lineno, node.func.id, len(node.args) + len(node.keywords))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id in names
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "summation.py"], ids=lambda p: p.name
+)
+def test_no_module_lends_the_summation_engine_a_buffer(path):
+    """A call into ``jdsmooth.summation`` passes the function's required
+    arguments and nothing else: the engine allocates its own scratch, so
+    no caller sizes a buffer for it."""
+    calls = _summation_calls(ast.parse(path.read_text(), filename=str(path)))
+    lent = [
+        f"line {line}: {name}"
+        for line, name, count in calls
+        if count > sum(
+            p.default is inspect.Parameter.empty
+            for p in inspect.signature(getattr(summation, name)).parameters.values()
+        )
+    ]
+    assert not lent, lent
+
+
+def test_fit_path_functions_take_no_work_array():
+    """Each scratch buffer of the fit path belongs to the one function that
+    uses it: the power sums allocate their products, the engine its
+    certified-stage scratch."""
+    for fn in (summation.exact_block_sums, locallinear._power_sums):
+        assert "work" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_exports_are_the_public_names_init_imports():
