@@ -71,12 +71,13 @@ def _rot_exponent(regime: RegimeKind) -> float:
 def rule_of_thumb(
     p: ProxySeries,
     c: float,
-    T: float,
+    T: float | None = None,
     regime: RegimeKind = RegimeKind.INTERIOR,
 ) -> BandwidthChoice:
-    """h = c * std(proxy) * T^(-2/5), or T^(-1/5) for boundary targets."""
+    """h = c * std(proxy) * T^(-2/5), or T^(-1/5) for boundary targets;
+    T defaults to the proxy's observation span delta * n."""
     c = checked("scale constant c", c, POSITIVE)
-    T = checked("horizon T", T, POSITIVE)
+    T = checked("horizon T", p.delta * len(p) if T is None else T, POSITIVE)
     s = float(np.std(p.values, ddof=1)) if len(p) > 1 else 0.0
     if not (s > 0):
         raise DataError("proxy series has no spread; cannot scale a bandwidth")
@@ -88,7 +89,7 @@ def default_h_grid(p: ProxySeries, count: int = _GRID_COUNT) -> np.ndarray:
     """Log-spaced candidate bandwidths around the rule-of-thumb value at
     the observation span delta * n of the proxy."""
     count = checked("count", count, at_least(2), integer=True)
-    rot = rule_of_thumb(p, c=_DEFAULT_GRID_C, T=p.delta * len(p)).h
+    rot = rule_of_thumb(p, c=_DEFAULT_GRID_C).h
     return np.geomspace(_GRID_SPAN[0] * rot, _GRID_SPAN[1] * rot, count)
 
 

@@ -258,7 +258,7 @@ def _resolve_h(
         raise ConfigError(f"give either {_flag(fixed_key)} or {_flag(c_key)}, not both")
     if fixed is not None:
         return fixed
-    return rule_of_thumb(p, c=_DEFAULT_C if c is None else c, T=p.delta * len(p)).h
+    return rule_of_thumb(p, c=_DEFAULT_C if c is None else c).h
 
 
 def _resolve_grid(o, p: ProxySeries) -> np.ndarray:
@@ -330,7 +330,6 @@ def _cmd_estimate(o, cfg: dict) -> int:
 def _cmd_ci(o, cfg: dict) -> int:
     out = _out_dir(o)
     p = _load_series(o)
-    triples = build_regression_triples(p)
     families = o.family
     h = _resolve_h(o, p)
     grid = _resolve_grid(o, p)
@@ -339,7 +338,7 @@ def _cmd_ci(o, cfg: dict) -> int:
     for fam in families:
         spec = KernelSpec(fam, h)
         bands[fam] = confidence_band(
-            *band_companions(p, triples, spec, grid, o.target),
+            *band_companions(p, spec, grid, o.target),
             o.alpha, n=len(p), delta=p.delta, tau=o.tau, bias_correct=o.bias_correct,
         )
 
@@ -390,9 +389,8 @@ def _cmd_bandwidth(o, cfg: dict) -> int:
     out = _out_dir(o)
     p = _load_series(o)
     if o.method == "rule-of-thumb":
-        span = p.delta * len(p) if o.horizon is None else o.horizon
         c = _DEFAULT_C if o.c is None else o.c
-        choice = rule_of_thumb(p, c=c, T=span, regime=o.regime)
+        choice = rule_of_thumb(p, c=c, T=o.horizon, regime=o.regime)
     elif o.method == "block-cv":
         choice = block_cv(p, h_grid=o.h_grid or None, k=o.k, family=o.family)
     else:
@@ -400,8 +398,7 @@ def _cmd_bandwidth(o, cfg: dict) -> int:
             raise ConfigError("plugin selection needs an evaluation point --x")
         pilot_h = _resolve_h(o, p, "pilot_h", "pilot_c")
         spec = KernelSpec(KernelFamily.GAMMA, pilot_h)
-        triples = build_regression_triples(p)
-        _, comp = band_companions(p, triples, spec, [o.x], o.target)
+        _, comp = band_companions(p, spec, [o.x], o.target)
         choice = asymptotic_h_opt(
             o.x, n=len(p), delta=p.delta,
             m_hat=float(comp.variance_numerator[0]),

@@ -55,7 +55,7 @@ from .kernels import (
     classify_point,
 )
 from .locallinear import CurveEstimate, LinearFitter, densities
-from .proxy import ProxySeries, RegressionTriples, Target
+from .proxy import ProxySeries, Target, build_regression_triples
 from .summation import exact_sum
 
 _SQRT_PI2 = 2.0 * math.sqrt(math.pi)
@@ -158,27 +158,24 @@ class BandCompanions:
 
 
 def band_companions(
-    p: ProxySeries,
-    triples: RegressionTriples,
-    kernel: KernelSpec,
-    grid,
-    target: Target,
+    p: ProxySeries, kernel: KernelSpec, grid, target: Target
 ) -> tuple[CurveEstimate, BandCompanions]:
-    """The target curve on a grid, as ``estimate_curve`` gives it, and the
-    companion estimates of its band.
+    """The target curve of the proxy series p on a grid, as
+    ``estimate_curve`` gives it on ``build_regression_triples(p)``, and the
+    companion estimates of its band; the triples are built here, so the
+    fits and the density describe one sample.
 
     At each grid point: the local linear estimate of the variance
     numerator (M_hat for drift, the fourth moment for conditional
     variance), fitted with the curve from the same weights by one
     ``LinearFitter.fits`` call; the pilot curvature of the target, by one
-    ``curvatures`` call; the kernel density of the proxy, by one
-    ``densities`` call over the supported points.  A point where one of
-    them cannot be estimated (outside the Gamma support, a sparse region,
-    a degenerate design) holds NaN there, which ``confidence_band`` turns
-    into a gap.
+    ``curvatures`` call; the kernel density of p, by one ``densities``
+    call over the supported points.  A point where one of them cannot be
+    estimated (outside the Gamma support, a sparse region, a degenerate
+    design) holds NaN there, which ``confidence_band`` turns into a gap.
     """
     companion = _numerator_target(target)
-    fitter = LinearFitter(kernel.family, triples)
+    fitter = LinearFitter(kernel.family, build_regression_triples(p))
     fits = fitter.fits(kernel.bandwidth, grid, [target, companion])
     numerator = np.where(fits.ok, fits.intercept[1], np.nan)
     curvature, _ = fitter.curvatures(kernel.bandwidth, fits.x, target)

@@ -204,7 +204,6 @@ def _replicate(cfg: McConfig, r: int, fit) -> list[dict]:
     seed = replicate_seed(cfg.base_seed, r)
     path = simulate_path(cfg.model, cfg.T, cfg.n, seed)
     p = build_proxy(path.y, path.delta)
-    triples = build_regression_triples(p)
     out = []
     for setting in cfg.bandwidths:
         h = setting.resolve(p, cfg.T)
@@ -216,7 +215,7 @@ def _replicate(cfg: McConfig, r: int, fit) -> list[dict]:
                 "bandwidth": setting.label,
                 "h": h,
             }
-            out += fit(cfg, p, triples, KernelSpec(family, h), rec)
+            out += fit(cfg, p, KernelSpec(family, h), rec)
     return out
 
 
@@ -241,13 +240,13 @@ def _cells(cfg: McConfig, records, points) -> dict:
     return cells
 
 
-def _mse_fit(cfg: McConfig, p, triples, spec: KernelSpec, rec: dict) -> list[dict]:
+def _mse_fit(cfg: McConfig, p, spec: KernelSpec, rec: dict) -> list[dict]:
     if cfg.mse_trim is not None:
         lo, hi = np.percentile(p.values, list(cfg.mse_trim))
     else:
         lo, hi = float(np.min(p.values)), float(np.max(p.values))
     grid = np.linspace(lo, hi, cfg.mse_grid_size)
-    curve = estimate_curve(triples, spec, grid, cfg.target)
+    curve = estimate_curve(build_regression_triples(p), spec, grid, cfg.target)
     rec.update(ok=False, mse=None, point_failures=len(curve.failures))
     good = np.isfinite(curve.values)
     if good.any():
@@ -286,9 +285,9 @@ def run_mse_experiment(cfg: McConfig) -> McReport:
     return McReport.of(cfg, "mse", rows, records)
 
 
-def _band_fit(cfg: McConfig, p, triples, spec: KernelSpec, rec: dict) -> list[dict]:
+def _band_fit(cfg: McConfig, p, spec: KernelSpec, rec: dict) -> list[dict]:
     grid = np.asarray(cfg.eval_points, dtype=float)
-    curve, companions = band_companions(p, triples, spec, grid, cfg.target)
+    curve, companions = band_companions(p, spec, grid, cfg.target)
     band = confidence_band(
         curve, companions, cfg.alpha, n=cfg.n, delta=p.delta, tau=cfg.tau
     )

@@ -124,6 +124,15 @@ class TestIngest:
         )
         np.testing.assert_array_equal(ingest_series(f), [1.0, 2.0, 3.0, 4.0])
 
+    def test_blank_rows_skipped(self, tmp_path):
+        # an empty line, a line of blanks and a row of empty cells; the
+        # line numbers of later rows still count them
+        f = self.write(tmp_path, "\nt,y\n0,1.0\n   \n1,2.0\n,\n2,3.0\n3,4.0\n\n")
+        np.testing.assert_array_equal(ingest_series(f), [1.0, 2.0, 3.0, 4.0])
+        f = self.write(tmp_path, "y\n1.0\n\n2.0\noops\n4.0\n")
+        with pytest.raises(DataError, match=r"line\(s\) 5\b"):
+            ingest_series(f)
+
 
 class TestSimulate:
     def test_artifacts_exist_with_headers(self, sim_dir):
@@ -247,6 +256,24 @@ class TestEstimate:
         ])
         assert rc == 2
         assert "bogus_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(None, "cannot read config file", id="missing"),
+        pytest.param('{"bandwidth": 0.05', "config file is not valid JSON", id="json"),
+        pytest.param("[0.05]", "config file must hold a JSON object", id="list"),
+    ])
+    def test_unusable_config_file_exits_2(self, sim_dir, tmp_path, capsys, text, message):
+        conf = tmp_path / "conf.json"
+        if text is not None:
+            conf.write_text(text)
+        out = tmp_path / "out"
+        rc = main([
+            "estimate", "--config", str(conf), "--input",
+            str(sim_dir / "path.csv"), "--delta", "0.0025", "--out", str(out),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, key, value", [
         pytest.param("estimate", [], "bandwidth", "wide", id="bandwidth"),
@@ -617,6 +644,21 @@ class TestJumptest:
         assert payload["statistic"] < -1.96
         assert payload["decision"] == "jumps detected"
         assert "jumps detected" in capsys.readouterr().out
+
+    def test_jump_free_returns_detect_no_jumps(self, tmp_path, capsys):
+        # i.i.d. Gaussian returns: the null of the test holds
+        r = 0.01 * np.random.default_rng(11).standard_normal(2000)
+        f = tmp_path / "returns.csv"
+        f.write_text("r\n" + "\n".join(repr(float(v)) for v in r) + "\n")
+        rc = main([
+            "jumptest", "--input", str(f), "--delta", "0.001",
+            "--proxy-mode", "direct-returns", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        payload = json.loads((tmp_path / "jumptest.json").read_text())
+        assert abs(payload["statistic"]) <= 1.96 and not payload["reject"]
+        assert payload["decision"] == "no jumps detected"
+        assert "no jumps detected" in capsys.readouterr().out
 
 
 class TestDataErrors:

@@ -252,6 +252,31 @@ def test_confidence_band_records_its_moments():
         assert band.center[i] == curve.values[i] - mom.bias
 
 
+def test_nan_curvature_is_a_gap_only_with_bias_correction():
+    # the curvature enters only the bias, so without bias correction the
+    # point gets its band, centered on the estimate itself
+    curve = _toy_curve([1.0, 2.0, 3.0])
+    comp = BandCompanions(
+        variance_numerator=np.array([0.12, 0.12, 0.12]),
+        density=np.array([2.0, 2.0, 2.0]),
+        curvature=np.array([3.0, np.nan, 3.0]),
+    )
+    band = confidence_band(curve, comp, alpha=0.05, n=1000, delta=0.01)
+    assert band.gaps == {1: "unusable curvature estimate nan"}
+    assert np.isnan(band.center[1]) and np.isnan(band.bias[1])
+    plain = confidence_band(
+        curve, comp, alpha=0.05, n=1000, delta=0.01, bias_correct=False
+    )
+    assert plain.gaps == {}
+    mom = asymptotic_moments(
+        0.4, 0.05, 1000, 0.01, Target.DRIFT, 0.0, 0.12, 2.0, plain.regimes[1]
+    )
+    assert (plain.center[1], plain.bias[1], plain.variance[1]) == (
+        2.0, 0.0, mom.variance
+    )
+    assert plain.lower[1] < 2.0 < plain.upper[1]
+
+
 @pytest.fixture(scope="module")
 def sim_series():
     path = simulate_path(baseline_model(), 5.0, 2000, 3)
@@ -270,7 +295,7 @@ def test_band_companions_per_target_and_nan_outside_support(
         Target.COND_VARIANCE: estimate_moment_curve(t, spec, grid, 4).values,
     }
     for target, numerator in numerators.items():
-        _, comp = band_companions(p, t, spec, grid, target)
+        _, comp = band_companions(p, spec, grid, target)
         for arr in (comp.variance_numerator, comp.density, comp.curvature):
             assert np.isnan(arr[0])
         np.testing.assert_array_equal(comp.variance_numerator, numerator)
@@ -279,7 +304,7 @@ def test_band_companions_per_target_and_nan_outside_support(
             assert comp.density[i] == estimate_density(p, spec, x)
             assert comp.curvature[i] == curvature_oracle(t, target, spec, x)
     with pytest.raises(ValueError):
-        band_companions(p, t, spec, grid, Target.FOURTH_MOMENT)
+        band_companions(p, spec, grid, Target.FOURTH_MOMENT)
 
 
 @pytest.mark.parametrize("target", [Target.DRIFT, Target.COND_VARIANCE])
@@ -290,7 +315,7 @@ def test_band_curve_is_the_estimated_curve(sim_series, family, target):
     p, t = sim_series
     spec = KernelSpec(family, 0.08)
     grid = np.array([-0.05, 0.0, 0.05, 0.12, 0.2, 40.0])
-    curve, _ = band_companions(p, t, spec, grid, target)
+    curve, _ = band_companions(p, spec, grid, target)
     want = estimate_curve(t, spec, grid, target)
     np.testing.assert_array_equal(curve.grid, want.grid)
     np.testing.assert_array_equal(curve.values, want.values)
@@ -314,7 +339,7 @@ def test_band_weighs_each_point_once_at_the_bandwidth(sim_series, monkeypatch):
     monkeypatch.setattr(KernelPlan, "weights", spy)
     spec = KernelSpec(KernelFamily.GAMMA, 0.08)
     grid = np.concatenate([[-0.05], np.linspace(0.0, 0.3, 11)])
-    band_companions(p, t, spec, grid, Target.DRIFT)
+    band_companions(p, spec, grid, Target.DRIFT)
     at_h = [xs for size, h, xs in calls if size == len(t) and h == spec.bandwidth]
     assert [x for xs in at_h for x in xs] == grid[1:].tolist()
     batch = locallinear._BATCH_TERMS // (7 * len(t))
@@ -325,17 +350,17 @@ def test_band_weighs_each_point_once_at_the_bandwidth(sim_series, monkeypatch):
 def test_band_companions_memory_does_not_grow_with_the_grid(family):
     """Peak new allocation stays under one bound whatever the grid size:
     the numerator and the curvature are fitted a batch of points at a time
-    (measured 1.05 MB at n = 2400 for 10 and 400 points; the 400 x 2400
-    weight matrix alone would be 7.7 MB)."""
+    (measured 0.65-0.72 MB at n = 2400 for 10 and 400 points, the triples
+    band_companions builds included; the 400 x 2400 weight matrix alone
+    would be 7.7 MB)."""
     path = simulate_path(baseline_model(), 5.0, 2400, 3)
     p = build_proxy(path.y, path.delta)
-    t = build_regression_triples(p)
     spec = KernelSpec(family, 0.05)
     for size in (10, 400):
         grid = np.linspace(-0.02, 0.3, size)
         tracemalloc.start()
         try:
-            band_companions(p, t, spec, grid, Target.DRIFT)
+            band_companions(p, spec, grid, Target.DRIFT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -345,7 +370,7 @@ def test_band_companions_memory_does_not_grow_with_the_grid(family):
 def test_band_companions_never_raise_when_every_point_fails(sim_series):
     p, t = sim_series
     _, comp = band_companions(
-        p, t, KernelSpec(KernelFamily.GAMMA, 0.08), [-0.2, -0.1], Target.DRIFT
+        p, KernelSpec(KernelFamily.GAMMA, 0.08), [-0.2, -0.1], Target.DRIFT
     )
     for arr in (comp.variance_numerator, comp.density, comp.curvature):
         assert np.all(np.isnan(arr))
@@ -356,9 +381,9 @@ def test_band_companions_reject_a_grid_that_is_not_a_list_of_points(sim_series, 
     # an argument error, as for estimate_curve, whose curve the band is
     p, t = sim_series
     spec = KernelSpec(KernelFamily.GAUSSIAN, 0.08)
-    for call in (band_companions, lambda *a: estimate_curve(*a[1:])):
+    for call in (band_companions, lambda _, *a: estimate_curve(t, *a)):
         with pytest.raises(ValueError, match="nonempty one-dimensional"):
-            call(p, t, spec, grid, Target.DRIFT)
+            call(p, spec, grid, Target.DRIFT)
 
 
 @pytest.mark.parametrize("c", [0.5, 3.0])
@@ -382,7 +407,7 @@ def test_estimates_and_drift_band_scale_with_the_data(c):
             drift = estimate_curve(t, spec, g, Target.DRIFT)
             m = estimate_curve(t, spec, g, Target.COND_VARIANCE)
             band = confidence_band(
-                drift, band_companions(p, t, spec, g, Target.DRIFT)[1], 0.05,
+                drift, band_companions(p, spec, g, Target.DRIFT)[1], 0.05,
                 n=len(p), delta=p.delta,
             )
             out[family] = (drift, m, band)

@@ -22,7 +22,10 @@ decided by ``jdsmooth.errors`` alone, so no other module holds an
 ``isinstance`` check against both ``int`` and ``float``.  The error for a
 point below the Gamma support is written once, in ``kernels``, and the
 error for a target without band limit theory once, in ``inference``.  No
-module lends ``jdsmooth.summation`` a scratch buffer.  The command line
+module lends ``jdsmooth.summation`` a scratch buffer.  What a proxy
+series fixes is derived from it in one place: ``band_companions`` builds
+its own triples, and ``rule_of_thumb`` alone turns a series into its
+observation span delta * n.  The command line
 leaves every option value to its option table: argparse gets no
 ``type=`` or ``choices=``, and no library ``ValueError`` is re-wrapped
 outside the option check and the one ``McConfig`` boundary.
@@ -38,7 +41,7 @@ from pathlib import Path
 import pytest
 
 import jdsmooth
-from jdsmooth import locallinear, summation
+from jdsmooth import inference, locallinear, mc, summation
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "jdsmooth").glob("*.py"))
 
@@ -307,6 +310,58 @@ def test_fit_path_functions_take_no_work_array():
     certified-stage scratch."""
     for fn in (summation.exact_block_sums, locallinear._power_sums):
         assert "work" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_band_companions_take_the_series_not_its_triples():
+    """The density and the fits of a band describe one sample only when
+    the triples are built from the series the density is summed over, so
+    ``band_companions`` builds them and no Monte Carlo replicate hands its
+    fits a copy."""
+    assert list(inspect.signature(inference.band_companions).parameters) == [
+        "p", "kernel", "grid", "target"
+    ]
+    tree = ast.parse(inspect.getsource(mc._replicate))
+    called = {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "build_regression_triples" not in called
+
+
+def _observation_span(node) -> bool:
+    """s.delta * len(s), in either order, for any one series s."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    for a, b in ((node.left, node.right), (node.right, node.left)):
+        if (
+            isinstance(a, ast.Attribute) and a.attr == "delta"
+            and isinstance(b, ast.Call) and isinstance(b.func, ast.Name)
+            and b.func.id == "len" and len(b.args) == 1
+            and ast.dump(b.args[0]) == ast.dump(a.value)
+        ):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_observation_span_is_derived_in_rule_of_thumb(path):
+    """``rule_of_thumb``'s default horizon is the span delta * n of its
+    series; a caller that writes the product out again keeps a second copy
+    of that default."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == (
+            "bandwidth.py", "rule_of_thumb"
+        ):
+            inside |= {id(node) for node in ast.walk(fn)}
+    spans = [
+        f"line {node.lineno}" for node in ast.walk(tree)
+        if _observation_span(node) and id(node) not in inside
+    ]
+    assert not spans, spans
+    if path.name == "bandwidth.py":
+        assert any(_observation_span(node) for node in ast.walk(tree))
 
 
 def test_exports_are_the_public_names_init_imports():

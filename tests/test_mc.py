@@ -23,7 +23,13 @@ from jdsmooth.mc import (
     run_coverage_experiment,
     run_mse_experiment,
 )
-from jdsmooth.simulate import baseline_model, replicate_seed, true_moments
+from jdsmooth.proxy import build_proxy
+from jdsmooth.simulate import (
+    baseline_model,
+    replicate_seed,
+    simulate_path,
+    true_moments,
+)
 
 
 def small_config(**overrides):
@@ -69,6 +75,29 @@ def test_mse_bandwidth_rule_resolves_per_replicate():
     )
     hs = [rec["h"] for rec in rep.records]
     assert len(set(hs)) > 1  # sample spread differs per replicate
+
+
+def test_mse_trim_spans_the_percentiles(monkeypatch):
+    """A trimmed MSE run fits each replicate on a grid from the 5th to the
+    95th percentile of its proxy values, not over their whole range."""
+    grids = []
+    fit = mc.estimate_curve
+
+    def spy(triples, spec, grid, target):
+        grids.append(np.array(grid))
+        return fit(triples, spec, grid, target)
+
+    monkeypatch.setattr(mc, "estimate_curve", spy)
+    cfg = small_config(replicates=2, families=(KernelFamily.GAUSSIAN,),
+                       mse_trim=(5.0, 95.0), mse_grid_size=7)
+    run_mse_experiment(cfg)
+    assert len(grids) == 2
+    for r, grid in enumerate(grids):
+        path = simulate_path(cfg.model, cfg.T, cfg.n, replicate_seed(cfg.base_seed, r))
+        values = build_proxy(path.y, path.delta).values
+        lo, hi = np.percentile(values, [5.0, 95.0])
+        np.testing.assert_array_equal(grid, np.linspace(lo, hi, 7))
+        assert values.min() < lo < hi < values.max()
 
 
 def test_coverage_records_consistent():
