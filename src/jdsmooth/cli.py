@@ -65,6 +65,7 @@ from .inference import (
     band_companions,
     bs_jump_test,
     confidence_band,
+    length_ratio,
 )
 from .kernels import (
     DEFAULT_REGIME_THRESHOLD,
@@ -365,17 +366,10 @@ def _cmd_ci(o, cfg: dict) -> int:
                 label, bool(b.clipped[i]), b.gaps.get(i, ""),
             ]
         if both:
-            bg = bands[KernelFamily.GAMMA]
-            bs = bands[KernelFamily.GAUSSIAN]
-            gamma_len = bg.upper[i] - bg.lower[i]
-            if i in bg.gaps or not math.isfinite(gamma_len) or gamma_len <= 0:
-                row.append(math.nan)
-            elif i in bs.gaps:
-                # the symmetric fit produced no usable band here (for the
-                # variance target typically a negative moment estimate)
-                row.append(0.0)
-            else:
-                row.append((bs.upper[i] - bs.lower[i]) / gamma_len)
+            # a gap's lower and upper are NaN
+            sym, asym = (bands[f].upper[i] - bands[f].lower[i]
+                         for f in (KernelFamily.GAUSSIAN, KernelFamily.GAMMA))
+            row.append(length_ratio(sym, asym))
         rows.append(row)
 
     bands_csv = out / "bands.csv"

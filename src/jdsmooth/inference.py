@@ -54,8 +54,8 @@ from .kernels import (
     boundary_variance_constant,
     classify_point,
 )
-from .locallinear import CurveEstimate, LinearFitter, densities
-from .proxy import ProxySeries, Target, build_regression_triples
+from .locallinear import CurveEstimate, LinearFitter
+from .proxy import ProxySeries, Target
 from .summation import exact_sum
 
 _SQRT_PI2 = 2.0 * math.sqrt(math.pi)
@@ -162,27 +162,25 @@ def band_companions(
 ) -> tuple[CurveEstimate, BandCompanions]:
     """The target curve of the proxy series p on a grid, as
     ``estimate_curve`` gives it on ``build_regression_triples(p)``, and the
-    companion estimates of its band; the triples are built here, so the
-    fits and the density describe one sample.
+    companion estimates of its band, all from one fitter,
+    ``LinearFitter.of_series(kernel.family, p)``, so the fits and the
+    density describe one sample.
 
     At each grid point: the local linear estimate of the variance
     numerator (M_hat for drift, the fourth moment for conditional
-    variance), fitted with the curve from the same weights by one
-    ``LinearFitter.fits`` call; the pilot curvature of the target, by one
-    ``curvatures`` call; the kernel density of p, by one ``densities``
-    call over the supported points.  A point where one of them cannot be
-    estimated (outside the Gamma support, a sparse region, a degenerate
-    design) holds NaN there, which ``confidence_band`` turns into a gap.
+    variance) and the kernel density of p, from the curve's own weight
+    rows in one ``fits`` call; the pilot curvature of the target, by one
+    ``curvatures`` call.  A point where one of them cannot be estimated
+    (outside the Gamma support, a sparse region, a degenerate design)
+    holds NaN there, which ``confidence_band`` turns into a gap.
     """
     companion = _numerator_target(target)
-    fitter = LinearFitter(kernel.family, build_regression_triples(p))
+    fitter = LinearFitter.of_series(kernel.family, p)
     fits = fitter.fits(kernel.bandwidth, grid, [target, companion])
     numerator = np.where(fits.ok, fits.intercept[1], np.nan)
     curvature, _ = fitter.curvatures(kernel.bandwidth, fits.x, target)
-    density = np.full(fits.x.size, np.nan)
-    density[~fits.outside] = densities(p, kernel, fits.x[~fits.outside])
     curve = CurveEstimate.of(fits, kernel, target)
-    return curve, BandCompanions(numerator, density, curvature)
+    return curve, BandCompanions(numerator, fits.density, curvature)
 
 
 @dataclass(frozen=True)
@@ -321,6 +319,14 @@ def confidence_band(
         clipped=clipped,
         gaps=gaps,
     )
+
+
+def length_ratio(symmetric: float, asymmetric: float) -> float:
+    """Gaussian over Gamma band length, the ``*_ratio_sym_over_asym`` columns
+    of ``ci`` and ``mc-table``: NaN unless both lengths are finite and the
+    Gamma length is positive."""
+    ok = math.isfinite(symmetric) and math.isfinite(asymmetric) and asymmetric > 0
+    return symmetric / asymmetric if ok else math.nan
 
 
 @dataclass(frozen=True, slots=True)

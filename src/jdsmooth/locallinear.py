@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import DegenerateDesignError, SparseRegionError
 from .kernels import KernelFamily, KernelPlan, KernelSpec, outside_support
-from .proxy import ProxySeries, RegressionTriples, Target
-from .summation import CHUNK, exact_block_sums, exact_sum
+from .proxy import ProxySeries, RegressionTriples, Target, build_regression_triples
+from .summation import CHUNK, exact_block_sums, exact_row_sums, exact_sum
 
 # relative floor for the normal-equation determinant and absolute floor
 # for total kernel mass
@@ -69,7 +69,9 @@ class LocalFits:
     points below the Gamma support (not fitted), ``sparse`` fits with no
     kernel mass and ``degenerate`` fits whose weighted design is collinear
     (determinant ``det`` at or below the floor); the other entries of a
-    failed fit mean nothing.
+    failed fit mean nothing.  ``density`` is the kernel density of the
+    series at each fitted point on a fitter built by
+    ``LinearFitter.of_series``, and NaN elsewhere.
     """
 
     x: np.ndarray
@@ -78,6 +80,7 @@ class LocalFits:
     slope: np.ndarray
     weight_mass: np.ndarray
     det: np.ndarray
+    density: np.ndarray
     outside: np.ndarray
     sparse: np.ndarray
     degenerate: np.ndarray
@@ -185,12 +188,23 @@ class LinearFitter:
     len(xs).  Points below the Gamma support are flagged, not fitted; an
     empty, multidimensional or non-finite xs raises ValueError.  Each
     point's result is the one it gives alone, whatever its batch and the
-    other targets.
+    other targets.  ``of_series(family, p)`` plans all n proxy values: the
+    fits read the first n - 2 columns of each row, the weight points' row
+    bit for bit, and ``fits`` sums the whole row into the density of p,
+    so a band weighs each point once at its bandwidth.
     """
 
     def __init__(self, family: KernelFamily, triples: RegressionTriples):
         self.plan = KernelPlan(family, triples.weight_points)
         self.triples = triples
+
+    @classmethod
+    def of_series(cls, family: KernelFamily, p: ProxySeries) -> LinearFitter:
+        """A fitter of p's triples whose plan holds every proxy value."""
+        fitter = cls.__new__(cls)
+        fitter.triples = build_regression_triples(p)
+        fitter.plan = KernelPlan(family, p.values)
+        return fitter
 
     def _points(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """xs as an array, and whether each point lies below the support."""
@@ -202,16 +216,20 @@ class LinearFitter:
             raise ValueError(f"evaluation point must be finite, got {x!r}")
         return xs, (self.plan.family is KernelFamily.GAMMA) & (xs < 0)
 
-    def _batches(self, h, xs, outside, rows: int, held=None):
+    def _batches(self, h, xs, outside, rows: int, held=None, density=None):
         """(indices, weights, d - x, live, half-range) for the points of xs
         not outside, _BATCH_TERMS terms a batch at ``rows`` product rows per
-        point."""
+        point: each plan row's first len(triples) columns.  On a series plan
+        the whole rows' exact means go to ``density``, if given, unheld."""
         fitted = np.flatnonzero(~outside)
         d, n = self.triples.design_points, len(self.triples)
         batch = max(_BATCH_TERMS // (rows * max(n, 1)), 1)
         for start in range(0, fitted.size, batch):
             idx = fitted[start : start + batch]
-            k = self.plan.weights(h, xs[idx])
+            w = self.plan.weights(h, xs[idx])
+            if density is not None and self.plan.size > n:
+                density[idx] = np.divide(exact_row_sums(w), self.plan.size)
+            k = w[:, :n]
             if held is not None:
                 for row, (a, b) in zip(k, np.asarray(held)[idx].tolist()):
                     row[a:b] = 0.0
@@ -231,11 +249,11 @@ class LinearFitter:
         m, r = len(targets), xs.size
         ys = np.array([self.triples.response(target) for target in targets])
         fits = LocalFits(
-            xs, tuple(targets), *np.full((2, m, r), np.nan), *np.full((2, r), np.nan),
+            xs, tuple(targets), *np.full((2, m, r), np.nan), *np.full((3, r), np.nan),
             outside, *np.zeros((2, r), bool),
         )
-        rows = 3 + 2 * m
-        for idx, k, dx, live, scale in self._batches(h, xs, outside, rows, held):
+        batches = self._batches(h, xs, outside, 3 + 2 * m, held, fits.density)
+        for idx, k, dx, live, scale in batches:
             if not live.all():
                 # rows without kernel mass are summed as zeros, which no
                 # term can turn into an exception, and then flagged sparse
@@ -351,27 +369,13 @@ def estimate_moment_curve(
     return estimate_curve(triples, kernel, grid, target)
 
 
-def densities(p: ProxySeries, kernel: KernelSpec, xs) -> np.ndarray:
-    """Kernel density estimates of the proxy's stationary law at each x of xs.
-
-    Gamma family: (1/n) sum_j K_Gamma(value_j; x, h).  Gaussian family:
-    (1/(n h)) sum_j phi((x - value_j)/h).  One ``KernelPlan`` of the proxy
-    values serves every point, one weight row at a time, so memory does not
-    grow with len(xs).  The points must be finite and lie in the kernel's
-    support: a non-finite point, or a Gamma point below 0, is an argument
-    error (ValueError).
-    """
-    plan = KernelPlan(kernel.family, p.values)
-    return np.array([
-        exact_sum(plan.weights(kernel.bandwidth, x)[0]) / p.values.size
-        for x in np.asarray(xs, dtype=float).tolist()
-    ])
-
-
 def estimate_density(p: ProxySeries, kernel: KernelSpec, x: float) -> float:
-    """Kernel density estimate of the proxy at x: the one-point case of
-    ``densities``."""
-    return float(densities(p, kernel, [x])[0])
+    """Kernel density estimate of the proxy at x, (1/n) sum_j K(value_j),
+    from its one weight row: ``LocalFits.density`` on any series, also one
+    too short for triples.  A non-finite x, or a Gamma x below 0, is an
+    argument error (ValueError)."""
+    row = KernelPlan(kernel.family, p.values).weights(kernel.bandwidth, x)[0]
+    return exact_sum(row) / p.values.size
 
 
 def estimate_second_derivative(

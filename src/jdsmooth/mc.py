@@ -39,7 +39,7 @@ from .bandwidth import rule_of_thumb
 from .errors import (
     OPEN_UNIT, POSITIVE, at_least, check_fields, checked, checked_field, checked_list,
 )
-from .inference import NUMERATOR_TARGET, band_companions, confidence_band
+from .inference import NUMERATOR_TARGET, band_companions, confidence_band, length_ratio
 from .kernels import DEFAULT_REGIME_THRESHOLD, KernelFamily, KernelSpec
 from .locallinear import Target, estimate_curve
 
@@ -321,19 +321,10 @@ def _band_fit(cfg: McConfig, p, spec: KernelSpec, rec: dict) -> list[dict]:
     return out
 
 
-def _attach_length_ratio(rows: list[dict], key: str) -> None:
-    """Set ratio columns: Gaussian mean length over Gamma mean length."""
-    means = {(r["bandwidth"], r["x"], r["family"]): r[f"{key}_mean"] for r in rows}
-    for row in rows:
-        denom = means.get((row["bandwidth"], row["x"], "gamma"))
-        numer = means.get((row["bandwidth"], row["x"], "gaussian"))
-        paired = numer is not None and denom and math.isfinite(denom) and denom > 0
-        row[f"{key}_ratio_sym_over_asym"] = numer / denom if paired else math.nan
-
-
 def _band_report(cfg: McConfig, experiment: str, records, row, key: str) -> McReport:
     """One row per cell of the band records (swept here unless given): the
-    cell's labels, then ``row(cfg, cell, truth)``, then the ``key`` ratio."""
+    cell's labels, then ``row(cfg, cell, truth)``, then the ``length_ratio``
+    of the families' ``key`` means (a missing family's mean is NaN)."""
     if not cfg.eval_points:
         raise ValueError("this experiment needs at least one evaluation point")
     if records is None:
@@ -343,7 +334,11 @@ def _band_report(cfg: McConfig, experiment: str, records, row, key: str) -> McRe
     for (label, family, x), cell in _cells(cfg, records, points).items():
         stats = row(cfg, cell, _truth_value(cfg, x))
         rows.append({"family": family, "bandwidth": label, "x": x, **stats})
-    _attach_length_ratio(rows, key)
+    means = {(r["bandwidth"], r["x"], r["family"]): r[f"{key}_mean"] for r in rows}
+    for r in rows:
+        sym, asym = (means.get((r["bandwidth"], r["x"], f), math.nan)
+                     for f in ("gaussian", "gamma"))
+        r[f"{key}_ratio_sym_over_asym"] = length_ratio(sym, asym)
     return McReport.of(cfg, experiment, rows, records)
 
 

@@ -45,6 +45,9 @@ class Mutant:
 
 
 _FUZZ = "tests/test_cli_fuzz.py::test_drawn_option_values_exit_cleanly_in_either_form"
+_BAND_DENSITY = (
+    "tests/test_inference.py::test_band_companions_per_target_and_nan_outside_support"
+)
 
 MUTANTS = (
     Mutant(
@@ -121,6 +124,22 @@ MUTANTS = (
             "tests/test_cli.py::TestEstimate::test_unusable_config_file_exits_2[list]",
         ),
         why="a config file holding a list gets its own message, not 'unknown key'",
+    ),
+    Mutant(
+        name="density-over-the-triples-count",
+        file="src/jdsmooth/locallinear.py",
+        old="np.divide(exact_row_sums(w), self.plan.size)",
+        new="np.divide(exact_row_sums(w), n)",
+        tests=(_BAND_DENSITY,),
+        why="the density is the mean over all n proxy values, not over n - 2",
+    ),
+    Mutant(
+        name="density-over-the-weight-points",
+        file="src/jdsmooth/locallinear.py",
+        old="np.divide(exact_row_sums(w), self.plan.size)",
+        new="np.divide(exact_row_sums(w[:, :n]), self.plan.size)",
+        tests=(_BAND_DENSITY,),
+        why="the density sums the whole row, the last two proxy values included",
     ),
     Mutant(
         name="certified-sigma-exponent",

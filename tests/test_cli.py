@@ -602,6 +602,34 @@ class TestCi:
         for name in ("gaussian_center", "gaussian_lower", "gaussian_upper"):
             assert np.all(np.isfinite(column(bands, name)))
 
+    def test_ratio_is_nan_where_only_the_gaussian_band_is_a_gap(
+        self, sim_dir, tmp_path, monkeypatch
+    ):
+        # the ratio follows mc-table's rule: NaN unless both bands have a
+        # finite length, so a missing symmetric band is not a ratio of 0
+        real = jdsmooth.cli.confidence_band
+
+        def gaussian_gap_at_1(curve, *args, **kwargs):
+            band = real(curve, *args, **kwargs)
+            if band.family is KernelFamily.GAUSSIAN:
+                band.center[1] = band.lower[1] = band.upper[1] = np.nan
+                band.gaps[1] = "unusable variance numerator -1.0"
+            return band
+
+        monkeypatch.setattr(jdsmooth.cli, "confidence_band", gaussian_gap_at_1)
+        rc = main([
+            "ci", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--bandwidth", "0.08",
+            "--grid", "0.05,0.1,0.15",
+        ])
+        assert rc == 0
+        bands = tmp_path / "bands.csv"
+        flags = column(bands, "gaussian_flag", cast=str)
+        assert flags == ["", "unusable variance numerator -1.0", ""]
+        assert np.all(np.isfinite(column(bands, "gamma_lower")))
+        ratio = column(bands, "length_ratio_sym_over_asym")
+        assert np.isnan(ratio[1]) and np.all(ratio[[0, 2]] > 0)
+
     def test_m4_target_rejected(self, sim_dir, capsys):
         rc = main([
             "ci", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",

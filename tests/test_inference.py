@@ -25,6 +25,7 @@ from jdsmooth.inference import (
     bs_jump_test,
     confidence_band,
     identify_jump_components,
+    length_ratio,
 )
 from jdsmooth.kernels import (
     KernelFamily,
@@ -36,6 +37,7 @@ from jdsmooth.kernels import (
 )
 from jdsmooth.locallinear import (
     CurveEstimate,
+    LinearFitter,
     Target,
     estimate_curve,
     estimate_density,
@@ -287,24 +289,35 @@ def sim_series():
 def test_band_companions_per_target_and_nan_outside_support(
     sim_series, curvature_oracle
 ):
+    # both families; points below the Gamma support, at 0 and with no
+    # kernel mass (x = 40); the series dips below 0, so the Gamma plan
+    # scatters its rows over the support.  The density comes from the fit's
+    # own weight rows, bit for bit the one-row estimate_density
     p, t = sim_series
-    spec = KernelSpec(KernelFamily.GAMMA, 0.08)
-    grid = np.array([-0.05, 0.05, 0.12])
-    numerators = {
-        Target.DRIFT: estimate_m_curve(t, spec, grid).values,
-        Target.COND_VARIANCE: estimate_moment_curve(t, spec, grid, 4).values,
-    }
-    for target, numerator in numerators.items():
-        _, comp = band_companions(p, spec, grid, target)
-        for arr in (comp.variance_numerator, comp.density, comp.curvature):
-            assert np.isnan(arr[0])
-        np.testing.assert_array_equal(comp.variance_numerator, numerator)
-        for i in (1, 2):
-            x = float(grid[i])
-            assert comp.density[i] == estimate_density(p, spec, x)
-            assert comp.curvature[i] == curvature_oracle(t, target, spec, x)
-    with pytest.raises(ValueError):
-        band_companions(p, spec, grid, Target.FOURTH_MOMENT)
+    assert p.values.min() < 0
+    grid = np.array([-0.05, 0.0, 0.05, 0.12, 40.0])
+    for family in KernelFamily:
+        spec = KernelSpec(family, 0.08)
+        fits = LinearFitter(family, t).fits(0.08, grid, [Target.DRIFT])
+        assert np.isnan(fits.density).all()
+        numerators = {
+            Target.DRIFT: estimate_m_curve(t, spec, grid).values,
+            Target.COND_VARIANCE: estimate_moment_curve(t, spec, grid, 4).values,
+        }
+        for target, numerator in numerators.items():
+            _, comp = band_companions(p, spec, grid, target)
+            np.testing.assert_array_equal(comp.variance_numerator, numerator)
+            for i, x in enumerate(grid.tolist()):
+                if family is KernelFamily.GAMMA and x < 0:
+                    for arr in (comp.variance_numerator, comp.density, comp.curvature):
+                        assert np.isnan(arr[i])
+                    continue
+                assert comp.density[i] == estimate_density(p, spec, x)
+                if x < 40.0:
+                    assert comp.curvature[i] == curvature_oracle(t, target, spec, x)
+            assert comp.density[-1] == 0.0 and np.isnan(comp.curvature[-1])
+        with pytest.raises(ValueError):
+            band_companions(p, spec, grid, Target.FOURTH_MOMENT)
 
 
 @pytest.mark.parametrize("target", [Target.DRIFT, Target.COND_VARIANCE])
@@ -325,25 +338,44 @@ def test_band_curve_is_the_estimated_curve(sim_series, family, target):
 
 
 def test_band_weighs_each_point_once_at_the_bandwidth(sim_series, monkeypatch):
-    """The curve and its companion share one weight block per batch: the
-    triples' plan is asked for each supported point's weights at h once,
-    in batches sized for 7 product rows per point."""
+    """The curve, its companion and the density share one weight block per
+    batch: the band builds one ``KernelPlan``, and each supported point's
+    weights at h are asked for once in all, in batches sized for 7 product
+    rows per point."""
     p, t = sim_series
-    calls = []
-    weights = KernelPlan.weights
+    plans, calls = [], []
+    init, weights = KernelPlan.__init__, KernelPlan.weights
+
+    def spy_init(plan, family, u):
+        plans.append(np.size(u))
+        init(plan, family, u)
 
     def spy(plan, h, xs):
-        calls.append((plan.size, h, np.atleast_1d(xs).tolist()))
+        calls.append((h, np.atleast_1d(xs).tolist()))
         return weights(plan, h, xs)
 
+    monkeypatch.setattr(KernelPlan, "__init__", spy_init)
     monkeypatch.setattr(KernelPlan, "weights", spy)
     spec = KernelSpec(KernelFamily.GAMMA, 0.08)
     grid = np.concatenate([[-0.05], np.linspace(0.0, 0.3, 11)])
     band_companions(p, spec, grid, Target.DRIFT)
-    at_h = [xs for size, h, xs in calls if size == len(t) and h == spec.bandwidth]
+    assert plans == [len(p)]
+    at_h = [xs for h, xs in calls if h == spec.bandwidth]
     assert [x for xs in at_h for x in xs] == grid[1:].tolist()
     batch = locallinear._BATCH_TERMS // (7 * len(t))
     assert len(at_h) == -(-(grid.size - 1) // batch)
+
+
+@pytest.mark.parametrize(
+    "sym, asym, want",
+    [(2.0, 1.0, 2.0), (0.5, 2.0, 0.25), (np.nan, 1.0, np.nan), (2.0, np.nan, np.nan),
+     (math.inf, 1.0, np.nan), (1.0, math.inf, np.nan), (1.0, 0.0, np.nan),
+     (1.0, -1.0, np.nan)],
+)
+def test_length_ratio_is_nan_unless_both_lengths_are_finite(sym, asym, want):
+    # the ratio columns of ci and mc-table: a gap or a missing family on
+    # either side, or a Gamma length that is not positive, reads NaN
+    np.testing.assert_equal(length_ratio(sym, asym), want)
 
 
 @pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])

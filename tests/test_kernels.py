@@ -25,8 +25,8 @@ from jdsmooth.kernels import (
     gaussian_kernel,
     weight_values,
 )
-from jdsmooth.locallinear import densities, estimate_density
-from jdsmooth.proxy import ProxySeries
+from jdsmooth.locallinear import LinearFitter, estimate_density
+from jdsmooth.proxy import ProxySeries, Target
 
 # spot values from stats.gamma.pdf(u, x/h + 1, scale=h)
 FROZEN_GAMMA = [
@@ -119,7 +119,7 @@ def test_non_finite_evaluation_point_is_an_argument_error(family, kernel, x):
     for call in (
         lambda: kernel(u, x, 0.2),
         lambda: weight_values(spec, u, x),
-        lambda: densities(p, spec, [0.5, x]),
+        lambda: LinearFitter.of_series(family, p).fits(0.2, [0.5, x], [Target.DRIFT]),
         lambda: estimate_density(p, spec, x),
     ):
         with pytest.raises(ValueError, match=f"must be finite, got {x!r}"):

@@ -23,9 +23,11 @@ decided by ``jdsmooth.errors`` alone, so no other module holds an
 point below the Gamma support is written once, in ``kernels``, and the
 error for a target without band limit theory once, in ``inference``.  No
 module lends ``jdsmooth.summation`` a scratch buffer.  What a proxy
-series fixes is derived from it in one place: ``band_companions`` builds
-its own triples, and ``rule_of_thumb`` alone turns a series into its
-observation span delta * n.  The command line
+series fixes is derived from it in one place: ``band_companions`` takes
+the series alone and ``LinearFitter.of_series`` builds its triples and
+the one kernel plan whose rows give both the fits and the density, and
+``rule_of_thumb`` alone turns a series into its observation span
+delta * n.  The command line
 leaves every option value to its option table: argparse gets no
 ``type=`` or ``choices=``, and no library ``ValueError`` is re-wrapped
 outside the option check and the one ``McConfig`` boundary.
@@ -315,8 +317,8 @@ def test_fit_path_functions_take_no_work_array():
 def test_band_companions_take_the_series_not_its_triples():
     """The density and the fits of a band describe one sample only when
     the triples are built from the series the density is summed over, so
-    ``band_companions`` builds them and no Monte Carlo replicate hands its
-    fits a copy."""
+    ``band_companions`` takes the series (its ``LinearFitter.of_series``
+    builds them) and no Monte Carlo replicate hands its fits a copy."""
     assert list(inspect.signature(inference.band_companions).parameters) == [
         "p", "kernel", "grid", "target"
     ]
