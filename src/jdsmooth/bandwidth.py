@@ -261,25 +261,25 @@ def asymptotic_h_opt(
     x: float,
     n: int,
     delta: float,
-    m_hat: float,
+    numerator: float,
     p_hat: float,
     curvature: float,
     regime: PointRegime,
+    target: Target,
 ) -> BandwidthChoice:
     """Pointwise plug-in bandwidth balancing squared bias and variance.
 
-    The constants are the drift's limit theory at h = 1
-    (``asymptotic_moments``): bias B h^a and variance V / (n delta h^b).
-    B^2 h^(2a) = V / (n delta h^b) gives h = (V / (B^2 n delta))^(1/(2a+b)),
-    the 2/5 power in the interior (a = 1, b = 1/2) and the 1/5 power at a
-    boundary (a = 2, b = 1).
+    The constants are the band target's limit theory at h = 1
+    (``asymptotic_moments``, which checks the variance numerator by its
+    name and rule in ``NUMERATOR_TARGET``): bias B h^a and variance
+    V / (n delta h^b).  B^2 h^(2a) = V / (n delta h^b) gives
+    h = (V / (B^2 n delta))^(1/(2a+b)), the 2/5 power in the interior
+    (a = 1, b = 1/2) and the 1/5 power at a boundary (a = 2, b = 1).
     """
     if not (math.isfinite(curvature) and curvature != 0.0):
         raise ValueError("plug-in bandwidth needs nonzero curvature")
-    n = checked("n", n, POSITIVE)
-    delta = checked("delta", delta, POSITIVE)
     mom = asymptotic_moments(
-        x, 1.0, n, delta, Target.DRIFT, curvature, m_hat, p_hat, regime
+        x, 1.0, n, delta, target, curvature, numerator, p_hat, regime
     )
     exponent = -_rot_exponent(regime.kind)
     h = (mom.variance * 4.0 / (2.0 * mom.bias) ** 2 / (n * delta)) ** exponent

@@ -395,9 +395,9 @@ def _cmd_bandwidth(o, cfg: dict) -> int:
         _, comp = band_companions(p, spec, [o.x], o.target)
         choice = asymptotic_h_opt(
             o.x, n=len(p), delta=p.delta,
-            m_hat=float(comp.variance_numerator[0]),
+            numerator=float(comp.variance_numerator[0]),
             p_hat=float(comp.density[0]), curvature=float(comp.curvature[0]),
-            regime=classify_point(o.x, pilot_h, o.tau),
+            regime=classify_point(o.x, pilot_h, o.tau), target=o.target,
         )
 
     choice_csv = out / "bandwidth.csv"

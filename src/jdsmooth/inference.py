@@ -63,17 +63,18 @@ _BS_THETA = math.pi**2 / 4.0 + math.pi - 5.0
 BS_CRITICAL = 1.96
 
 
-# target of a band -> target whose local linear estimate is the band's
-# variance numerator; the keys are the targets with band limit theory
+# target of a band -> (the companion target whose local linear estimate is
+# the band's variance numerator, the numerator's name, the ``errors`` rule a
+# usable numerator meets); the keys are the targets with band limit theory
 NUMERATOR_TARGET = {
-    Target.DRIFT: Target.COND_VARIANCE,
-    Target.COND_VARIANCE: Target.FOURTH_MOMENT,
+    Target.DRIFT: (Target.COND_VARIANCE, "conditional variance", POSITIVE),
+    Target.COND_VARIANCE: (Target.FOURTH_MOMENT, "fourth moment", NONNEGATIVE),
 }
 
 
-def _numerator_target(target: Target) -> Target:
-    """The target whose estimate is the band's variance numerator, or the
-    ValueError for a target without limit theory."""
+def _numerator_target(target: Target) -> tuple:
+    """The band target's (companion, name, rule) from ``NUMERATOR_TARGET``,
+    or the ValueError for a target without limit theory."""
     if target not in NUMERATOR_TARGET:
         raise ValueError(f"no limit theory wired for target {target!r}")
     return NUMERATOR_TARGET[target]
@@ -105,9 +106,10 @@ def asymptotic_moments(
     """Evaluate the limit-theorem bias, variance and rate at one point.
 
     The variance numerator is M_hat for the drift target and c4_hat for
-    the conditional-variance target (see ``band_companions``).  curvature
-    is the estimated second derivative of the target function; n may be
-    any positive number (an effective sample size).
+    the conditional-variance target (see ``band_companions``), checked by
+    its name and rule in ``NUMERATOR_TARGET``.  curvature is the estimated
+    second derivative of the target function; n may be any positive
+    number (an effective sample size).
     """
     x = checked("evaluation point x", x)
     h = checked("bandwidth h", h, POSITIVE)
@@ -115,10 +117,8 @@ def asymptotic_moments(
     delta = checked("delta", delta, POSITIVE)
     p_hat = checked("density estimate", p_hat, POSITIVE)
     curvature = checked("curvature estimate", curvature)
-    if _numerator_target(target) is Target.COND_VARIANCE:
-        numerator = checked("conditional variance", numerator, POSITIVE)
-    else:
-        numerator = checked("fourth moment", numerator, NONNEGATIVE)
+    _, name, rule = _numerator_target(target)
+    numerator = checked(name, numerator, rule)
 
     nd = n * delta
     if family is KernelFamily.GAUSSIAN:
@@ -148,8 +148,8 @@ def asymptotic_moments(
 class BandCompanions:
     """Pointwise companion estimates a band needs alongside the curve.
 
-    variance_numerator holds M_hat values for drift bands and c4_hat
-    values for conditional-variance bands.
+    variance_numerator holds estimates of the target's companion in
+    ``NUMERATOR_TARGET``: M_hat for drift bands, c4_hat for variance bands.
     """
 
     variance_numerator: np.ndarray
@@ -174,7 +174,7 @@ def band_companions(
     (outside the Gamma support, a sparse region, a degenerate design)
     holds NaN there, which ``confidence_band`` turns into a gap.
     """
-    companion = _numerator_target(target)
+    companion, _, _ = _numerator_target(target)
     fitter = LinearFitter.of_series(kernel.family, p)
     fits = fitter.fits(kernel.bandwidth, grid, [target, companion])
     numerator = np.where(fits.ok, fits.intercept[1], np.nan)
@@ -222,19 +222,21 @@ def confidence_band(
     bias_correct=False) and widened by z_{1-alpha/2} sqrt(variance)/rate.
     Conditional-variance bands are intersected with [0, inf) and the
     clipped points flagged.  Points where the curve failed or a companion
-    estimate is unusable become gaps, even when every point is one; only
-    arguments raise ValueError: alpha outside (0, 1), n below 1, delta not
-    positive and finite, a target not in ``NUMERATOR_TARGET``, companion
-    arrays that do not match the grid.  Each point's band uses its own
-    regime, also at the regime knife-edge x = tau h: the squared
+    estimate is unusable (a variance numerator outside its rule in
+    ``NUMERATOR_TARGET``, say) become gaps, even when every point is one;
+    only arguments raise ValueError: alpha outside (0, 1), n below 1,
+    delta not positive and finite, a target not in ``NUMERATOR_TARGET``,
+    companion arrays that do not match the grid.  Each point's band uses
+    its own regime, also at the regime knife-edge x = tau h: the squared
     boundary/interior half-width ratio C(kappa) 2 sqrt(pi kappa) is below
-    1 for every kappa in [1e-6, 1e4], so at x = tau h the interior band is
-    the wider one and no switch to the boundary band could ever widen it.
+    1 for every kappa in [1e-6, 1e4], so at x = tau h the interior band
+    is the wider one and no switch to the boundary band could ever widen
+    it.
     """
     alpha = checked("alpha", alpha, OPEN_UNIT)
     n = checked("n", n, at_least(1), integer=True)
     delta = checked("delta", delta, POSITIVE)
-    _numerator_target(curve.target)
+    _, _, (_, usable) = _numerator_target(curve.target)
     grid = curve.grid
     m = grid.size
     comp_arrays = (
@@ -272,9 +274,7 @@ def confidence_band(
         numer = float(companions.variance_numerator[i])
         dens = float(companions.density[i])
         curv = float(companions.curvature[i])
-        if not math.isfinite(numer) or (
-            numer <= 0 if curve.target is Target.DRIFT else numer < 0
-        ):
+        if not usable(numer):
             gaps[i] = f"unusable variance numerator {numer!r}"
             continue
         if not (math.isfinite(dens) and dens > 0):

@@ -173,17 +173,6 @@ def gaussian_kernel(u, x: float, h: float):
     return out.reshape(uu.shape)
 
 
-def weight_values(spec: KernelSpec, u, x: float) -> np.ndarray:
-    """Kernel weights for data u at evaluation point x.
-
-    The Gamma family has support [0, inf): data below zero receive zero
-    weight, while x itself must be nonnegative.  The Gaussian family has
-    no such restriction; in both x must be finite.
-    """
-    uu = np.atleast_1d(np.asarray(u, dtype=float))
-    return KernelPlan(spec.family, uu).weights(spec.bandwidth, x)[0].reshape(uu.shape)
-
-
 def gamma_kernel_moments(x: float, h: float) -> tuple[float, float]:
     """Mean and variance of the Gamma(x/h + 1, h) kernel: (x + h, x h + h^2)."""
     h = checked("bandwidth h", h, POSITIVE)

@@ -142,6 +142,20 @@ MUTANTS = (
         why="the density sums the whole row, the last two proxy values included",
     ),
     Mutant(
+        name="plugin-assumes-the-drift",
+        file="src/jdsmooth/bandwidth.py",
+        old="x, 1.0, n, delta, target, curvature, numerator, p_hat, regime",
+        new="x, 1.0, n, delta, Target.DRIFT, curvature, numerator, p_hat, regime",
+        tests=(
+            "tests/test_inference.py::test_one_rule_judges_the_variance_numerator",
+            "tests/test_bandwidth.py"
+            "::test_asymptotic_h_opt_names_the_targets_numerator",
+            "tests/test_cli.py::TestBandwidthCommand"
+            "::test_plugin_for_the_variance_judges_the_fourth_moment",
+        ),
+        why="the plug-in judges the band target's own numerator by its rule",
+    ),
+    Mutant(
         name="certified-sigma-exponent",
         file="src/jdsmooth/summation.py",
         old="(m + 1).bit_length()",

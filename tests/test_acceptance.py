@@ -29,10 +29,10 @@ from jdsmooth.cli import main
 from jdsmooth.inference import bs_jump_test, identify_jump_components
 from jdsmooth.kernels import (
     KernelFamily,
+    KernelPlan,
     KernelSpec,
     boundary_variance_constant,
     gamma_kernel,
-    weight_values,
 )
 from jdsmooth.locallinear import (
     Target,
@@ -55,7 +55,7 @@ from jdsmooth.proxy import (
 )
 from jdsmooth.simulate import baseline_model, replicate_seed, simulate_path
 
-WORKERS = 8
+WORKERS = 1
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_boundary_variance_constant_matches_reference_table():
 
 
 def wls_oracle(w_points, d_points, resp, spec, x):
-    k = weight_values(spec, w_points, x)
+    k = KernelPlan(spec.family, w_points).weights(spec.bandwidth, x)[0]
     a_mat = np.column_stack([np.ones_like(d_points), d_points - x])
     sw = np.sqrt(k)
     beta, *_ = np.linalg.lstsq(a_mat * sw[:, None], resp * sw, rcond=None)
@@ -159,7 +159,7 @@ def test_local_linear_exactness_on_random_instances():
         assert fit.intercept == pytest.approx(alpha, rel=1e-10)
         assert fit.slope == pytest.approx(beta, rel=1e-10)
 
-        k = weight_values(spec, w, x)
+        k = KernelPlan(family, w).weights(h, x)[0]
         dx = d - x
         s1 = math.fsum((k * dx).tolist())
         s2 = math.fsum((k * dx * dx).tolist())

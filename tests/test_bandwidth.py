@@ -67,7 +67,8 @@ def test_asymptotic_h_opt_interior_formula():
     variance = m_hat / (2.0 * math.sqrt(math.pi) * math.sqrt(x) * p_hat)
     expected = (variance * 4.0 / (x * curv) ** 2 / (n * delta)) ** 0.4
     got = asymptotic_h_opt(
-        x, n, delta, m_hat, p_hat, curv, PointRegime(RegimeKind.INTERIOR)
+        x, n, delta, m_hat, p_hat, curv, PointRegime(RegimeKind.INTERIOR),
+        Target.DRIFT,
     )
     assert got.h == pytest.approx(expected, rel=1e-12)
     assert got.method is BandwidthMethod.ASYMPTOTIC_PLUGIN
@@ -80,37 +81,58 @@ def test_asymptotic_h_opt_boundary_formula():
     variance = boundary_variance_constant(kappa) * m_hat / p_hat
     expected = (variance * 4.0 / ((2.0 + kappa) * curv) ** 2 / (n * delta)) ** 0.2
     got = asymptotic_h_opt(
-        x, n, delta, m_hat, p_hat, curv, PointRegime(RegimeKind.BOUNDARY, kappa)
+        x, n, delta, m_hat, p_hat, curv, PointRegime(RegimeKind.BOUNDARY, kappa),
+        Target.DRIFT,
     )
     assert got.h == pytest.approx(expected, rel=1e-12)
 
 
 def test_asymptotic_h_opt_scaling_laws():
-    base = asymptotic_h_opt(
-        0.2, 1000, 0.01, 0.11, 3.0, 4.0, PointRegime(RegimeKind.INTERIOR)
-    )
+    interior = PointRegime(RegimeKind.INTERIOR)
+    boundary = PointRegime(RegimeKind.BOUNDARY, 1.0)
+    base = asymptotic_h_opt(0.2, 1000, 0.01, 0.11, 3.0, 4.0, interior, Target.DRIFT)
     denser = asymptotic_h_opt(
-        0.2, 1000 * 2**2.5, 0.01, 0.11, 3.0, 4.0, PointRegime(RegimeKind.INTERIOR)
+        0.2, 1000 * 2**2.5, 0.01, 0.11, 3.0, 4.0, interior, Target.DRIFT
     )
     assert denser.h == pytest.approx(base.h / 2.0, rel=1e-9)
-    bbase = asymptotic_h_opt(
-        0.02, 1000, 0.01, 0.11, 3.0, 4.0, PointRegime(RegimeKind.BOUNDARY, 1.0)
-    )
+    bbase = asymptotic_h_opt(0.02, 1000, 0.01, 0.11, 3.0, 4.0, boundary, Target.DRIFT)
     bdenser = asymptotic_h_opt(
-        0.02, 1000 * 2**5, 0.01, 0.11, 3.0, 4.0, PointRegime(RegimeKind.BOUNDARY, 1.0)
+        0.02, 1000 * 2**5, 0.01, 0.11, 3.0, 4.0, boundary, Target.DRIFT
     )
     assert bdenser.h == pytest.approx(bbase.h / 2.0, rel=1e-9)
 
 
 def test_asymptotic_h_opt_rejects_flat_curvature():
+    interior = PointRegime(RegimeKind.INTERIOR)
     with pytest.raises(ValueError):
-        asymptotic_h_opt(
-            0.2, 1000, 0.01, 0.11, 3.0, 0.0, PointRegime(RegimeKind.INTERIOR)
-        )
+        asymptotic_h_opt(0.2, 1000, 0.01, 0.11, 3.0, 0.0, interior, Target.DRIFT)
     with pytest.raises(ValueError):
-        asymptotic_h_opt(
-            0.2, 1000, 0.01, 0.11, -1.0, 4.0, PointRegime(RegimeKind.INTERIOR)
-        )
+        asymptotic_h_opt(0.2, 1000, 0.01, 0.11, -1.0, 4.0, interior, Target.DRIFT)
+
+
+@pytest.mark.parametrize(
+    "regime",
+    [PointRegime(RegimeKind.INTERIOR), PointRegime(RegimeKind.BOUNDARY, 1.0)],
+    ids=["interior", "boundary"],
+)
+def test_asymptotic_h_opt_same_geometry_for_either_target(regime):
+    """The drift and the conditional variance share bias and variance
+    geometry, so on the same positive inputs the plug-in h is the same."""
+    drift, variance = (
+        asymptotic_h_opt(0.2, 1000, 0.01, 0.11, 3.0, 4.0, regime, target)
+        for target in (Target.DRIFT, Target.COND_VARIANCE)
+    )
+    assert variance.h == drift.h
+
+
+@pytest.mark.parametrize(
+    "target, name",
+    [(Target.DRIFT, "conditional variance"), (Target.COND_VARIANCE, "fourth moment")],
+)
+def test_asymptotic_h_opt_names_the_targets_numerator(target, name):
+    interior = PointRegime(RegimeKind.INTERIOR)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        asymptotic_h_opt(0.2, 1000, 0.01, -1e-4, 3.0, 4.0, interior, target)
 
 
 @pytest.mark.parametrize("k", [1, 4])

@@ -524,6 +524,22 @@ class TestBandwidthCommand:
         assert "numerical failure" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_plugin_for_the_variance_judges_the_fourth_moment(
+        self, sim_dir, tmp_path, capsys
+    ):
+        # the pilot fourth moment at x = 0.38 is negative: the variance
+        # band's numerator, so its name and rule decide, not the drift's
+        rc = main([
+            "bandwidth", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--method", "plugin", "--target", "variance",
+            "--x", "0.38", "--pilot-h", "0.01",
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "fourth moment must be nonnegative" in err, err
+        assert "conditional variance" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_plugin_selects_positive_h(self, sim_dir, tmp_path):
         rc = main([
             "bandwidth", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",

@@ -147,7 +147,7 @@ CALLS = {
     ),
     "asymptotic_h_opt": lambda f, i: asymptotic_h_opt(
         f(0.5), i(1000), f(0.25), f(0.125), f(2.0), f(3.0),
-        PointRegime(RegimeKind.INTERIOR),
+        PointRegime(RegimeKind.INTERIOR), Target.DRIFT,
     ),
     "confidence_band": _band,
     "jump_components": lambda f, i: identify_jump_components(f(0.5), f(0.25), f(0.125)),

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jdsmooth import locallinear
+from jdsmooth.bandwidth import asymptotic_h_opt
 from jdsmooth.errors import DataError, NotIdentifiableError
 from jdsmooth.inference import (
+    NUMERATOR_TARGET,
     BandCompanions,
     asymptotic_moments,
     band_companions,
@@ -277,6 +279,44 @@ def test_nan_curvature_is_a_gap_only_with_bias_correction():
         2.0, 0.0, mom.variance
     )
     assert plain.lower[1] < 2.0 < plain.upper[1]
+
+
+def _error(call) -> str | None:
+    """The message of the ValueError call raises, or None."""
+    try:
+        call()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("numerator", [-1e-12, 0.0, 1e-12, math.nan, math.inf])
+@pytest.mark.parametrize("target", list(NUMERATOR_TARGET))
+def test_one_rule_judges_the_variance_numerator(target, numerator):
+    """``confidence_band`` gaps a point for its variance numerator exactly
+    when ``asymptotic_moments`` rejects it, and ``asymptotic_h_opt`` at
+    nonzero curvature then raises naming the numerator.  A zero fourth
+    moment passes the rule and fails only as a zero bandwidth."""
+    _, name, _ = NUMERATOR_TARGET[target]
+    reg = PointRegime(RegimeKind.INTERIOR)
+    moments = _error(lambda: asymptotic_moments(
+        0.3, 0.01, 1000, 0.01, target, 3.0, numerator, 2.0, reg
+    ))
+    rejected = moments is not None
+    assert not rejected or moments.startswith(f"{name} must be")
+
+    curve = _toy_curve([0.5], target=target, h=0.01)
+    comp = BandCompanions(np.array([numerator]), np.array([2.0]), np.array([3.0]))
+    band = confidence_band(curve, comp, alpha=0.05, n=1000, delta=0.01)
+    gap = band.gaps.get(0, "")
+    assert gap.startswith("unusable variance numerator") == rejected
+
+    plugin = _error(
+        lambda: asymptotic_h_opt(0.3, 1000, 0.01, numerator, 2.0, 3.0, reg, target)
+    )
+    assert (plugin is not None and name in plugin) == rejected
+    if numerator == 0.0 and not rejected:
+        assert plugin.startswith("selected bandwidth must be positive")
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,6 @@ from jdsmooth.kernels import (
     gamma_kernel,
     gamma_kernel_moments,
     gaussian_kernel,
-    weight_values,
 )
 from jdsmooth.locallinear import LinearFitter, estimate_density
 from jdsmooth.proxy import ProxySeries, Target
@@ -118,7 +117,6 @@ def test_non_finite_evaluation_point_is_an_argument_error(family, kernel, x):
     p = ProxySeries(delta=0.1, values=u)
     for call in (
         lambda: kernel(u, x, 0.2),
-        lambda: weight_values(spec, u, x),
         lambda: LinearFitter.of_series(family, p).fits(0.2, [0.5, x], [Target.DRIFT]),
         lambda: estimate_density(p, spec, x),
     ):
@@ -192,22 +190,6 @@ def test_kernel_spec_rejects_a_bool_bandwidth():
         KernelSpec(KernelFamily.GAMMA, True)
 
 
-def test_weight_values_zero_weight_below_support():
-    # estimation data can sit below zero; for the Gamma family those points
-    # receive zero weight instead of raising
-    spec = KernelSpec(KernelFamily.GAMMA, 0.1)
-    u = np.array([-0.2, 0.1, 0.5])
-    w = weight_values(spec, u, 0.3)
-    assert w[0] == 0.0 and w[1] > 0 and w[2] > 0
-    np.testing.assert_allclose(w[1:], gamma_kernel(u[1:], 0.3, 0.1))
-    with pytest.raises(ValueError):
-        weight_values(spec, u, -0.3)
-    gspec = KernelSpec(KernelFamily.GAUSSIAN, 0.1)
-    np.testing.assert_allclose(
-        weight_values(gspec, u, -0.3), gaussian_kernel(u, -0.3, 0.1)
-    )
-
-
 def scalar_gamma(u, x, h):
     """The Gamma kernel at one point x, in the scalar formula's operation order."""
     shape = x / h
@@ -242,7 +224,6 @@ def test_kernel_plan_rows_equal_the_scalar_kernels(h):
         assert np.all(row[~support] == 0.0)
         assert np.array_equal(row[support], scalar_gamma(u[support], x, h))
         assert np.array_equal(row[support], gamma_kernel(u[support], x, h))
-        assert np.array_equal(row, weight_values(KernelSpec(KernelFamily.GAMMA, h), u, x))
     assert rows[0, 0] == pytest.approx(1.0 / h, rel=1e-14)
     underflowed = (rows[:, support] == 0.0) & (u[support] > 0.0)
     assert np.any(underflowed)
@@ -261,9 +242,6 @@ def test_kernel_plan_rows_equal_the_scalar_kernels(h):
     for row, x in zip(grows, xs):
         assert np.array_equal(row, scalar_gaussian(u, x, h))
         assert np.array_equal(row, gaussian_kernel(u, x, h))
-        assert np.array_equal(
-            row, weight_values(KernelSpec(KernelFamily.GAUSSIAN, h), u, x)
-        )
 
 
 def test_kernel_plan_rejects_bad_arguments():

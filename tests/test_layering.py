@@ -113,8 +113,8 @@ def _kernel_arithmetic(node) -> bool:
     "path", [p for p in SOURCES if p.name != "kernels.py"], ids=lambda p: p.name
 )
 def test_kernel_arithmetic_stays_in_kernels(path):
-    """Kernel weights come from ``jdsmooth.kernels`` (``KernelPlan``,
-    ``weight_values``), never from a private copy of the density formula."""
+    """Kernel weights come from ``jdsmooth.kernels`` (``KernelPlan``),
+    never from a private copy of the density formula."""
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [f"line {node.lineno}" for node in ast.walk(tree) if _kernel_arithmetic(node)]
     assert not calls, calls

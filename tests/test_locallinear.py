@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from jdsmooth import locallinear
 from jdsmooth.errors import DegenerateDesignError, SparseRegionError
-from jdsmooth.kernels import KernelFamily, KernelSpec, gamma_kernel, weight_values
+from jdsmooth.kernels import KernelFamily, KernelPlan, KernelSpec, gamma_kernel
 from jdsmooth.locallinear import (
     LinearFitter,
     Target,
@@ -36,7 +36,7 @@ from jdsmooth.summation import CHUNK
 
 def wls_oracle(w_points, d_points, resp, spec, x):
     """Reference fit: explicit weighted design matrix, lstsq solve."""
-    k = weight_values(spec, w_points, x)
+    k = KernelPlan(spec.family, w_points).weights(spec.bandwidth, x)[0]
     a_mat = np.column_stack([np.ones_like(d_points), d_points - x])
     sw = np.sqrt(k)
     beta, *_ = np.linalg.lstsq(a_mat * sw[:, None], resp * sw, rcond=None)
@@ -77,7 +77,7 @@ def test_weight_mass_is_kernel_mass(family):
     spec = KernelSpec(family, 0.3)
     fit = local_linear_fit(t, Target.DRIFT, spec, 0.5)
     assert fit.weight_mass == math.fsum(
-        weight_values(spec, t.weight_points, 0.5).tolist()
+        KernelPlan(family, t.weight_points).weights(0.3, 0.5)[0].tolist()
     )
 
 
@@ -125,9 +125,8 @@ def test_weight_orthogonality():
     rng = np.random.default_rng(17)
     for family in KernelFamily:
         t = make_triples(rng, n=120)
-        spec = KernelSpec(family, 0.2)
         x = 0.4
-        k = weight_values(spec, t.weight_points, x)
+        k = KernelPlan(family, t.weight_points).weights(0.2, x)[0]
         dx = t.design_points - x
         s1 = math.fsum((k * dx).tolist())
         s2 = math.fsum((k * dx * dx).tolist())
@@ -215,7 +214,7 @@ def test_scale_equivariance_power_of_two_over_whole_curves(family, target):
     assert (0 in base.failures) == (family is KernelFamily.GAMMA)
     y = t.response(target)
     fitted = [i for i in range(grid.size) if i not in base.failures]
-    ky = np.array([weight_values(spec, t.weight_points, grid[i]) * y for i in fitted])
+    ky = KernelPlan(family, t.weight_points).weights(0.3, grid[fitted]) * y
     products = np.abs(np.concatenate([ky, ky * (t.design_points - grid[fitted, None])]))
     products = products[products != 0.0]
     assert products.min() >= 2.0**-1022

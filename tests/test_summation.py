@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jdsmooth import summation
-from jdsmooth.kernels import KernelFamily, KernelSpec, weight_values
+from jdsmooth.kernels import KernelFamily, KernelPlan
 from jdsmooth.locallinear import _power_sums
 from jdsmooth.summation import CHUNK, exact_block_sums, exact_row_sums, exact_sum
 
@@ -318,7 +318,7 @@ def test_power_sums_of_small_bandwidth_weights(family):
     d = w + 0.002 * rng.standard_normal(n)
     y = rng.standard_normal(n)
     x = 0.1
-    k = weight_values(KernelSpec(family, 5e-4), w, x)
+    k = KernelPlan(family, w).weights(5e-4, x)[0]
     assert np.any(k == 0.0) and 0.0 < np.min(k[k > 0]) < 1e-300 < 1 < np.max(k)
     t = (d - x) / np.max(np.abs(d - x))
     rows = [k]
@@ -402,7 +402,7 @@ def test_certified_stage_takes_typical_rows_and_zeros():
     rng = np.random.default_rng(11)
     n = 3 * CHUNK + 17
     w = np.abs(0.1 + 0.1 * rng.standard_normal(n))
-    k = weight_values(KernelSpec(KernelFamily.GAUSSIAN, 5e-4), w, 0.1)
+    k = KernelPlan(KernelFamily.GAUSSIAN, w).weights(5e-4, 0.1)[0]
     t = (w - 0.1) / np.max(np.abs(w - 0.1))
     block = np.array([k, k * t, k * t * t, np.zeros(n), np.full(n, -0.0)])
     assert not assert_certified_totals_match(block).any()
