@@ -85,12 +85,11 @@ def rule_of_thumb(
     return BandwidthChoice(h=h, method=BandwidthMethod.RULE_OF_THUMB, c=c)
 
 
-def default_h_grid(p: ProxySeries, count: int = _GRID_COUNT) -> np.ndarray:
-    """Log-spaced candidate bandwidths around the rule-of-thumb value at
-    the observation span delta * n of the proxy."""
-    count = checked("count", count, at_least(2), integer=True)
+def default_h_grid(p: ProxySeries) -> np.ndarray:
+    """The ``_GRID_COUNT`` log-spaced candidate bandwidths around the
+    rule-of-thumb value at the observation span delta * n of the proxy."""
     rot = rule_of_thumb(p, c=_DEFAULT_GRID_C).h
-    return np.geomspace(_GRID_SPAN[0] * rot, _GRID_SPAN[1] * rot, count)
+    return np.geomspace(_GRID_SPAN[0] * rot, _GRID_SPAN[1] * rot, _GRID_COUNT)
 
 
 def mse_grid_search(
@@ -99,13 +98,11 @@ def mse_grid_search(
     c_grid,
     T: float,
     eval_grid,
-    family: KernelFamily = KernelFamily.GAMMA,
-    target: Target = Target.DRIFT,
-    regime: RegimeKind = RegimeKind.INTERIOR,
 ) -> BandwidthChoice:
-    """Score rule-of-thumb scale constants against a known truth.
+    """Score rule-of-thumb scale constants against a known drift truth.
 
-    For each candidate c the curve is fitted at h(c) over eval_grid and
+    For each candidate c the Gamma-kernel drift curve is fitted at the
+    interior rule of thumb h(c) = c * S * T^(-2/5) over eval_grid and
     scored by mean squared error against truth(x); failed grid points are
     dropped from the average and counted, and a candidate that fails at
     every point keeps the objective inf.  Ties go to the smallest
@@ -122,8 +119,8 @@ def mse_grid_search(
     objectives = np.full(c_grid.size, np.inf)
     failures = 0
     for j, c in enumerate(c_grid):
-        spec = KernelSpec(family, rule_of_thumb(p, c, T, regime).h)
-        curve = estimate_curve(triples, spec, eval_grid, target)
+        spec = KernelSpec(KernelFamily.GAMMA, rule_of_thumb(p, c, T).h)
+        curve = estimate_curve(triples, spec, eval_grid, Target.DRIFT)
         failures += len(curve.failures)
         errs = np.delete((curve.values - true_vals) ** 2, list(curve.failures))
         if errs.size:
@@ -135,7 +132,7 @@ def mse_grid_search(
     best = int(np.argmin(objectives))
     c_best = float(c_grid[best])
     return BandwidthChoice(
-        h=rule_of_thumb(p, c_best, T, regime).h,
+        h=rule_of_thumb(p, c_best, T).h,
         method=BandwidthMethod.MSE_GRID,
         candidates=c_grid,
         objectives=objectives,

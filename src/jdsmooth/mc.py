@@ -226,7 +226,8 @@ def _truth_value(cfg: McConfig, x: float) -> float:
 
 def _cells(cfg: McConfig, records, points) -> dict:
     """Records grouped in one pass by (bandwidth label, family, x in points),
-    in the config's order; records of keys it does not name are skipped."""
+    in the config's order; every record comes from the config's own sweep,
+    so its key names a cell."""
     cells = {
         (setting.label, family.value, x): []
         for setting in cfg.bandwidths
@@ -234,9 +235,7 @@ def _cells(cfg: McConfig, records, points) -> dict:
         for x in points
     }
     for rec in records:
-        cell = cells.get((rec["bandwidth"], rec["family"], rec.get("x")))
-        if cell is not None:
-            cell.append(rec)
+        cells[rec["bandwidth"], rec["family"], rec.get("x")].append(rec)
     return cells
 
 
@@ -321,14 +320,13 @@ def _band_fit(cfg: McConfig, p, spec: KernelSpec, rec: dict) -> list[dict]:
     return out
 
 
-def _band_report(cfg: McConfig, experiment: str, records, row, key: str) -> McReport:
-    """One row per cell of the band records (swept here unless given): the
-    cell's labels, then ``row(cfg, cell, truth)``, then the ``length_ratio``
-    of the families' ``key`` means (a missing family's mean is NaN)."""
+def _band_report(cfg: McConfig, experiment: str, row, key: str) -> McReport:
+    """Sweep the band records, then one row per cell: the cell's labels,
+    then ``row(cfg, cell, truth)``, then the ``length_ratio`` of the
+    families' ``key`` means (a missing family's mean is NaN)."""
     if not cfg.eval_points:
         raise ValueError("this experiment needs at least one evaluation point")
-    if records is None:
-        records = _map_replicates(cfg, _band_fit)
+    records = _map_replicates(cfg, _band_fit)
     points = [float(x) for x in cfg.eval_points]
     rows = []
     for (label, family, x), cell in _cells(cfg, records, points).items():
@@ -364,7 +362,7 @@ def _coverage_row(cfg: McConfig, cell: list[dict], truth: float) -> dict:
 
 def run_coverage_experiment(cfg: McConfig) -> McReport:
     """Empirical coverage and length of pointwise asymptotic bands."""
-    return _band_report(cfg, "coverage", None, _coverage_row, "length")
+    return _band_report(cfg, "coverage", _coverage_row, "length")
 
 
 def _adjusted_row(cfg: McConfig, cell: list[dict], truth: float) -> dict:
@@ -398,43 +396,36 @@ def _adjusted_row(cfg: McConfig, cell: list[dict], truth: float) -> dict:
     return row
 
 
-def run_adjusted_length_experiment(
-    cfg: McConfig, records: list[dict] | None = None
-) -> McReport:
+def run_adjusted_length_experiment(cfg: McConfig) -> McReport:
     """Band lengths recalibrated by empirical studentized-error quantiles.
 
-    The studentized errors (estimate - bias - truth) * rate / sqrt(variance)
-    are pooled across replicates per cell; their alpha/2 and 1 - alpha/2
-    quantiles replace the normal critical values and the resulting lengths
-    are averaged.  Needs at least 40 replicates to make the quantiles
-    meaningful.  Pass ``records`` to reuse a coverage run's sweep.
+    The experiment runs its own sweep of band records, the one a coverage
+    run of the same config makes.  The studentized errors
+    (estimate - bias - truth) * rate / sqrt(variance) are pooled across
+    replicates per cell; their alpha/2 and 1 - alpha/2 quantiles replace
+    the normal critical values and the resulting lengths are averaged.
+    Needs at least 40 replicates to make the quantiles meaningful.
     """
     if cfg.replicates < MIN_ADJUSTED_REPLICATES:
         raise ValueError(
             f"adjusted lengths need at least {MIN_ADJUSTED_REPLICATES} replicates"
         )
-    return _band_report(
-        cfg, "adjusted_length", records, _adjusted_row, "adjusted_length"
-    )
+    return _band_report(cfg, "adjusted_length", _adjusted_row, "adjusted_length")
 
 
-def qq_data(values, center: float | None = None, scale: float | None = None):
+def qq_data(values):
     """Standardized order statistics paired with normal quantiles.
 
     Returns (theoretical, empirical) arrays where theoretical[i] is the
-    standard normal quantile at (i + 0.5)/len and empirical is the sorted,
-    standardized input.  Standardization uses the sample mean and standard
-    deviation unless explicit center/scale are given; an explicit center
-    must be finite and an explicit scale positive and finite.
+    standard normal quantile at (i + 0.5)/len and empirical is the sorted
+    finite input, standardized by its sample mean and standard deviation.
     """
     v = np.asarray(values, dtype=float)
     v = v[np.isfinite(v)]
     if v.size < _MIN_QQ_VALUES:
         raise ValueError(f"need at least {_MIN_QQ_VALUES} values, got {v.size}")
-    mu = float(np.mean(v)) if center is None else checked("center", center)
-    sd = (
-        float(np.std(v, ddof=1)) if scale is None else checked("scale", scale, POSITIVE)
-    )
+    mu = float(np.mean(v))
+    sd = float(np.std(v, ddof=1))
     if not (sd > 0):
         raise ValueError("values have no spread; cannot standardize")
     emp = np.sort((v - mu) / sd)

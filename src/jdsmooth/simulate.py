@@ -56,17 +56,17 @@ class ModelSpec:
         return self.diffusion_const + self.diffusion_quad * xx * xx
 
 
-def baseline_model(
-    jump_total: float = 20.0, jump_size_std: float = 0.036
-) -> ModelSpec:
-    """Mean-reverting benchmark: mu(x) = 1 - 10x, sigma^2(x) = 0.1 + 0.1 x^2."""
+def baseline_model() -> ModelSpec:
+    """Mean-reverting benchmark: mu(x) = 1 - 10x, sigma^2(x) = 0.1 + 0.1 x^2,
+    20 expected jumps of size Normal(0, 0.036^2).  Vary any field with
+    ``dataclasses.replace(baseline_model(), ...)``."""
     return ModelSpec(
         drift_intercept=1.0,
         drift_slope=-10.0,
         diffusion_const=0.1,
         diffusion_quad=0.1,
-        jump_total=jump_total,
-        jump_size_std=jump_size_std,
+        jump_total=20.0,
+        jump_size_std=0.036,
     )
 
 
@@ -154,20 +154,17 @@ def simulate_path(model: ModelSpec, T: float, n: int, seed: int) -> SamplePath:
     delta = T / n
     rng = np.random.default_rng(seed)
 
-    count = int(rng.poisson(model.jump_total)) if model.jump_total > 0 else 0
-    if count > 0:
-        times = rng.uniform(0.0, T, count)
-        sizes = rng.normal(model.jump_size_mean, model.jump_size_std, count)
-        order = np.argsort(times, kind="stable")
-        times, sizes = times[order], sizes[order]
-    else:
-        times = np.empty(0)
-        sizes = np.empty(0)
+    # a Poisson draw at rate 0 and draws of size 0 take no random numbers,
+    # so a path without jumps has the same stream as if they were skipped
+    count = int(rng.poisson(model.jump_total))
+    times = rng.uniform(0.0, T, count)
+    sizes = rng.normal(model.jump_size_mean, model.jump_size_std, count)
+    order = np.argsort(times, kind="stable")
+    times, sizes = times[order], sizes[order]
 
     jump_in_step = np.zeros(n)
-    if count > 0:
-        idx = np.minimum((times / delta).astype(np.int64), n - 1)
-        np.add.at(jump_in_step, idx, sizes)
+    idx = np.minimum((times / delta).astype(np.int64), n - 1)
+    np.add.at(jump_in_step, idx, sizes)
 
     shocks = rng.standard_normal(n)
     sqrt_d = math.sqrt(delta)

@@ -156,6 +156,59 @@ MUTANTS = (
         why="the plug-in judges the band target's own numerator by its rule",
     ),
     Mutant(
+        name="grid-none-read-as-a-list",
+        file="src/jdsmooth/cli.py",
+        old='if v in ("", "none"):',
+        new='if v == "":',
+        tests=(
+            "tests/test_cli.py::TestEstimate"
+            "::test_grid_none_or_empty_leaves_the_default_grid[flag]",
+        ),
+        why='`--grid none` leaves the list unset, as "" in `--config` does',
+    ),
+    Mutant(
+        name="text-times-not-ordered",
+        file="src/jdsmooth/cli.py",
+        old="t_vals = times  # fall back",
+        new="t_vals = []  # fall back",
+        tests=("tests/test_cli.py::TestIngest::test_iso_dates_are_ordered_as_text",),
+        why="a time column of ISO dates must still increase, compared as text",
+    ),
+    Mutant(
+        name="band-experiment-without-points-runs",
+        file="src/jdsmooth/mc.py",
+        old="if not cfg.eval_points:",
+        new="if cfg.eval_points is None:",
+        tests=(
+            "tests/test_mc.py"
+            "::test_band_experiment_without_points_fails_before_simulating",
+        ),
+        why="a band experiment without points is refused before any replicate",
+    ),
+    Mutant(
+        name="jump-test-takes-partly-finite-returns",
+        file="src/jdsmooth/inference.py",
+        old="if not np.all(np.isfinite(r)):",
+        new="if not np.any(np.isfinite(r)):",
+        tests=("tests/test_inference.py::test_bs_jump_test_rejects_degenerate_input",),
+        why="one non-finite return is refused as data, not summed into the statistic",
+    ),
+    Mutant(
+        name="jump-count-drawn-at-a-positive-rate",
+        file="src/jdsmooth/simulate.py",
+        old="count = int(rng.poisson(model.jump_total))",
+        new="count = int(rng.poisson(model.jump_total + 1e-9))",
+        tests=tuple(
+            f"tests/test_simulate.py::test_stepper_matches_indexed_loop_bit_for_bit"
+            f"[{seed}-{case}]"
+            for seed in (0, 7, 2024) for case in ("no_jumps", "rare_jumps")
+        ),
+        why=(
+            "a Poisson draw at rate 0 takes no random numbers and one at a"
+            " positive rate does, so a jump-free model would shift the shocks"
+        ),
+    ),
+    Mutant(
         name="certified-sigma-exponent",
         file="src/jdsmooth/summation.py",
         old="(m + 1).bit_length()",

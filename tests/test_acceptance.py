@@ -19,6 +19,7 @@ estimator limits") documents the mechanism:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ def test_jump_components_recovered_from_estimated_curves():
     # m4 / m6 estimates at 1.04x / 1.05x truth.  The intensity is the
     # tightest component because the sixth-moment estimate it divides by is
     # right-skewed at this jump count.
-    model = baseline_model(jump_total=20.0, jump_size_std=0.1)
+    model = replace(baseline_model(), jump_total=20.0, jump_size_std=0.1)
     T, n, substep, h = 5.0, 5000, 10, 0.1
     grid = np.linspace(0.05, 0.2, 7)
     kern = KernelSpec(KernelFamily.GAMMA, h)
@@ -314,8 +315,8 @@ def test_jump_components_recovered_from_estimated_curves():
 
 def test_jump_test_size_and_power():
     T, n, seeds = 50.0, 5000, 200
-    null_model = baseline_model(jump_total=0.0)
-    alt_model = baseline_model(jump_total=50.0, jump_size_std=0.1)
+    null_model = replace(baseline_model(), jump_total=0.0)
+    alt_model = replace(baseline_model(), jump_total=50.0, jump_size_std=0.1)
 
     null_reject = 0
     for r in range(seeds):

@@ -286,7 +286,7 @@ def test_block_cv_selects_argmin_of_score_curve():
     model = baseline_model()
     path = simulate_path(model, T=10.0, n=1000, seed=7)
     p = build_proxy(path.y, path.delta)
-    grid = default_h_grid(p, count=12)
+    grid = default_h_grid(p)[::2]
     choice = block_cv(p, h_grid=grid)
     assert choice.method is BandwidthMethod.BLOCK_CV
     assert choice.objectives.size == grid.size

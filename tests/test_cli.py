@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,17 @@ class TestIngest:
     def test_non_monotone_time_reports_line(self, tmp_path):
         f = self.write(tmp_path, "t,y\n0,1.0\n1,2.0\n1,3.0\n3,4.0\n")
         with pytest.raises(DataError, match="increasing at line 4"):
+            ingest_series(f)
+
+    def test_iso_dates_are_ordered_as_text(self, tmp_path):
+        rows = ["2024-01-02,1.0", "2024-01-03,2.0", "2024-01-04,3.0", "2024-01-05,4.0"]
+        f = self.write(tmp_path, "date,y\n" + "\n".join(rows) + "\n")
+        np.testing.assert_array_equal(ingest_series(f), [1.0, 2.0, 3.0, 4.0])
+        rows[1], rows[2] = rows[2], rows[1]
+        f = self.write(tmp_path, "date,y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(
+            DataError, match="time column not strictly increasing at line 4"
+        ):
             ingest_series(f)
 
     def test_missing_column_name(self, tmp_path):
@@ -246,6 +258,25 @@ class TestEstimate:
         assert echo["family"] == "gamma"  # config wins over default
         header, data = read_table(tmp_path / "curves.csv")
         assert [row[header.index("x")] for row in data] == ["0.1", "0.15"]
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_grid_none_or_empty_leaves_the_default_grid(self, sim_dir, tmp_path, how):
+        argv = [
+            "estimate", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--bandwidth", "0.08", "--family", "gamma",
+        ]
+        assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+        if how == "flag":
+            unset = ["--grid", "none"]
+        else:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"grid": ""}))
+            unset = ["--config", str(conf)]
+        assert main([*argv, *unset, "--out", str(tmp_path / "unset")]) == 0
+        _, default = read_table(tmp_path / "default" / "curves.csv")
+        _, unset_rows = read_table(tmp_path / "unset" / "curves.csv")
+        assert len(default) > 0
+        assert unset_rows == default
 
     def test_unknown_config_key_exits_2(self, sim_dir, tmp_path, capsys):
         conf = tmp_path / "conf.json"
@@ -674,7 +705,7 @@ class TestJumptest:
         # feed the state increments as direct returns: jumps live in the
         # state, so this is the series where the test has power
         path = simulate_path(
-            baseline_model(jump_total=50.0, jump_size_std=0.1), 5.0, 5000, 7
+            replace(baseline_model(), jump_total=50.0, jump_size_std=0.1), 5.0, 5000, 7
         )
         f = tmp_path / "xincr.csv"
         rows = "\n".join(repr(float(v)) for v in np.diff(path.x))

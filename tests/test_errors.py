@@ -17,7 +17,6 @@ import pytest
 from jdsmooth.bandwidth import (
     asymptotic_h_opt,
     block_cv,
-    default_h_grid,
     rule_of_thumb,
 )
 from jdsmooth.cli import _num
@@ -37,7 +36,7 @@ from jdsmooth.kernels import (
     classify_point,
 )
 from jdsmooth.locallinear import CurveEstimate, Target
-from jdsmooth.mc import BandwidthSetting, McConfig, qq_data
+from jdsmooth.mc import BandwidthSetting, McConfig
 from jdsmooth.proxy import ProxySeries, build_proxy
 from jdsmooth.simulate import (
     baseline_model,
@@ -98,13 +97,6 @@ def _mc(**overrides):
     pytest.param(lambda: _mc(mse_grid_size=5.5), "mse_grid_size", id="mc_grid_size"),
     # used to fail only inside the first replicate
     pytest.param(lambda: _mc(T=math.inf), "T", id="mc_T_inf"),
-    # float() took a numeric string and a bool: center 0, scale 1
-    pytest.param(lambda: qq_data(np.arange(50.0), center="0"), "center",
-                 id="qq_center_string"),
-    pytest.param(lambda: qq_data(np.arange(50.0), scale=True), "scale",
-                 id="qq_scale_bool"),
-    pytest.param(lambda: qq_data(np.arange(50.0), scale=0.0), "scale",
-                 id="qq_scale_zero"),
     # a bool kappa used to be stored as given
     pytest.param(lambda: PointRegime(RegimeKind.BOUNDARY, kappa=True), "kappa",
                  id="regime_kappa_bool"),
@@ -139,7 +131,6 @@ CALLS = {
     "thin": lambda f, i: simulate_path(MODEL, 1.0, 10, 3).thin(i(5)),
     "true_moments": lambda f, i: true_moments(MODEL, 0.1, f(10.0)),
     "rule_of_thumb": lambda f, i: rule_of_thumb(_proxy(), f(2.0), f(5.0)),
-    "default_h_grid": lambda f, i: default_h_grid(_proxy(), count=i(5)),
     "block_cv": lambda f, i: block_cv(_proxy(), h_grid=[0.25], k=i(2)),
     "asymptotic_moments": lambda f, i: asymptotic_moments(
         f(0.5), f(0.0625), i(1000), f(0.25), Target.DRIFT, f(3.0), f(0.125), f(2.0),
@@ -152,7 +143,6 @@ CALLS = {
     "confidence_band": _band,
     "jump_components": lambda f, i: identify_jump_components(f(0.5), f(0.25), f(0.125)),
     "point_regime": lambda f, i: PointRegime(RegimeKind.BOUNDARY, f(0.5)),
-    "qq_data": lambda f, i: qq_data(np.arange(50.0), center=f(24.5), scale=f(2.0)),
     "bandwidth_setting": lambda f, i: BandwidthSetting(fixed=f(0.25)).label,
     "mc_config": lambda f, i: _mc(
         T=f(10.0), n=i(300), replicates=i(2), base_seed=i(1), tau=f(20.0),

@@ -589,5 +589,9 @@ def test_bs_jump_test_proxy_input_uses_level_times_delta():
 def test_bs_jump_test_rejects_degenerate_input():
     with pytest.raises(DataError, match="at least 10 returns"):
         bs_jump_test(np.ones(5))
+    returns = FROZEN_RETURNS.copy()
+    returns[3] = np.nan
+    with pytest.raises(DataError, match="returns contain non-finite values"):
+        bs_jump_test(returns)
     with pytest.raises(DataError):
         bs_jump_test(np.zeros(50))

@@ -43,7 +43,7 @@ from pathlib import Path
 import pytest
 
 import jdsmooth
-from jdsmooth import inference, locallinear, mc, summation
+from jdsmooth import bandwidth, inference, locallinear, mc, simulate, summation
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "jdsmooth").glob("*.py"))
 
@@ -312,6 +312,23 @@ def test_fit_path_functions_take_no_work_array():
     certified-stage scratch."""
     for fn in (summation.exact_block_sums, locallinear._power_sums):
         assert "work" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_library_functions_take_only_what_a_caller_sets():
+    """The grid search scores the Gamma drift at the interior rule of thumb,
+    the default grid has a fixed count, QQ data is standardized by its own
+    sample, the adjusted experiment runs its own sweep and the benchmark
+    model is one model (``dataclasses.replace`` varies it): none of these
+    takes a parameter that would select anything else."""
+    pinned = {
+        bandwidth.mse_grid_search: ["truth", "p", "c_grid", "T", "eval_grid"],
+        bandwidth.default_h_grid: ["p"],
+        mc.qq_data: ["values"],
+        mc.run_adjusted_length_experiment: ["cfg"],
+        simulate.baseline_model: [],
+    }
+    for fn, params in pinned.items():
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
 
 def test_band_companions_take_the_series_not_its_triples():

@@ -165,12 +165,18 @@ def test_adjusted_length_experiment():
         run_adjusted_length_experiment(small_config(replicates=10))
 
 
-def test_adjusted_reuses_coverage_records():
-    cfg = small_config(replicates=48, n=500)
-    cov = run_coverage_experiment(cfg)
-    rep = run_adjusted_length_experiment(cfg, records=cov.records)
-    rep2 = run_adjusted_length_experiment(cfg)
-    assert rep.rows == rep2.rows
+@pytest.mark.parametrize(
+    "run", [run_coverage_experiment, run_adjusted_length_experiment],
+    ids=["coverage", "adjusted_length"],
+)
+def test_band_experiment_without_points_fails_before_simulating(monkeypatch, run):
+    calls = []
+    monkeypatch.setattr(
+        mc, "simulate_path", lambda *args: calls.append(args) or simulate_path(*args)
+    )
+    with pytest.raises(ValueError, match="needs at least one evaluation point"):
+        run(small_config(replicates=40, eval_points=()))
+    assert calls == []
 
 
 @pytest.mark.parametrize("tau", [-1.0, 0.0, float("nan"), float("inf")])
@@ -223,15 +229,14 @@ def test_config_rejects_cells_that_would_share_records(overrides, name):
 def test_every_record_lands_in_exactly_one_cell():
     """Two settings x two families x three points, one below 0: one row
     per cell in (bandwidth, family[, x]) order, each cell holding one
-    record per replicate, and records of keys the config does not name
-    left out."""
+    record per replicate of the experiment's own sweep."""
     settings = (BandwidthSetting(fixed=0.05), BandwidthSetting(rot_c=2.8))
     cfg = small_config(
         replicates=40, bandwidths=settings, eval_points=(-0.05, 0.1, 0.2),
         mse_grid_size=5,
     )
     cov = run_coverage_experiment(cfg)
-    adjusted = run_adjusted_length_experiment(cfg, records=cov.records)
+    adjusted = run_adjusted_length_experiment(cfg)
     mse = run_mse_experiment(cfg)
     labels = [s.label for s in settings]
     families = ["gamma", "gaussian"]
@@ -250,9 +255,6 @@ def test_every_record_lands_in_exactly_one_cell():
                 assert row["replicates_ok"] + row["failures"] == cfg.replicates
     gamma_below = [r for r in cov.rows if r["family"] == "gamma" and r["x"] < 0]
     assert [r["failures"] for r in gamma_below] == [cfg.replicates] * 2
-    stray = dict(cov.records[0], bandwidth="h=9")
-    cells = mc._cells(cfg, [*cov.records, stray], cfg.eval_points)
-    assert all(rec is not stray for cell in cells.values() for rec in cell)
 
 
 def test_bandwidth_setting_rejects_a_bool():

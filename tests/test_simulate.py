@@ -78,7 +78,9 @@ def _indexed_euler(model, T, n, seed):
 
 _ORACLE_CASES = {
     "baseline": baseline_model(),
-    "no_jumps": baseline_model(jump_total=0.0),
+    "no_jumps": replace(baseline_model(), jump_total=0.0),
+    # a positive rate whose Poisson draw is 0 at every seed below
+    "rare_jumps": replace(baseline_model(), jump_total=0.05),
     # sigma^2(x) = 0.1 - 10 x^2 is negative from x0 = 0.5: the guard steps
     # without diffusion until the drift pulls x inside |x| < 0.1
     "negative_quad": replace(baseline_model(), diffusion_quad=-10.0, x0=0.5),
@@ -102,7 +104,7 @@ def test_stepper_matches_indexed_loop_bit_for_bit(case, seed):
     assert np.array_equal(path.jump_sizes, sizes)
     if case == "negative_quad":
         assert guarded > 0
-    if case == "no_jumps":
+    if case in ("no_jumps", "rare_jumps"):
         assert times.size == 0
     if case == "divergent":
         assert np.isnan(x[-1]) and np.isfinite(x[1])
@@ -138,7 +140,7 @@ def test_replicate_seed_distinct_and_stable():
 
 
 def test_jump_bookkeeping():
-    model = baseline_model(jump_total=50.0, jump_size_std=0.1)
+    model = replace(baseline_model(), jump_total=50.0, jump_size_std=0.1)
     path = simulate_path(model, T=10.0, n=1000, seed=3)
     assert path.jump_times.size == path.jump_sizes.size
     assert np.all(path.jump_times >= 0.0) and np.all(path.jump_times < 10.0)
@@ -146,7 +148,8 @@ def test_jump_bookkeeping():
     # Poisson(50) draw: generous sanity interval
     assert 10 <= path.jump_times.size <= 120
 
-    quiet = simulate_path(baseline_model(jump_total=0.0), T=10.0, n=100, seed=3)
+    quiet_model = replace(baseline_model(), jump_total=0.0)
+    quiet = simulate_path(quiet_model, T=10.0, n=100, seed=3)
     assert quiet.jump_times.size == 0
 
 
@@ -200,7 +203,7 @@ def test_thin_requires_divisible_step():
 
 
 def test_true_moments_baseline():
-    model = baseline_model(jump_total=20.0, jump_size_std=0.036)
+    model = replace(baseline_model(), jump_total=20.0, jump_size_std=0.036)
     tm = true_moments(model, 0.2, T=10.0)
     assert tm.mu == pytest.approx(-1.0)
     # per-unit jump rate 2.0 at T=10
@@ -219,7 +222,7 @@ def test_model_rejects_a_bool_coefficient():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        baseline_model(jump_total=-1.0)
+        replace(baseline_model(), jump_total=-1.0)
     with pytest.raises(ValueError):
         simulate_path(baseline_model(), T=0.0, n=10, seed=0)
     with pytest.raises(ValueError):
