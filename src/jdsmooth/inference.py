@@ -342,6 +342,16 @@ class JumpComponents:
 def identify_jump_components(m2: float, m4: float, m6: float) -> JumpComponents:
     """Invert the conditional moment identities at one point.
 
+    The identities assume mean-zero normal jump sizes, Z ~ N(0, sigma_z^2),
+    so E[Z^4] = 3 sigma_z^4 and E[Z^6] = 15 sigma_z^6:
+
+        m2 = sigma^2 + lambda sigma_z^2,  m4 = 3 lambda sigma_z^4,
+        m6 = 15 lambda sigma_z^6,
+
+    solved as sigma_z^2 = m6 / (5 m4), lambda = m4 / (3 sigma_z^4) and
+    sigma^2 = m2 - lambda sigma_z^2.  Under sizes with a nonzero mean or
+    other tails these identities do not hold and neither do the results.
+
     Negative inputs that still admit the algebra are carried through and
     flagged instead of clipped; combinations that break it (no fourth
     moment mass, zero sixth moment) are not identifiable.

@@ -45,8 +45,9 @@ _PILOT_FACTOR = 2.0
 
 # terms one batch of fits sends through the exact engine: 8 points of a
 # 1000-point series at 5 product rows per point (one line), 5 at 7 (two
-# lines, a band's), 3 at 11 (a cubic)
-_BATCH_TERMS = 40 * CHUNK
+# lines, a band's), 3 at 11 (a cubic).  A fixed count, not a multiple of
+# CHUNK: a batch's weight rows are held whole, so this alone bounds them
+_BATCH_TERMS = 40 * 1024
 
 
 @dataclass(frozen=True, slots=True)

@@ -173,21 +173,20 @@ def simulate_path(model: ModelSpec, T: float, n: int, seed: int) -> SamplePath:
 
     # Python floats step faster than numpy scalars and round the same
     xi = model.x0
-    yi = model.y0
     x = [xi]
-    y = [yi]
     for shock, jump in zip(shocks.tolist(), jump_in_step.tolist()):
         s2 = b0 + b1 * xi * xi
         sig = math.sqrt(s2) if s2 > 0.0 else 0.0
-        yi += xi * delta
         xi += (a0 + a1 * xi) * delta + sig * sqrt_d * shock + jump
         x.append(xi)
-        y.append(yi)
+    x = np.array(x, dtype=float)
+    # Y_i = Y_{i-1} + X_{i-1} delta, added in order as the loop would
+    y = np.add.accumulate(np.concatenate([[model.y0], x[:-1] * delta]))
 
     return SamplePath(
         delta=delta,
-        x=np.array(x, dtype=float),
-        y=np.array(y, dtype=float),
+        x=x,
+        y=y,
         jump_times=times,
         jump_sizes=sizes,
         seed=seed,

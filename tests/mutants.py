@@ -209,6 +209,21 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        name="certified-bound-loosened",
+        file="src/jdsmooth/summation.py",
+        old="((m - 1) * m * 2.0**-105)",
+        new="((m - 1) * m * 2.0**-100)",
+        tests=(
+            "tests/test_locallinear.py"
+            "::test_certified_stage_refuses_few_kernel_moment_rows",
+        ),
+        why=(
+            "a bound 32 times too wide keeps every total math.fsum's but"
+            " sends 3 to 9 rows of each baseline series to math.fsum, where"
+            " one at most went before"
+        ),
+    ),
+    Mutant(
         name="certified-sigma-exponent",
         file="src/jdsmooth/summation.py",
         old="(m + 1).bit_length()",

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jdsmooth import locallinear, pool
+from jdsmooth import locallinear, pool, summation
 from jdsmooth.bandwidth import (
     BandwidthMethod,
     asymptotic_h_opt,
@@ -39,7 +39,6 @@ from jdsmooth.proxy import (
     build_regression_triples,
 )
 from jdsmooth.simulate import baseline_model, simulate_path
-from jdsmooth.summation import CHUNK
 
 
 def test_rule_of_thumb_interior_and_boundary():
@@ -222,19 +221,24 @@ def brute_force_block_cv(p, h_grid, k, family):
 
 
 @pytest.mark.parametrize("family", [KernelFamily.GAMMA, KernelFamily.GAUSSIAN])
-def test_block_cv_batches_match_brute_force_leave_block_out(family):
-    # more triples than CHUNK, so one batch of folds spans two column
-    # chunks; a fold count that is no multiple of the batch; one fold
+def test_block_cv_batches_match_brute_force_leave_block_out(family, monkeypatch):
+    # more triples than the column block, so one batch of folds spans two
+    # column blocks; a fold count that is no multiple of the batch; one fold
     # centred exactly at x = 0 (Gamma shape 0); and a bandwidth small
-    # enough for isolated folds to fail
-    n, k = CHUNK + 80, 2
+    # enough for isolated folds to fail.  The block is narrowed to 1024
+    # columns: at CHUNK's own width a batch of several folds of more
+    # triples than CHUNK would outgrow _BATCH_TERMS
+    chunk = 1024
+    monkeypatch.setattr(summation, "CHUNK", chunk)
+    monkeypatch.setattr(locallinear, "CHUNK", chunk)
+    n, k = chunk + 80, 2
     rng = np.random.default_rng(23)
     values = 0.5 * rng.standard_normal(n) + 0.6
     values[400] = 0.0
     p = ProxySeries(delta=0.1, values=values)
     triples = n - 2
     batch = locallinear._BATCH_TERMS // (5 * triples)
-    assert triples > CHUNK and 1 < batch and (n - 2 * k) % batch
+    assert triples > chunk and 1 < batch and (n - 2 * k) % batch
     h_grid = np.array([0.001, 0.3])
     choice = block_cv(p, h_grid=h_grid, k=k, family=family)
     objectives, failures = brute_force_block_cv(p, h_grid, k, family)
@@ -246,7 +250,7 @@ def test_block_cv_batches_match_brute_force_leave_block_out(family):
 def test_block_cv_memory_does_not_grow_with_candidates_or_folds():
     """Peak new allocation of one call stays under one bound: one fold
     batch's weights, products and summation scratch plus the series,
-    whatever the grid or the number of folds (measured 1.1-1.3 MB at
+    whatever the grid or the number of folds (measured 1.3-1.6 MB at
     n = 600 and 2400 on one CPU)."""
     bound = 2_500_000
     rng = np.random.default_rng(5)

@@ -422,7 +422,7 @@ def test_length_ratio_is_nan_unless_both_lengths_are_finite(sym, asym, want):
 def test_band_companions_memory_does_not_grow_with_the_grid(family):
     """Peak new allocation stays under one bound whatever the grid size:
     the numerator and the curvature are fitted a batch of points at a time
-    (measured 0.65-0.72 MB at n = 2400 for 10 and 400 points, the triples
+    (measured 1.10-1.17 MB at n = 2400 for 10 and 400 points, the triples
     band_companions builds included; the 400 x 2400 weight matrix alone
     would be 7.7 MB)."""
     path = simulate_path(baseline_model(), 5.0, 2400, 3)

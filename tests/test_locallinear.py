@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jdsmooth import locallinear
+from jdsmooth import locallinear, summation
 from jdsmooth.errors import DegenerateDesignError, SparseRegionError
 from jdsmooth.kernels import KernelFamily, KernelPlan, KernelSpec, gamma_kernel
 from jdsmooth.locallinear import (
@@ -30,7 +30,8 @@ from jdsmooth.locallinear import (
     estimate_second_derivative,
     local_linear_fit,
 )
-from jdsmooth.proxy import ProxySeries, RegressionTriples
+from jdsmooth.proxy import ProxySeries, RegressionTriples, build_proxy
+from jdsmooth.simulate import baseline_model, simulate_path
 from jdsmooth.summation import CHUNK
 
 
@@ -552,7 +553,7 @@ def test_non_finite_points_raise_in_both_families(family, x):
 def test_curve_memory_does_not_grow_with_the_grid():
     """Peak new allocation of one curve stays under one bound, whatever the
     grid size: the fitter works a batch of grid points at a time (measured
-    0.9 MB at n = 2400 for 10 and 400 points; the 400 x 2400 weight matrix
+    1.1 MB at n = 2400 for 10 and 400 points; the 400 x 2400 weight matrix
     alone would be 7.7 MB)."""
     bound = 1_500_000
     rng = np.random.default_rng(6)
@@ -567,3 +568,38 @@ def test_curve_memory_does_not_grow_with_the_grid():
         finally:
             tracemalloc.stop()
         assert peak <= bound, (size, peak)
+
+
+def test_certified_stage_refuses_few_kernel_moment_rows(monkeypatch):
+    """A tripwire on the exact engine's speed, not its results: the
+    certified stage must take nearly every kernel-moment row of real fits,
+    since each row it refuses is summed again by ``math.fsum`` in Python.
+
+    On baseline-model series (T = 10, n = 5000), two-target line fits and
+    drift curvatures at 50 points across the proxy's range, at h = 0.02
+    and 0.002 in both families, make about 3,300 rows per series.  Over
+    40 other seeds (101-110, 201-230) it refused at most one of them per
+    series; a Higham term loosened 32-fold refused 3 to 9 per series.
+    """
+    certify = summation._certified
+    rows = refused = 0
+
+    def counted(count, blocks, work):
+        nonlocal rows, refused
+        totals, mask = certify(count, blocks, work)
+        rows, refused = rows + count, refused + int(mask.sum())
+        return totals, mask
+
+    monkeypatch.setattr(summation, "_certified", counted)
+    seeds = (1, 2, 3)
+    for seed in seeds:
+        path = simulate_path(baseline_model(), 10.0, 5000, seed)
+        p = build_proxy(path.y, path.delta)
+        xs = np.linspace(p.values.min(), p.values.max(), 50)
+        for family in KernelFamily:
+            fitter = LinearFitter.of_series(family, p)
+            for h in (0.02, 0.002):
+                fitter.fits(h, xs, (Target.DRIFT, Target.COND_VARIANCE))
+                fitter.curvatures(h, xs, Target.DRIFT)
+    assert rows > 3000 * len(seeds)
+    assert refused <= len(seeds), (refused, rows)

@@ -6,6 +6,7 @@ bookkeeping, and the closed-form relation between the integrated series
 and the state recursion pin the implementation down.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -130,6 +131,25 @@ def test_same_seed_bitwise_identical():
     assert np.array_equal(a.jump_sizes, b.jump_sizes)
     c = simulate_path(model, T=10.0, n=500, seed=43)
     assert not np.array_equal(a.x, c.x)
+
+
+def test_baseline_path_keeps_its_recorded_values():
+    """A long baseline path (T = 50, n = 5000, seed 11, 14 jumps) equals,
+    byte for byte, the path recorded when Y was added up inside the Euler
+    loop, so a change in how X or Y is accumulated shows here."""
+    path = simulate_path(baseline_model(), T=50.0, n=5000, seed=11)
+    assert path.jump_times.size == 14
+    assert [v.hex() for v in (path.x[1], path.x[-1], path.y[1], path.y[-1])] == [
+        "0x1.0732e2ffd8aa1p-3",
+        "0x1.39696c633af61p-3",
+        "0x1.90010624dd2f2p+6",
+        "0x1.a482abc5dc38dp+6",
+    ]
+    digest = [hashlib.sha256(a.astype("<f8").tobytes()).hexdigest() for a in (path.x, path.y)]
+    assert digest == [
+        "d80808d4b2a1356ea09a6e464ac24a1d25e9fffea0bee6e006be32cb377b1a29",
+        "42b11257f0fff996c909c5f5410bb5e549c5af875fad3913b638e911091ac421",
+    ]
 
 
 def test_replicate_seed_distinct_and_stable():

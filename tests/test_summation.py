@@ -22,6 +22,17 @@ from jdsmooth.locallinear import _power_sums
 from jdsmooth.summation import CHUNK, exact_block_sums, exact_row_sums, exact_sum
 
 
+# the block width the block-boundary tests were drawn at: their rows of a
+# few thousand terms span several blocks of it, and each has a
+# counterpart at CHUNK's own width
+NARROW = 1024
+
+
+@pytest.fixture
+def narrow_blocks(monkeypatch):
+    monkeypatch.setattr(summation, "CHUNK", NARROW)
+
+
 def fsum_outcome(terms):
     """What math.fsum gives for these terms: a value or an exception class."""
     try:
@@ -200,9 +211,18 @@ def test_hand_picked_rows(row):
     assert_same(exact_sum(np.array(row, dtype=float)), fsum_outcome(row))
 
 
-@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 3])
+@pytest.mark.parametrize("n", [NARROW - 1, NARROW, NARROW + 1, 5 * NARROW + 3])
 @pytest.mark.parametrize("rows", [1, 11])
-def test_row_sums_across_chunks(n, rows):
+def test_row_sums_across_chunks(n, rows, narrow_blocks):
+    check_row_sums_across_blocks(n, rows)
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_row_sums_across_full_width_chunks(n):
+    check_row_sums_across_blocks(n, 11)
+
+
+def check_row_sums_across_blocks(n, rows):
     rng = np.random.default_rng(n + rows)
     block = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-320, 2, (rows, n))
     half = n // 2
@@ -237,13 +257,22 @@ def test_crowded_windows_keep_a_rounding_tie_exact():
     assert_rows_match(np.array(rows))
 
 
-@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 17])
-def test_subnormal_rows_need_no_scaling(n):
+@pytest.mark.parametrize("n", [1, NARROW - 1, NARROW + 1, 3 * NARROW + 17])
+def test_subnormal_rows_need_no_scaling(n, narrow_blocks):
     """Rows of subnormals alone, and of subnormals between small normals and
     their negatives: the cancelling normals (fields 1 to 63) leave the exact
     total at the subnormals' scale, where a partial sum that rounded would
     show in the result.  The rows are checked whole and one column at a
     time."""
+    check_subnormal_rows(n)
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK + 1])
+def test_subnormal_rows_across_full_width_chunks(n):
+    check_subnormal_rows(n)
+
+
+def check_subnormal_rows(n):
     rng = np.random.default_rng(n)
     subnormal = np.ldexp(rng.integers(1 - 2**52, 2**52, (4, n)).astype(float), -1074)
     normal = np.ldexp(rng.uniform(-2.0, 2.0, (2, n // 3)), rng.integers(-1022, -959, (2, n // 3)))
