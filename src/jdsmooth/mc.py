@@ -75,9 +75,9 @@ class BandwidthSetting:
 
     @property
     def label(self) -> str:
-        if self.fixed is not None:
-            return f"h={self.fixed:g}"
-        return f"rot_c={self.rot_c:g}"
+        name, v = ("h", self.fixed) if self.fixed is not None else ("rot_c", self.rot_c)
+        # the short :g text unless it reads back as another value
+        return f"{name}={v:g}" if float(f"{v:g}") == v else f"{name}={v!r}"
 
     def resolve(self, p: ProxySeries, T: float) -> float:
         if self.fixed is not None:
@@ -219,11 +219,6 @@ def _replicate(cfg: McConfig, r: int, fit) -> list[dict]:
     return out
 
 
-def _truth_value(cfg: McConfig, x: float) -> float:
-    tm = true_moments(cfg.model, x, cfg.T)
-    return tm.mu if cfg.target is Target.DRIFT else tm.m
-
-
 def _cells(cfg: McConfig, records, points) -> dict:
     """Records grouped in one pass by (bandwidth label, family, x in points),
     in the config's order; every record comes from the config's own sweep,
@@ -249,7 +244,8 @@ def _mse_fit(cfg: McConfig, p, spec: KernelSpec, rec: dict) -> list[dict]:
     rec.update(ok=False, mse=None, point_failures=len(curve.failures))
     good = np.isfinite(curve.values)
     if good.any():
-        truth = np.array([_truth_value(cfg, float(x)) for x in grid[good]])
+        truth = np.array([true_moments(cfg.model, float(x), cfg.T)[cfg.target]
+                          for x in grid[good]])
         rec.update(ok=True, mse=float(np.mean((curve.values[good] - truth) ** 2)))
     return [rec]
 
@@ -306,7 +302,7 @@ def _band_fit(cfg: McConfig, p, spec: KernelSpec, rec: dict) -> list[dict]:
         }
         if i not in band.gaps:
             lo, hi = float(band.lower[i]), float(band.upper[i])
-            truth = _truth_value(cfg, x)
+            truth = true_moments(cfg.model, x, cfg.T)[cfg.target]
             point.update(
                 ok=True,
                 estimate=float(curve.values[i]),
@@ -330,7 +326,7 @@ def _band_report(cfg: McConfig, experiment: str, row, key: str) -> McReport:
     points = [float(x) for x in cfg.eval_points]
     rows = []
     for (label, family, x), cell in _cells(cfg, records, points).items():
-        stats = row(cfg, cell, _truth_value(cfg, x))
+        stats = row(cfg, cell, true_moments(cfg.model, x, cfg.T)[cfg.target])
         rows.append({"family": family, "bandwidth": label, "x": x, **stats})
     means = {(r["bandwidth"], r["x"], r["family"]): r[f"{key}_mean"] for r in rows}
     for r in rows:

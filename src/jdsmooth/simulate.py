@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     NONNEGATIVE, POSITIVE, at_least, check_fields, checked, checked_field,
 )
+from .proxy import Target
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,17 +70,17 @@ def baseline_model() -> ModelSpec:
     )
 
 
-class TrueMoments(NamedTuple):
-    mu: float
-    m: float
-    c4: float
+def true_moments(model: ModelSpec, x: float, T: float) -> dict[Target, float]:
+    """Each target's infinitesimal moment at x, the truth its estimate is
+    scored against:
 
+        DRIFT          mu(x) + lambda E[Z]
+        COND_VARIANCE  sigma^2(x) + lambda E[Z^2]
+        FOURTH_MOMENT  lambda E[Z^4]
+        SIXTH_MOMENT   lambda E[Z^6]
 
-def true_moments(model: ModelSpec, x: float, T: float) -> TrueMoments:
-    """Drift, conditional second moment, and fourth jump moment at x.
-
-    M(x) = sigma^2(x) + lambda E[Z^2] and c4 = lambda E[Z^4] with the
-    per-unit intensity lambda = jump_total / T, so the horizon the jump
+    E[Z^k] are the raw moments of the jump size Z ~ N(mu_z, sigma_z^2) and
+    lambda = jump_total / T the per-unit intensity, so the horizon the jump
     budget is spread over must be supplied.
     """
     T = checked("horizon T", T, POSITIVE)
@@ -88,9 +88,13 @@ def true_moments(model: ModelSpec, x: float, T: float) -> TrueMoments:
     mz, sz = model.jump_size_mean, model.jump_size_std
     ez2 = mz * mz + sz * sz
     ez4 = mz**4 + 6.0 * mz * mz * sz * sz + 3.0 * sz**4
-    mu = float(model.mu(x))
-    m = float(model.sigma2(x)) + lam * ez2
-    return TrueMoments(mu=mu, m=m, c4=lam * ez4)
+    ez6 = mz**6 + 15.0 * mz**4 * sz * sz + 45.0 * mz * mz * sz**4 + 15.0 * sz**6
+    return {
+        Target.DRIFT: float(model.mu(x)) + lam * mz,
+        Target.COND_VARIANCE: float(model.sigma2(x)) + lam * ez2,
+        Target.FOURTH_MOMENT: lam * ez4,
+        Target.SIXTH_MOMENT: lam * ez6,
+    }
 
 
 @dataclass(frozen=True)

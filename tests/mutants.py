@@ -209,6 +209,25 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        name="drift-truth-without-jump-mean",
+        file="src/jdsmooth/simulate.py",
+        old="Target.DRIFT: float(model.mu(x)) + lam * mz,",
+        new="Target.DRIFT: float(model.mu(x)),",
+        tests=("tests/test_mc.py::test_drift_truth_carries_the_jump_mean",),
+        why="the drift estimates the first infinitesimal moment, mu(x) + lambda E[Z]",
+    ),
+    Mutant(
+        name="bandwidth-label-always-short",
+        file="src/jdsmooth/mc.py",
+        old='if float(f"{v:g}") == v else',
+        new='if True else',
+        tests=(
+            "tests/test_mc.py::test_bandwidth_label_reads_back_as_its_value",
+            "tests/test_cli.py::TestMcTable::test_near_equal_bandwidths_give_two_cells",
+        ),
+        why="two values that print alike under :g are still two cells",
+    ),
+    Mutant(
         name="certified-bound-loosened",
         file="src/jdsmooth/summation.py",
         old="((m - 1) * m * 2.0**-105)",

@@ -401,6 +401,8 @@ class TestEstimate:
         pytest.param(["mc-table", "--fixed-h", "0.1,0.1"], "fixed_h (--fixed-h)",
                      id="fixed_h_repeated"),
         pytest.param(["mc-table", "--rot-c", "0"], "rot_c (--rot-c)", id="mc_rot_c_0"),
+        pytest.param(["mc-table", "--rot-c", "2.8,2.8"], "rot_c (--rot-c)",
+                     id="mc_rot_c_repeated"),
         pytest.param(["mc-table", "--mse-trim", "5"], "mse_trim (--mse-trim)",
                      id="mse_trim_one_value"),
         pytest.param(["mc-table", "--mse-trim", "95,5"], "mse_trim (--mse-trim)",
@@ -805,6 +807,28 @@ class TestMcTable:
         payload = json.loads((tmp_path / "mc_mse.json").read_text())
         assert payload["version"] == __version__
         assert payload["experiment"] == "mse"
+
+    @pytest.mark.parametrize("flag, values, labels", [
+        pytest.param("--fixed-h", "0.1234567,0.1234568",
+                     ["h=0.1234567", "h=0.1234568"], id="fixed_h"),
+        pytest.param("--rot-c", "2.0000001,2.0000002",
+                     ["rot_c=2.0000001", "rot_c=2.0000002"], id="rot_c"),
+    ])
+    def test_near_equal_bandwidths_give_two_cells(self, tmp_path, flag, values, labels):
+        # both values print as the same 6 significant digits
+        rc = main([
+            "mc-table", "--experiment", "coverage", "--T", "5", "--n", "300",
+            "--replicates", "2", "--eval-points", "0.1", flag, values,
+            "--base-seed", "7", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        _, data = read_table(tmp_path / "mc_coverage.csv")
+        payload = json.loads((tmp_path / "mc_coverage.json").read_text())
+        assert payload["config"]["bandwidths"] == labels
+        assert [row["bandwidth"] for row in payload["rows"]] == [
+            label for label in labels for _ in ("gamma", "gaussian")
+        ]
+        assert len(data) == 4
 
     def test_coverage_without_eval_points_exits_2(self, tmp_path, capsys):
         rc = main([

@@ -502,6 +502,60 @@ def test_estimates_and_drift_band_scale_with_the_data(c):
     assert RegimeKind.BOUNDARY in kinds and RegimeKind.INTERIOR in kinds
 
 
+# the power of c a target's curve takes under Y -> cY
+_POWER = {Target.DRIFT: 1, Target.COND_VARIANCE: 2, Target.FOURTH_MOMENT: 4}
+
+
+@pytest.mark.parametrize("c", [0.25, 4.0, 1024.0])
+@pytest.mark.parametrize("family", list(KernelFamily))
+def test_fits_companions_and_bands_scale_by_powers_of_two(sim_series, family, c):
+    """Y -> cY, grid -> c grid, h -> ch for an even power of two c.  Each
+    Gaussian weight then scales by exactly 1/c and every sum is correctly
+    rounded, so a curve whose target takes c^k, its band companions
+    (numerator c^2k, density 1/c, curvature c^(k-2)) and its band limits
+    (c^k, through the rate's sqrt(c)) scale bit for bit.  Gamma weights go
+    through logarithms: rtol 1e-12, measured worst 2e-13 on this series.
+    At c = 2 the rate's sqrt(2) rounds and Gaussian band limits move by
+    up to 8e-15 relative."""
+    p, _ = sim_series
+    # the proxy of cY is exactly c times the proxy of Y
+    runs = ((p, 1.0), (ProxySeries(p.delta, c * p.values), c))
+    grid, h = np.linspace(0.02, 0.22, 6), 0.03
+
+    def same(got, want):
+        if family is KernelFamily.GAUSSIAN:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    for target, k in _POWER.items():
+        c0, c1 = (
+            estimate_curve(build_regression_triples(q), KernelSpec(family, a * h),
+                           a * grid, target)
+            for q, a in runs
+        )
+        same(c1.values, c**k * c0.values)
+        same(c1.slopes, c ** (k - 1) * c0.slopes)
+        assert c1.failures == c0.failures == {}
+    for target in NUMERATOR_TARGET:
+        k = _POWER[target]
+        (c0, comp0), (c1, comp1) = (
+            band_companions(q, KernelSpec(family, a * h), a * grid, target)
+            for q, a in runs
+        )
+        same(c1.values, c**k * c0.values)
+        same(comp1.variance_numerator, c ** (2 * k) * comp0.variance_numerator)
+        same(comp1.density, comp0.density / c)
+        same(comp1.curvature, c ** (k - 2) * comp0.curvature)
+        band0, band1 = (
+            confidence_band(curve, comp, 0.05, n=len(p), delta=p.delta)
+            for curve, comp in ((c0, comp0), (c1, comp1))
+        )
+        for name in ("center", "lower", "upper"):
+            same(getattr(band1, name), c**k * getattr(band0, name))
+        assert band1.gaps == band0.gaps == {}
+
+
 def test_jump_identification_round_trip():
     sigma2, lam, sigma_z2 = 0.09, 2.0, 0.0013
     m2 = sigma2 + lam * sigma_z2

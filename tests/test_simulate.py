@@ -13,6 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from jdsmooth.inference import identify_jump_components
+from jdsmooth.proxy import Target
 from jdsmooth.simulate import (
     ModelSpec,
     baseline_model,
@@ -225,13 +227,62 @@ def test_thin_requires_divisible_step():
 def test_true_moments_baseline():
     model = replace(baseline_model(), jump_total=20.0, jump_size_std=0.036)
     tm = true_moments(model, 0.2, T=10.0)
-    assert tm.mu == pytest.approx(-1.0)
+    assert tm[Target.DRIFT] == pytest.approx(-1.0)
     # per-unit jump rate 2.0 at T=10
-    assert tm.m == pytest.approx(0.1 + 0.1 * 0.04 + 2.0 * 0.036**2)
-    assert tm.c4 == pytest.approx(3.0 * 2.0 * 0.036**4)
+    m = 0.1 + 0.1 * 0.04 + 2.0 * 0.036**2
+    assert tm[Target.COND_VARIANCE] == pytest.approx(m)
+    assert tm[Target.FOURTH_MOMENT] == pytest.approx(3.0 * 2.0 * 0.036**4)
     # same expected jump count spread over a longer horizon thins the rate
     tm50 = true_moments(model, 0.2, T=50.0)
-    assert tm50.m == pytest.approx(0.1 + 0.1 * 0.04 + 0.4 * 0.036**2)
+    m50 = 0.1 + 0.1 * 0.04 + 0.4 * 0.036**2
+    assert tm50[Target.COND_VARIANCE] == pytest.approx(m50)
+
+
+def test_true_moments_with_a_jump_mean():
+    """Every target's truth at mu_z != 0, from the raw moments of
+    N(mu_z, sigma_z^2) in closed form, and those moments against
+    Gauss-Hermite quadrature, exact for these degrees."""
+    mz, sz, x, T = 0.02, 0.01, 0.15, 10.0
+    model = replace(baseline_model(), jump_total=30.0, jump_size_mean=mz,
+                    jump_size_std=sz)
+    lam = 3.0
+    ez = {
+        1: mz,
+        2: mz**2 + sz**2,
+        4: mz**4 + 6 * mz**2 * sz**2 + 3 * sz**4,
+        6: mz**6 + 15 * mz**4 * sz**2 + 45 * mz**2 * sz**4 + 15 * sz**6,
+    }
+    nodes, weights = np.polynomial.hermite_e.hermegauss(8)
+    for k, moment in ez.items():
+        quad = weights @ (mz + sz * nodes) ** k / math.sqrt(2 * math.pi)
+        assert quad == pytest.approx(moment, rel=1e-12)
+    tm = true_moments(model, x, T)
+    want = {
+        Target.DRIFT: 1.0 - 10.0 * x + lam * ez[1],
+        Target.COND_VARIANCE: 0.1 + 0.1 * x * x + lam * ez[2],
+        Target.FOURTH_MOMENT: lam * ez[4],
+        Target.SIXTH_MOMENT: lam * ez[6],
+    }
+    assert list(tm) == list(Target)
+    for target, value in want.items():
+        assert tm[target] == pytest.approx(value, rel=1e-13), target
+
+
+@pytest.mark.parametrize("x", [0.0, 0.1, 0.3])
+def test_truth_table_feeds_the_jump_split(x):
+    """On a mean-zero model the table's (M, lambda E[Z^4], lambda E[Z^6])
+    at x are the moments ``identify_jump_components`` inverts: it returns
+    the model's sigma^2(x), lambda and sigma_z^2."""
+    model, T = baseline_model(), 10.0
+    tm = true_moments(model, x, T)
+    split = identify_jump_components(
+        tm[Target.COND_VARIANCE], tm[Target.FOURTH_MOMENT], tm[Target.SIXTH_MOMENT]
+    )
+    want = (float(model.sigma2(x)), model.jump_total / T, model.jump_size_std**2)
+    np.testing.assert_allclose(
+        (split.sigma2, split.lam, split.sigma_z2), want, rtol=1e-12, atol=0
+    )
+    assert split.flags == ()
 
 
 def test_model_rejects_a_bool_coefficient():
