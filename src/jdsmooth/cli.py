@@ -620,6 +620,7 @@ _MC = _field_options(
         "n": _N.help,
         "eval_points": "evaluation points, comma separated",
         "mse_trim": "percentile pair like 5,95; default none (full range)",
+        "workers": "checked but unused: replicates run serially at any value",
     },
 )
 _FAMILY = _Opt("family", "both", choices={

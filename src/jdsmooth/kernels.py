@@ -28,6 +28,9 @@ from .errors import NONNEGATIVE, POSITIVE, checked
 
 DEFAULT_REGIME_THRESHOLD = 20.0
 
+# the least double at which math.lgamma raises OverflowError
+_LGAMMA_OVERFLOW = 2.5599833278516387e305
+
 
 class KernelFamily(Enum):
     GAMMA = "gamma"
@@ -88,7 +91,8 @@ class KernelPlan:
 
     so a row is bit for bit the same whatever block it is evaluated in.  A
     shape of 0 gives a zero power term, even at u = 0; data below the
-    Gamma support get weight 0.  A non-finite evaluation point is an
+    Gamma support, and all data at a shape whose lgamma overflows (above
+    about 2.56e305), get weight 0.  A non-finite evaluation point is an
     argument error (ValueError) in either family, as is a Gamma point
     below 0.
     """
@@ -117,8 +121,8 @@ class KernelPlan:
             x = float(xs[~finite][0])
             raise ValueError(f"kernel evaluation point must be finite, got {x!r}")
         if self.family is KernelFamily.GAUSSIAN:
-            z = (xs[:, None] - self._u) / h
-            with np.errstate(under="ignore"):
+            with np.errstate(over="ignore", under="ignore"):
+                z = (xs[:, None] - self._u) / h
                 return np.exp(-0.5 * z * z) / (h * math.sqrt(2.0 * math.pi))
         xs = xs.tolist()
         for x in xs:
@@ -126,20 +130,24 @@ class KernelPlan:
                 raise outside_support(x)
         shapes = [x / h for x in xs]
         log_h = math.log(h)
-        # computed before ``dens`` and kept to the end of the call: as a
-        # temporary freed right after ``dens`` is allocated, it made block
-        # CV's fork workers refault heap pages in every batch (about five
-        # times the minor faults per op)
-        u_over_h = self._u / h
-        with np.errstate(invalid="ignore", under="ignore"):
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            # computed before ``dens`` and kept to the end of the call: as a
+            # temporary freed right after ``dens`` is allocated, it made block
+            # CV's fork workers refault heap pages in every batch (about five
+            # times the minor faults per op)
+            u_over_h = self._u / h
             dens = np.multiply.outer(shapes, self._log_u)
             for row, shape in zip(dens, shapes):
                 if shape == 0.0:
                     row[:] = 0.0
             dens -= u_over_h
             dens -= np.array([(s + 1.0) * log_h for s in shapes])[:, None]
-            dens -= np.array([math.lgamma(s + 1.0) for s in shapes])[:, None]
+            log_gamma = np.array([math.lgamma(s + 1.0) if s < _LGAMMA_OVERFLOW
+                                  else math.inf for s in shapes])
+            dens -= log_gamma[:, None]
             np.exp(dens, out=dens)
+            # such a row's other terms may be infinite too: inf - inf is NaN
+            dens[log_gamma == math.inf] = 0.0
         if self._support is None:
             return dens
         out = np.zeros((len(shapes), self.size))
@@ -152,7 +160,7 @@ def gamma_kernel(u, x: float, h: float):
 
     u may be a scalar or an array; all entries must be finite and
     nonnegative, and so must x.  Values whose log-density falls below the
-    double precision floor come back as exactly 0.0.
+    double precision floor, or whose shape x/h overflows lgamma, are 0.0.
     """
     uu = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(uu)) or np.any(uu < 0):

@@ -11,14 +11,14 @@ Three experiments over replicated simulated paths:
   quantiles of the studentized errors and compare the recalibrated band
   lengths across kernel families.
 
-The experiments share one replicate loop, which simulates each path once
-and hands every (bandwidth, family) pair to the experiment's fit function;
-one pass then groups the records into cells by (bandwidth label, family,
-x), in the config's order.  No two cells share a key: families, points
-and bandwidth labels must not repeat.  Replicate r draws its seed from
-the splittable hash of (base_seed, r) and records are reduced in
-replicate order, so reports are bit-identical no matter how many workers
-run the sweep.
+The experiments share one replicate loop.  It runs in the calling
+thread, simulates each path once and hands every (bandwidth, family)
+pair to the experiment's fit function; one pass then groups the records
+into cells by (bandwidth label, family, x), in the config's order.  No
+two cells share a key: families, points and bandwidth labels must not
+repeat.  Replicate r draws its seed from the splittable hash of
+(base_seed, r), and ``McConfig.workers`` changes nothing about a run,
+so reports are bit-identical for any value of it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import csv
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from statistics import NormalDist
@@ -134,9 +133,8 @@ class McConfig:
             raise ValueError("experiments cover drift and conditional variance")
 
     def to_dict(self) -> dict:
-        # workers is an execution detail, not part of the experiment's
-        # identity; keeping it out of the echo keeps reports bit-identical
-        # across thread counts
+        # workers changes nothing about a run and is no part of the
+        # experiment; kept out of the echo, it leaves reports bit-identical
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
         return {
             **d,
@@ -188,15 +186,8 @@ class McReport:
 
 
 def _map_replicates(cfg: McConfig, fit) -> list[dict]:
-    """Every replicate's records, reduced in replicate order."""
-    indices = range(cfg.replicates)
-    worker = functools.partial(_replicate, cfg, fit=fit)
-    if cfg.workers == 1:
-        batches = map(worker, indices)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            batches = list(pool.map(worker, indices))
-    return [rec for batch in batches for rec in batch]
+    """Every replicate's records, in replicate order."""
+    return [rec for r in range(cfg.replicates) for rec in _replicate(cfg, r, fit)]
 
 
 def _replicate(cfg: McConfig, r: int, fit) -> list[dict]:

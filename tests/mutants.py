@@ -288,6 +288,65 @@ MUTANTS = (
             " factor-two slack and the lift rule out in every case tried"
         ),
     ),
+    Mutant(
+        name="replicates-on-a-thread-pool",
+        file="src/jdsmooth/mc.py",
+        old=(
+            "return [rec for r in range(cfg.replicates)"
+            " for rec in _replicate(cfg, r, fit)]"
+        ),
+        new=(
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "    with ThreadPoolExecutor(cfg.workers) as pool:\n"
+            "        worker = functools.partial(_replicate, cfg, fit=fit)\n"
+            "        batches = list(pool.map(worker, range(cfg.replicates)))\n"
+            "    return [rec for batch in batches for rec in batch]"
+        ),
+        tests=(
+            "tests/test_cli.py::TestMcTable"
+            "::test_replicates_run_on_the_calling_thread_for_any_workers",
+            "tests/test_layering.py"
+            "::test_process_pools_start_only_inside_pool_calls[mc.py]",
+        ),
+        why=(
+            "replicates on GIL-bound threads run slower than the loop and start"
+            " up to min(workers, replicates) threads"
+        ),
+    ),
+    Mutant(
+        name="lgamma-unguarded",
+        file="src/jdsmooth/kernels.py",
+        old="math.lgamma(s + 1.0) if s < _LGAMMA_OVERFLOW\n",
+        new="math.lgamma(s + 1.0) if True\n",
+        tests=(
+            "tests/test_kernels.py"
+            "::test_gamma_shape_beyond_the_lgamma_range_has_no_weight",
+            "tests/test_cli.py::TestEstimate"
+            "::test_point_beyond_the_lgamma_range_is_flagged",
+            "tests/test_cli.py::TestBandwidthCommand"
+            "::test_plugin_point_beyond_the_lgamma_range_exits_4",
+        ),
+        why=(
+            "math.lgamma raises OverflowError at shapes x/h above about 2.56e305,"
+            " a traceback and exit 1 from the CLI"
+        ),
+    ),
+    Mutant(
+        name="infinite-shape-row-left-nan",
+        file="src/jdsmooth/kernels.py",
+        old="            dens[log_gamma == math.inf] = 0.0\n",
+        new="",
+        tests=(
+            "tests/test_kernels.py"
+            "::test_gamma_shape_beyond_the_lgamma_range_has_no_weight[0.1-1e-310]",
+            "tests/test_cli.py::TestCi"
+            "::test_subnormal_gamma_bandwidth_flags_every_point",
+        ),
+        why=(
+            "at a shape x/h of inf, inf * log u meets inf - inf: the row is NaN"
+            " and the band's SVD fails, exit 4"
+        ),
+    ),
 )
 
 

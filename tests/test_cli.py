@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import jdsmooth
+import jdsmooth.mc
 from jdsmooth import __version__
 from jdsmooth.cli import (
     _COMMANDS,
@@ -228,6 +230,38 @@ class TestEstimate:
         assert flags == ["outside Gamma kernel support"] * 2
         assert np.all(np.isnan(column(curves, "gamma_estimate")))
         assert column(curves, "gaussian_flag", cast=str) == ["", ""]
+
+    @pytest.mark.parametrize("command, table, prefix", [
+        ("estimate", "curves.csv", ""),
+        ("ci", "bands.csv", "estimate failed: "),
+    ])
+    def test_point_beyond_the_lgamma_range_is_flagged(
+        self, sim_dir, tmp_path, command, table, prefix
+    ):
+        """At x/h above about 2.56e305 the Gamma kernel's log-gamma overflows
+        a double; the point has no kernel mass instead of a traceback."""
+        rc = main([
+            command, "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--grid", "0.1,1e306",
+        ])
+        assert rc == 0
+        for family in ("gamma", "gaussian"):
+            flags = column(tmp_path / table, f"{family}_flag", cast=str)
+            assert flags == ["", prefix + "no usable kernel mass near x=1e+306"]
+
+    def test_bandwidth_below_the_lgamma_range_flags_every_point(
+        self, sim_dir, tmp_path
+    ):
+        rc = main([
+            "estimate", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--family", "gamma", "--bandwidth", "1e-306",
+        ])
+        assert rc == 0
+        curves = tmp_path / "curves.csv"
+        assert np.all(np.isnan(column(curves, "gamma_estimate")))
+        for x, flag in zip(column(curves, "x"), column(curves, "gamma_flag", cast=str)):
+            assert flag == ("outside Gamma kernel support" if x < 0
+                            else f"no usable kernel mass near x={x:g}")
 
     def test_variance_target_and_rot_bandwidth(self, sim_dir, tmp_path):
         rc = main([
@@ -557,6 +591,17 @@ class TestBandwidthCommand:
         assert "numerical failure" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_plugin_point_beyond_the_lgamma_range_exits_4(
+        self, sim_dir, tmp_path, capsys
+    ):
+        rc = main([
+            "bandwidth", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--method", "plugin", "--x", "1e306",
+        ])
+        assert rc == 4
+        assert "plug-in bandwidth needs nonzero curvature" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_plugin_for_the_variance_judges_the_fourth_moment(
         self, sim_dir, tmp_path, capsys
     ):
@@ -650,6 +695,19 @@ class TestCi:
         assert column(bands, "gaussian_flag", cast=str) == ["", ""]
         for name in ("gaussian_center", "gaussian_lower", "gaussian_upper"):
             assert np.all(np.isfinite(column(bands, name)))
+
+    def test_subnormal_gamma_bandwidth_flags_every_point(self, sim_dir, tmp_path):
+        """At h = 5e-324 every positive shape x/h overflows to inf; its
+        kernel row is 0, not NaN, so each point is a flagged gap."""
+        rc = main([
+            "ci", "--input", str(sim_dir / "path.csv"), "--delta", "0.0025",
+            "--out", str(tmp_path), "--bandwidth", "5e-324", "--family", "gamma",
+            "--grid", "0.05,0.1",
+        ])
+        assert rc == 0
+        flags = column(tmp_path / "bands.csv", "gamma_flag", cast=str)
+        assert flags == [f"estimate failed: no usable kernel mass near x={x}"
+                         for x in ("0.05", "0.1")]
 
     def test_ratio_is_nan_where_only_the_gaussian_band_is_a_gap(
         self, sim_dir, tmp_path, monkeypatch
@@ -793,6 +851,22 @@ class TestMcTable:
         assert main(args + ["--out", str(out4), "--workers", "4"]) == 0
         for name in ("mc_coverage.csv", "mc_coverage.json"):
             assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+
+    def test_replicates_run_on_the_calling_thread_for_any_workers(
+        self, tmp_path, monkeypatch
+    ):
+        threads = []
+
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return simulate_path(*args, **kwargs)
+
+        monkeypatch.setattr(jdsmooth.mc, "simulate_path", spy)
+        assert main([
+            "mc-table", "--T", "5", "--n", "300", "--replicates", "4",
+            "--fixed-h", "0.1", "--workers", "8", "--out", str(tmp_path),
+        ]) == 0
+        assert threads == [threading.main_thread()] * 4
 
     def test_mse_table_rows(self, tmp_path):
         rc = main([

@@ -7,12 +7,14 @@ from that oracle, independently of the package code.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from jdsmooth.kernels import (
+    _LGAMMA_OVERFLOW,
     KernelFamily,
     KernelPlan,
     KernelSpec,
@@ -90,6 +92,39 @@ def test_gamma_kernel_at_origin():
     # kernel is the Exponential(h) density whose value at 0 is 1/h
     assert gamma_kernel(0.0, 1.0, 0.1) == 0.0
     assert gamma_kernel(0.0, 0.0, 0.5) == pytest.approx(2.0)
+
+
+def test_lgamma_guard_sits_at_the_overflow():
+    """Below the guard every shape keeps math.lgamma's own value; at it,
+    math.lgamma raises."""
+    assert math.isfinite(math.lgamma(math.nextafter(_LGAMMA_OVERFLOW, 0.0)))
+    with pytest.raises(OverflowError):
+        math.lgamma(_LGAMMA_OVERFLOW)
+
+
+@pytest.mark.parametrize("x, h", [
+    (_LGAMMA_OVERFLOW, 1.0),
+    (1e306, 0.05),
+    (1.0, 1e-306),
+    (0.1, 1e-310),  # x/h overflows to inf
+])
+def test_gamma_shape_beyond_the_lgamma_range_has_no_weight(x, h):
+    u = np.array([0.0, 0.05, 0.5, 1.0, 1e306, 1.5e308])
+    plan = KernelPlan(KernelFamily.GAMMA, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = plan.weights(h, [x, 0.5])
+    assert np.all(rows[0] == 0.0)
+    # the point beside it is evaluated as if alone
+    assert np.array_equal(rows[1], plan.weights(h, [0.5])[0], equal_nan=True)
+
+
+def test_gaussian_weights_far_from_the_data_are_zero_without_warning():
+    u = np.array([-1.0, 0.0, 0.3, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = KernelPlan(KernelFamily.GAUSSIAN, u).weights(0.05, [1e300, -1e300])
+    assert np.all(rows == 0.0)
 
 
 def test_gamma_kernel_rejects_bad_arguments():

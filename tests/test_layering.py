@@ -404,7 +404,7 @@ def test_exports_are_the_public_names_init_imports():
     assert not unlisted, unlisted
 
 
-_PROCESS_POOL_NAMES = ("multiprocessing", "ProcessPoolExecutor")
+_PROCESS_POOL_NAMES = ("multiprocessing", "ProcessPoolExecutor", "ThreadPoolExecutor")
 
 
 def _process_pool_references(node, in_function=False):
@@ -430,8 +430,8 @@ def _process_pool_references(node, in_function=False):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_process_pools_start_only_inside_pool_calls(path):
-    """Only ``pool.py`` names ``multiprocessing`` or ``ProcessPoolExecutor``,
-    and only inside a function."""
+    """Only ``pool.py`` names ``multiprocessing``, ``ProcessPoolExecutor``
+    or ``ThreadPoolExecutor``, and only inside a function."""
     refs = _process_pool_references(ast.parse(path.read_text(), filename=str(path)))
     if path.name == "pool.py":
         assert refs, "pool.py starts no process pool"
